@@ -1,9 +1,9 @@
 """Batch front door: config-driven scenario runs with file artifacts.
 
-Usage: ``plateau-hyp <mode> --config <path> [--out-dir <path>] [--threads k]
-[--seed s]``.  Configs are single JSON documents; unknown keys are rejected.
-Artifacts (solution CSV, OBJ mesh for planar runs, JSON diagnostics report)
-are written atomically, and runs are deterministic for a fixed config and
+Usage: ``plateau-hyp <mode> --config <path> [--out-dir <path>] [--seed s]``.
+Configs are single JSON documents; unknown keys are rejected.  Artifacts
+(solution CSV, OBJ mesh for planar runs, JSON diagnostics report) are
+written atomically, and runs are deterministic for a fixed config and
 seed up to the recorded runtime.  Exit codes: 0 all checks passed, 2 config
 error, 3 solver divergence, 4 check failure.
 """
@@ -64,7 +64,6 @@ class RunConfig:
     alpha: float | None = None
     family: dict | None = None
     mask: dict | None = None
-    threads: int = 1
 
     def grid_nodes(self) -> list:
         if isinstance(self.grid, int):
@@ -82,7 +81,7 @@ def parse_config(document: dict) -> RunConfig:
     if not isinstance(document, dict):
         raise ConfigError("$: config must be a JSON object")
     known = {"mode", "n", "H", "structure", "boundary", "boundary_2", "domain", "grid",
-             "solver", "outputs", "seed", "l", "alpha", "family", "mask", "threads"}
+             "solver", "outputs", "seed", "l", "alpha", "family", "mask"}
     for key in document:
         _require(key in known, f"$.{key}", "unknown key")
     mode = document.get("mode")
@@ -132,8 +131,6 @@ def parse_config(document: dict) -> RunConfig:
     cfg.outputs = document.get("outputs", {})
     _require(isinstance(cfg.outputs, dict), "$.outputs", "must be an object of name -> path")
     cfg.seed = int(document.get("seed", 0))
-    cfg.threads = int(document.get("threads", 1))
-    _require(cfg.threads >= 1, "$.threads", "must be >= 1")
 
     if "boundary" in document:
         cfg.boundary = _parse_boundary(document["boundary"], "$.boundary")
@@ -353,9 +350,10 @@ def _run_solve_asymptotic(cfg: RunConfig, report: DiagnosticsReport, out_dir: st
     report.add("perron.increments_settle", monotone, inc[-1], cfg.solver["tol"],
                "sweep increments shrink after burn-in")
     if cfg.boundary.get("kind") == "constant":
-        plane = barriers.make_supersolution(phi.c_max, cfg.H)
-        mesh = u.meshgrid()
-        exact = plane(mesh[-1])
+        # the plane through the datum on the bottom face y = y_min
+        slope = operator.orientation().solution_slope(cfg.H)
+        y = u.meshgrid()[-1]
+        exact = phi.params["c"] + slope * (y - cfg.domain["y_min"])
         err = float(np.max(np.abs(u.values - exact)))
         h2 = max(u.spacing) ** 2
         tol = max(10 * cfg.solver["tol"], 5 * h2)
@@ -579,7 +577,6 @@ def main(argv=None) -> int:
     parser.add_argument("mode", choices=MODES)
     parser.add_argument("--config", required=True, help="path to a JSON run configuration")
     parser.add_argument("--out-dir", default=".", help="artifact directory")
-    parser.add_argument("--threads", type=int, default=None, help="worker bound (advisory)")
     parser.add_argument("--seed", type=int, default=None, help="seed override for shuffled runs")
     args = parser.parse_args(argv)
 
@@ -600,8 +597,6 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     if args.seed is not None:
         document["seed"] = args.seed
-    if args.threads is not None:
-        document["threads"] = args.threads
 
     try:
         cfg = parse_config(document)

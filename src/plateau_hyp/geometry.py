@@ -124,20 +124,22 @@ class IdealSphere:
 
 
 def _ambient_array(p) -> np.ndarray:
+    """Coordinates of one point, shape (d,), or of many, coordinate-first (d, ...)."""
     if isinstance(p, AmbientPoint):
         return p.coords
     c = np.atleast_1d(np.asarray(p, dtype=float))
-    if c[-1] <= 0:
-        raise ValueError(f"ambient point must have y > 0, got y = {c[-1]}")
+    if np.any(c[-1] <= 0):
+        raise ValueError(f"ambient point must have y > 0, got y = {np.min(c[-1])}")
     return c
 
 
 def _chart_array(p) -> np.ndarray:
+    """Chart coordinates of one point, shape (d,), or of many, coordinate-first (d, ...)."""
     if isinstance(p, ChartPoint):
         return p.as_array()
     c = np.atleast_1d(np.asarray(p, dtype=float))
-    if c[-1] <= 0:
-        raise ValueError(f"chart point must have y > 0, got y = {c[-1]}")
+    if np.any(c[-1] <= 0):
+        raise ValueError(f"chart point must have y > 0, got y = {np.min(c[-1])}")
     return c
 
 
@@ -220,11 +222,12 @@ def hemisphere_chart_to_ambient(chart) -> np.ndarray:
 
     Uses the boundary inversion centered at -e_1 with radius sqrt(2); it is
     an involutive isometry carrying the plane {x_1 = 0} onto {|p| = 1}.
+    Broadcasts over coordinate-first arrays (d, ...).
     """
     z = _chart_array(chart)
-    rho2 = float(np.dot(z, z))
+    rho2 = np.sum(z * z, axis=0)
     denom = 1.0 + rho2
-    out = np.empty(z.shape[0] + 1)
+    out = np.empty((z.shape[0] + 1,) + z.shape[1:])
     out[0] = (1.0 - rho2) / denom
     out[1:] = 2.0 * z / denom
     return out
@@ -240,15 +243,17 @@ def hemisphere_inversion(p) -> np.ndarray:
 
 
 def hemisphere_inversion_differential(p, v) -> np.ndarray:
-    """Differential of :func:`hemisphere_inversion` at p applied to v."""
+    """Differential of :func:`hemisphere_inversion` at p applied to v.
+
+    Broadcasts over coordinate-first arrays (d, ...) of points and vectors.
+    """
     p = _ambient_array(p)
     v = np.asarray(v, dtype=float)
-    c = np.zeros_like(p)
-    c[0] = -1.0
-    w = p - c
-    r2 = float(np.dot(w, w))
-    u = w / math.sqrt(r2)
-    return (2.0 / r2) * (v - 2.0 * np.dot(v, u) * u)
+    w = p.copy()
+    w[0] += 1.0  # p minus the inversion center -e_1
+    r2 = np.sum(w * w, axis=0)
+    u = w / np.sqrt(r2)
+    return (2.0 / r2) * (v - 2.0 * np.sum(v * u, axis=0) * u)
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +292,14 @@ class KillingStructure:
         return p[-1] ** 2 / r2
 
     def drift(self, p) -> np.ndarray:
-        """Ambient components of nabla_Z Z at p."""
+        """Ambient components of nabla_Z Z at p, or at each point of a (d, ...) array."""
         p = _ambient_array(p)
         if self.kind == PARABOLIC:
             out = np.zeros_like(p)
             out[-1] = 1.0 / p[-1]
             return out
-        out = -p.copy()
-        out[-1] += float(np.dot(p, p)) / p[-1]
+        out = -p
+        out[-1] += np.sum(p * p, axis=0) / p[-1]
         return out
 
     def flow(self, s: float, p) -> np.ndarray:
@@ -320,7 +325,11 @@ class KillingStructure:
         return self.gamma(self.chart_to_ambient(chart))
 
     def chart_drift(self, chart) -> np.ndarray:
-        """Chart components of the drift, tangent to the slice."""
+        """Chart components of the drift, tangent to the slice.
+
+        ``chart`` is one point (d,) or a coordinate-first array (d, ...) of
+        points; the result has the same shape.
+        """
         z = _chart_array(chart)
         if self.kind == PARABOLIC:
             out = np.zeros_like(z)

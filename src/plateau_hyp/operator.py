@@ -563,7 +563,7 @@ def residual_field_chart(values: np.ndarray, axes, h, n: int, H: float, sign: in
         div[tuple(sl_c)] += (flux[tuple(sl_hi)] - flux[tuple(sl_lo)]) / h[a]
     div *= y_c**n
 
-    drift = drift_fn(mesh)  # list of d arrays
+    drift = drift_fn(mesh)  # coordinate-first, (d, ...)
     pairing = sum(grads[b] * drift[b] for b in range(d))
     return sign * (div - (gamma_c / wtil_c) * pairing) - n * H
 
@@ -578,16 +578,7 @@ def _hyperbolic_chart_fns(n: int):
         return (2.0 * y / (1.0 + rho2)) ** 2
 
     def drift_fn(mesh):
-        shape = np.broadcast(*mesh).shape
-        out = [np.zeros(shape) for _ in range(len(mesh))]
-        it = np.nditer(mesh[0], flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            z = np.array([m[idx] for m in mesh])
-            b = struct.chart_drift(z)
-            for comp in range(len(mesh)):
-                out[comp][idx] = b[comp]
-        return out
+        return struct.chart_drift(np.stack(np.broadcast_arrays(*mesh)))
 
     return gamma_fn, drift_fn
 

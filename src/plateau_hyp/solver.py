@@ -164,14 +164,9 @@ def _frozen_residual_factory(values: np.ndarray, grid: GridFunction, kind: str, 
             sl_c[a] = slice(1, -1)
             div[tuple(sl_c)] += (flux[tuple(sl_hi)] - flux[tuple(sl_lo)]) / h[a]
         gy = operator._centered_gradients(v, h)[-1]
-        # conv.sign multiplies the frozen divergence-form expression
-        return _sign_apply(conv.sign, y_grid * div - n * gy / wc) - n * H
+        return conv.sign * (y_grid * div - n * gy / wc) - n * H
 
     return frozen
-
-
-def _sign_apply(sign: int, arr: np.ndarray) -> np.ndarray:
-    return sign * arr
 
 
 _OFFSETS_CACHE: dict[int, list] = {}
@@ -244,13 +239,6 @@ class JacobianBuilder:
                              shape=(self.m, self.m))
 
 
-def assemble_jacobian(values: np.ndarray, interior: np.ndarray, resid_fn,
-                      eps: float | None = None) -> sp.csr_matrix:
-    """One-shot colored-FD Jacobian (sparse); see :class:`JacobianBuilder`."""
-    builder = JacobianBuilder(values.shape, interior, dense_cutoff=0)
-    return builder.assemble(values, resid_fn, resid_fn(values), eps)
-
-
 _BUILDER_CACHE: dict = {}
 
 
@@ -266,12 +254,27 @@ def _cached_builder(shape, interior: np.ndarray, dense_cutoff: int) -> JacobianB
     return builder
 
 
-def _linear_solve(J, rhs: np.ndarray, dense_cutoff: int) -> np.ndarray:
+def _factorize(J):
+    """Linear solver for one assembled matrix: ``solve(rhs)`` returns the step.
+
+    A sparse matrix is LU-factored here, once, and the factors serve every
+    right-hand side until the caller drops the solver; a dense matrix (the
+    builder's choice for small problems) goes to ``np.linalg.solve`` per
+    call.  A singular matrix gives ``None``, "no step", from either branch.
+    """
     if isinstance(J, np.ndarray):
-        return np.linalg.solve(J, rhs)
-    if J.shape[0] <= dense_cutoff:
-        return np.linalg.solve(J.toarray(), rhs)
-    return spla.spsolve(J.tocsc(), rhs)
+        def solve(rhs):
+            try:
+                return np.linalg.solve(J, rhs)
+            except np.linalg.LinAlgError:
+                return None
+
+        return solve
+    try:
+        lu = spla.splu(J.tocsc())
+    except RuntimeError:  # SuperLU: "Factor is exactly singular"
+        return lambda rhs: None
+    return lu.solve
 
 
 def harmonic_extension(problem: DirichletProblem) -> np.ndarray:
@@ -297,10 +300,10 @@ def harmonic_extension(problem: DirichletProblem) -> np.ndarray:
 
     builder = JacobianBuilder(values.shape, interior)
     F0 = lap(values)
-    J = builder.assemble(values, lap, F0)
-    sol = _linear_solve(J, -F0[interior], 400)
+    sol = _factorize(builder.assemble(values, lap, F0))(-F0[interior])
     out = values.copy()
-    out[interior] += sol
+    if sol is not None:
+        out[interior] += sol
     return out
 
 
@@ -354,8 +357,23 @@ def solve_dirichlet(problem: DirichletProblem, cfg: SolverConfig | None = None,
     F = resid(values)
     nrm = float(np.max(np.abs(F[interior])))
     builder = None
-    J = None
+    solve = None  # factored Jacobian, reused for up to three more steps
     reused = 0
+
+    def line_search(step):
+        """Backtracking on the residual max-norm; (values, F, nrm, lam) or None."""
+        if step is None or not np.all(np.isfinite(step)):
+            return None
+        lam = 1.0
+        while lam >= cfg.min_step:
+            trial = values.copy()
+            trial[interior] += lam * step
+            Ft = resid(trial)
+            nt = float(np.max(np.abs(Ft[interior])))
+            if nt < nrm * (1.0 - 1e-4 * lam) or nt <= cfg.tol:
+                return trial, Ft, nt, lam
+            lam *= 0.5
+        return None
 
     for it in range(cfg.max_iters):
         if nrm <= cfg.tol:
@@ -363,50 +381,27 @@ def solve_dirichlet(problem: DirichletProblem, cfg: SolverConfig | None = None,
             break
         if builder is None:
             builder = _cached_builder(values.shape, interior, cfg.dense_cutoff)
-        if J is None or reused >= 3:
-            J = builder.assemble(values, resid, F)
+        if solve is None or reused >= 3:
+            solve = None  # drop the old factors before the new assembly
+            solve = _factorize(builder.assemble(values, resid, F))
             reused = 0
         else:
             reused += 1
-        try:
-            step = _linear_solve(J, -F[interior], cfg.dense_cutoff)
-        except Exception:  # singular Jacobian counts as a stall
-            step = None
-        accepted = False
-        if step is not None and np.all(np.isfinite(step)):
-            lam = 1.0
-            while lam >= cfg.min_step:
-                trial = values.copy()
-                trial[interior] += lam * step
-                Ft = resid(trial)
-                nt = float(np.max(np.abs(Ft[interior])))
-                if nt < nrm * (1.0 - 1e-4 * lam) or nt <= cfg.tol:
-                    values, F, nrm = trial, Ft, nt
-                    report.damping_history.append(lam)
-                    accepted = True
-                    break
-                lam *= 0.5
-            if accepted and lam < 1.0:
-                J = None  # damped step: refresh the linearization next time
-        if not accepted and reused > 0:
+        found = line_search(solve(-F[interior]))
+        if found is None and reused > 0:
             # stale Jacobian may be the culprit: rebuild before falling back
-            J = builder.assemble(values, resid, F)
+            solve = None
+            solve = _factorize(builder.assemble(values, resid, F))
             reused = 0
-            step2 = _linear_solve(J, -F[interior], cfg.dense_cutoff)
-            lam = 1.0
-            while lam >= cfg.min_step:
-                trial = values.copy()
-                trial[interior] += lam * step2
-                Ft = resid(trial)
-                nt = float(np.max(np.abs(Ft[interior])))
-                if nt < nrm * (1.0 - 1e-4 * lam) or nt <= cfg.tol:
-                    values, F, nrm = trial, Ft, nt
-                    report.damping_history.append(lam)
-                    accepted = True
-                    break
-                lam *= 0.5
+            found = line_search(solve(-F[interior]))
+        elif found is not None and found[3] < 1.0:
+            solve = None  # damped step: refresh the linearization next time
         report.iterations = it + 1
-        if not accepted:
+        if found is not None:
+            values, F, nrm, lam = found
+            report.damping_history.append(lam)
+        else:
+            solve = None  # the fallback factors matrices of its own
             values, F, nrm, picard_used = _picard_phase(values, F, nrm, problem, cfg, conv,
                                                         interior, resid)
             report.picard_iterations += picard_used
@@ -423,6 +418,7 @@ def solve_dirichlet(problem: DirichletProblem, cfg: SolverConfig | None = None,
             f"no graph solution detected: residual {nrm:.3e} after {cfg.max_iters} "
             f"Newton iterations (tolerance {cfg.tol:.1e})")
 
+    solve = None  # release the factors before the diagnostic's workspace
     report.final_residual = nrm
     out = GridFunction(grid.axes, values, boundary | ~problem.mask)
     if compute_bands:
@@ -437,12 +433,8 @@ def _picard_phase(values, F, nrm, problem, cfg, conv, interior, resid):
         if nrm <= cfg.tol:
             break
         frozen = _frozen_residual_factory(values, problem.grid, problem.kind, problem.H, conv)
-        J = builder.assemble(values, frozen, frozen(values))
-        try:
-            step = _linear_solve(J, -F[interior], cfg.dense_cutoff)
-        except Exception:
-            break
-        if not np.all(np.isfinite(step)):
+        step = _factorize(builder.assemble(values, frozen, frozen(values)))(-F[interior])
+        if step is None or not np.all(np.isfinite(step)):
             break
         omega = 1.0
         progressed = False

@@ -49,6 +49,10 @@ class TestParseConfig:
         cfg = cli.parse_config({"mode": "barrier", "l": 1.0, "grid": 9})
         assert cfg.grid == 9  # non-solve modes are free
 
+    def test_threads_key_rejected(self):
+        with pytest.raises(cli.ConfigError, match=r"\$\.threads"):
+            cli.parse_config({"mode": "barrier", "l": 1.0, "threads": 2})
+
     def test_compare_needs_both_sides(self):
         with pytest.raises(cli.ConfigError, match="boundary_2"):
             cli.parse_config({"mode": "compare",
@@ -167,6 +171,18 @@ class TestEndToEnd:
         assert all(c["status"] == "PASS" for c in report["checks"])
         assert (tmp_path / "solution.csv").exists()
         assert (tmp_path / "solution.obj").exists()
+
+    def test_constant_data_match_plane_through_datum(self, tmp_path):
+        # for H != 0 the solution is the equidistant plane through the datum
+        # on the bottom face, c + slope * (y - y_min)
+        doc = {"mode": "solve-asymptotic", "H": 0.5, "grid": 17, "domain": {"L": 0.5},
+               "boundary": {"kind": "constant", "c": 0.5}}
+        config = write_config(tmp_path, doc)
+        code = cli.main(["solve-asymptotic", "--config", config, "--out-dir", str(tmp_path)])
+        report = json.loads((tmp_path / "report.json").read_text())
+        check = next(c for c in report["checks"] if c["name"] == "perron.matches_equidistant_plane")
+        assert check["status"] == "PASS"
+        assert code == 0
 
     def test_compare_mode(self, tmp_path):
         doc = self.asymptotic_doc()

@@ -230,6 +230,30 @@ class TestDrift:
         assert abs(pushed[0]) < 1e-12  # tangent to the vertical-plane slice
         assert np.allclose(pushed[1:], b_chart, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("kind", [ge.PARABOLIC, ge.HYPERBOLIC])
+    def test_chart_drift_broadcasts_over_point_arrays(self, kind, n):
+        # a coordinate-first (d, ...) array gives the per-point values
+        struct = ge.killing_structure(kind, n)
+        rng = np.random.default_rng(40 + n)
+        shape = (5, 7)
+        pts = np.empty((n,) + shape)
+        pts[:-1] = rng.uniform(-1.5, 1.5, size=(n - 1,) + shape)
+        pts[-1] = rng.uniform(0.05, 2.0, size=shape)
+        field = struct.chart_drift(pts)
+        assert field.shape == pts.shape
+        for idx in np.ndindex(shape):
+            point = pts[(slice(None),) + idx]
+            expected = struct.chart_drift(point)
+            assert expected.shape == (n,)
+            assert np.max(np.abs(field[(slice(None),) + idx] - expected)) <= 1e-14
+
+    def test_point_arrays_reject_nonpositive_height(self):
+        struct = ge.killing_structure(ge.HYPERBOLIC, 2)
+        pts = np.array([[0.1, 0.2], [0.5, -0.1]])
+        with pytest.raises(ValueError, match="y > 0"):
+            struct.chart_drift(pts)
+
 
 class TestOrbits:
     def test_parabolic_orbits_keep_height(self):

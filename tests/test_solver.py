@@ -145,6 +145,36 @@ class TestGradientDiagnostic:
         assert abs(sups[49] - sups[97]) / sups[97] <= 0.05
 
 
+def hemisphere_problem(nodes):
+    grid = op.make_grid(2, 0.45, 0.25, 0.95, nodes)
+    return full_problem(grid, lambda z: 0.1 + math.sqrt(1.5**2 - float(np.dot(z, z))), 0.0)[0]
+
+
+class TestFactorization:
+    def test_one_sparse_factorization_per_assembly(self, monkeypatch):
+        problem = hemisphere_problem(33)  # 31^2 unknowns: the sparse branch
+        counts = {"splu": 0, "sparse_assemblies": 0}
+        real_splu = sv.spla.splu
+        real_assemble = sv.JacobianBuilder.assemble
+
+        def counting_splu(*args, **kwargs):
+            counts["splu"] += 1
+            return real_splu(*args, **kwargs)
+
+        def counting_assemble(self, *args, **kwargs):
+            if not self.dense:
+                counts["sparse_assemblies"] += 1
+            return real_assemble(self, *args, **kwargs)
+
+        monkeypatch.setattr(sv.spla, "splu", counting_splu)
+        monkeypatch.setattr(sv.JacobianBuilder, "assemble", counting_assemble)
+        _, rep = sv.solve_dirichlet(problem, sv.SolverConfig(tol=1e-10))
+        assert rep.converged
+        newton_assemblies = counts["sparse_assemblies"] - 1  # one is the harmonic start
+        assert rep.iterations > newton_assemblies >= 1  # some Jacobians served several steps
+        assert counts["splu"] == counts["sparse_assemblies"]
+
+
 class TestDivergence:
     def test_impossible_data_reports_no_graph_solution(self):
         grid = op.make_grid(2, 0.5, 0.2, 1.0, 17)
@@ -167,3 +197,51 @@ class TestDivergence:
         mask[3, 3] = True
         with pytest.raises(ValueError):
             sv.DirichletProblem(grid=grid, mask=mask, data=np.zeros(grid.values.shape), H=0.0)
+
+    @pytest.mark.parametrize("nodes", [17, 33])
+    def test_singular_retry_jacobian_reports_divergence(self, nodes, monkeypatch):
+        # The first Newton step succeeds; the step from the reused Jacobian is
+        # unusable, so the solver rebuilds it, and every matrix from then on
+        # is singular.  That must end as divergence, not as a linear algebra
+        # error.  17^2 takes the dense branch, 33^2 the sparse one.
+        problem = hemisphere_problem(nodes)
+        start = sv.harmonic_extension(problem)
+        calls = {"n": 0}
+
+        def nan_step(rhs):
+            return np.full_like(rhs, np.nan)
+
+        if nodes == 17:
+            real_solve = np.linalg.solve
+
+            def flaky_solve(a, b):
+                calls["n"] += 1
+                if calls["n"] == 1:
+                    return real_solve(a, b)
+                if calls["n"] == 2:
+                    return nan_step(b)
+                raise np.linalg.LinAlgError("Singular matrix")
+
+            monkeypatch.setattr(np.linalg, "solve", flaky_solve)
+        else:
+            real_splu = sv.spla.splu
+
+            class StaleLU:
+                def __init__(self, lu):
+                    self.lu = lu
+                    self.uses = 0
+
+                def solve(self, rhs):
+                    self.uses += 1
+                    return self.lu.solve(rhs) if self.uses == 1 else nan_step(rhs)
+
+            def flaky_splu(*args, **kwargs):
+                calls["n"] += 1
+                if calls["n"] == 1:
+                    return StaleLU(real_splu(*args, **kwargs))
+                raise RuntimeError("Factor is exactly singular")
+
+            monkeypatch.setattr(sv.spla, "splu", flaky_splu)
+        with pytest.raises(sv.SolverDivergence):
+            sv.solve_dirichlet(problem, sv.SolverConfig(tol=1e-12), initial=start)
+        assert calls["n"] >= 3  # the retry and the fallback both asked for a factorization
