@@ -455,60 +455,72 @@ def qh_pointwise(patch: ScalarPatch, P, kind: str, H: float, n: int | None = Non
 # Grid residual
 # ---------------------------------------------------------------------------
 
-def _face_w(values: np.ndarray, h, axis: int,
-            grads: list | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Normal difference and W factor on the axis' cell faces (full slabs)."""
-    d = values.ndim
-    dn = np.diff(values, axis=axis) / h[axis]
+def _axis_slice(d: int, axis: int, sl: slice) -> tuple:
+    """Index taking ``sl`` along grid ``axis`` of the trailing ``d`` axes."""
+    idx = [slice(None)] * d
+    idx[axis] = sl
+    return (Ellipsis, *idx)
+
+
+def _face_w(values: np.ndarray, h, axis: int, grads: list) -> tuple[np.ndarray, np.ndarray]:
+    """Normal difference and W factor on the axis' cell faces (full slabs).
+
+    The grid occupies the trailing ``len(h)`` axes of ``values``; leading
+    axes are batch axes, evaluated independently.  ``grads`` are the
+    centered gradients of ``values``.
+    """
+    dn, t2 = _face_slopes(values, h, axis, grads)
+    return dn, np.sqrt(1.0 + dn**2 + t2)
+
+
+def _face_slopes(values: np.ndarray, h, axis: int, grads: list) -> tuple:
+    """Normal difference and squared face-averaged tangential slopes on the axis' faces."""
+    d = len(h)
+    dn = np.diff(values, axis=axis - d) / h[axis]
+    lo = _axis_slice(d, axis, slice(None, -1))
+    hi = _axis_slice(d, axis, slice(1, None))
     t2 = 0.0
-    if grads is None:
-        grads = _centered_gradients(values, h)
-    lo = [slice(None)] * d
-    hi = [slice(None)] * d
-    lo[axis] = slice(None, -1)
-    hi[axis] = slice(1, None)
-    lo, hi = tuple(lo), tuple(hi)
     for b in range(d):
-        if b == axis:
-            continue
-        cb = grads[b]
-        t2 = t2 + (0.5 * (cb[lo] + cb[hi])) ** 2
-    w = np.sqrt(1.0 + dn**2 + t2)
-    return dn, w
+        if b != axis:
+            t2 = t2 + (0.5 * (grads[b][lo] + grads[b][hi])) ** 2
+    return dn, t2
 
 
 def _centered_gradients(values: np.ndarray, h) -> list[np.ndarray]:
-    d = values.ndim
+    """Centered differences per grid axis (trailing ``len(h)`` axes), zero on the edges."""
+    d = len(h)
     grads = []
     for b in range(d):
         cb = np.zeros_like(values)
-        sl_c = [slice(None)] * d
-        sl_p = [slice(None)] * d
-        sl_m = [slice(None)] * d
-        sl_c[b] = slice(1, -1)
-        sl_p[b] = slice(2, None)
-        sl_m[b] = slice(None, -2)
-        cb[tuple(sl_c)] = (values[tuple(sl_p)] - values[tuple(sl_m)]) / (2 * h[b])
+        cb[_axis_slice(d, b, slice(1, -1))] = (
+            values[_axis_slice(d, b, slice(2, None))]
+            - values[_axis_slice(d, b, slice(None, -2))]) / (2 * h[b])
         grads.append(cb)
     return grads
 
 
+def _add_flux_divergence(div: np.ndarray, flux: np.ndarray, h, axis: int) -> None:
+    """Accumulate the face-flux difference along ``axis`` at the inner nodes."""
+    d = len(h)
+    div[_axis_slice(d, axis, slice(1, -1))] += (
+        flux[_axis_slice(d, axis, slice(1, None))]
+        - flux[_axis_slice(d, axis, slice(None, -1))]) / h[axis]
+
+
 def residual_field_parabolic(values: np.ndarray, y_grid: np.ndarray, h, n: int,
                              H: float, sign: int) -> np.ndarray:
-    """Vectorized residual on the full grid; valid at full-stencil nodes only."""
-    d = values.ndim
+    """Vectorized residual on the full grid; valid at full-stencil nodes only.
+
+    The grid occupies the trailing ``len(h)`` axes of ``values`` and
+    ``y_grid`` broadcasts against them; any leading axes stack independent
+    grid functions, each evaluated with the same arithmetic as on its own.
+    """
+    d = len(h)
     grads = _centered_gradients(values, h)
     div = np.zeros_like(values)
     for a in range(d):
         dn, w = _face_w(values, h, a, grads)
-        flux = dn / w
-        sl_hi = [slice(None)] * d
-        sl_lo = [slice(None)] * d
-        sl_c = [slice(None)] * d
-        sl_hi[a] = slice(1, None)
-        sl_lo[a] = slice(None, -1)
-        sl_c[a] = slice(1, -1)
-        div[tuple(sl_c)] += (flux[tuple(sl_hi)] - flux[tuple(sl_lo)]) / h[a]
+        _add_flux_divergence(div, dn / w, h, a)
     wc = np.sqrt(1.0 + sum(g**2 for g in grads))
     return sign * (y_grid * div - n * grads[-1] / wc) - n * H
 
@@ -519,9 +531,12 @@ def residual_field_chart(values: np.ndarray, axes, h, n: int, H: float, sign: in
 
     Conservative form y^n * d_j(y^{2-n} u_j / Wtil) with Wtil^2 = gamma +
     y^2 |Du|^2; used for the dilation structure, where gamma and the drift
-    are pulled back from the hemisphere slice.
+    are pulled back from the hemisphere slice.  As for the parabolic form,
+    the grid occupies the trailing ``len(h)`` axes of ``values``; gamma, the
+    heights and the drift are evaluated once on the grid and broadcast over
+    any leading batch axes.
     """
-    d = values.ndim
+    d = len(h)
     mesh = np.meshgrid(*axes, indexing="ij")
     gamma_c = gamma_fn(mesh)
     y_c = mesh[-1]
@@ -532,35 +547,14 @@ def residual_field_chart(values: np.ndarray, axes, h, n: int, H: float, sign: in
 
     div = np.zeros_like(values)
     for a in range(d):
-        dn = np.diff(values, axis=a) / h[a]
-        t2 = np.zeros_like(dn)
-        for b in range(d):
-            if b == a:
-                continue
-            cb = grads[b]
-            lo = [slice(None)] * d
-            hi = [slice(None)] * d
-            lo[a] = slice(None, -1)
-            hi[a] = slice(1, None)
-            t2 += (0.5 * (cb[tuple(lo)] + cb[tuple(hi)])) ** 2
-        face_mesh = []
-        for b in range(d):
-            lo = [slice(None)] * d
-            hi = [slice(None)] * d
-            lo[a] = slice(None, -1)
-            hi[a] = slice(1, None)
-            face_mesh.append(0.5 * (mesh[b][tuple(lo)] + mesh[b][tuple(hi)]))
+        dn, t2 = _face_slopes(values, h, a, grads)
+        lo = _axis_slice(d, a, slice(None, -1))
+        hi = _axis_slice(d, a, slice(1, None))
+        face_mesh = [0.5 * (mesh[b][lo] + mesh[b][hi]) for b in range(d)]
         gamma_f = gamma_fn(face_mesh)
         y_f = face_mesh[-1]
         wtil_f = np.sqrt(gamma_f + y_f**2 * (dn**2 + t2))
-        flux = y_f ** (2 - n) * dn / wtil_f
-        sl_hi = [slice(None)] * d
-        sl_lo = [slice(None)] * d
-        sl_c = [slice(None)] * d
-        sl_hi[a] = slice(1, None)
-        sl_lo[a] = slice(None, -1)
-        sl_c[a] = slice(1, -1)
-        div[tuple(sl_c)] += (flux[tuple(sl_hi)] - flux[tuple(sl_lo)]) / h[a]
+        _add_flux_divergence(div, y_f ** (2 - n) * dn / wtil_f, h, a)
     div *= y_c**n
 
     drift = drift_fn(mesh)  # coordinate-first, (d, ...)

@@ -32,6 +32,10 @@ from .operator import GridFunction, OrientationConvention, make_grid
 from .solver import DirichletProblem, SolverConfig, SolverDivergence
 
 
+class PerronStall(RuntimeError):
+    """The iteration stopped moving while the residual stayed above tolerance."""
+
+
 # ---------------------------------------------------------------------------
 # Boundary data
 # ---------------------------------------------------------------------------
@@ -209,13 +213,7 @@ def _index_ball_mask(shape, center, radius: int) -> np.ndarray:
 
 
 def _index_ball_interior(shape, center, radius: int) -> np.ndarray:
-    mask = _index_ball_mask(shape, center, radius)
-    inner = mask.copy()
-    for off in itertools.product((-1, 0, 1), repeat=len(shape)):
-        if all(o == 0 for o in off):
-            continue
-        inner &= solver._shift(mask, off)
-    return inner
+    return solver.stencil_reduce(_index_ball_mask(shape, center, radius), np.logical_and)
 
 
 # ---------------------------------------------------------------------------
@@ -338,12 +336,7 @@ def _lift_once(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig,
 
 
 def _dilate(mask: np.ndarray) -> np.ndarray:
-    out = mask.copy()
-    for off in itertools.product((-1, 0, 1), repeat=mask.ndim):
-        if all(o == 0 for o in off):
-            continue
-        out |= solver._shift(mask, off)
-    return out
+    return solver.stencil_reduce(mask, np.logical_or)
 
 
 def perron_sweep(state: PerronState, cover: BallCover, H: float,
@@ -441,6 +434,12 @@ def run_asymptotic_solve(phi: BoundaryDatum, H: float, grid: GridFunction | None
     subsolution (optionally raised to the stacked lower barriers for
     H >= 0), sweeps lifts over growing ball covers, and stops when both the
     sweep increment and the interior residual are below tolerance.
+
+    Once the cover is the single whole-box ball a sweep is a deterministic
+    map of the iterate, so a sweep that ends with increment <= tol and
+    residual > tol will repeat itself: that raises :class:`PerronStall`,
+    which names the sweep, the residual and where it peaks, and the
+    increment.
     """
     cfg = cfg or PerronConfig()
     conv = convention or operator.orientation()
@@ -516,6 +515,15 @@ def run_asymptotic_solve(phi: BoundaryDatum, H: float, grid: GridFunction | None
         if increment <= cfg.tol and res <= cfg.tol:
             report.converged = True
             break
+        if increment <= cfg.tol and radius >= max_radius:  # one whole-box ball
+            field = np.abs(solver._residual_field(state.u.values, grid, PARABOLIC, H, conv))
+            field[~problem_all.interior_mask()] = -np.inf
+            at = np.unravel_index(int(np.argmax(field)), field.shape)
+            x, y = float(grid.axes[0][at[0]]), float(grid.axes[-1][at[-1]])
+            raise PerronStall(
+                f"perron iteration stalled at sweep {state.sweeps}: residual {res:.4e} "
+                f"(max at x = {x:.4g}, y = {y:.4g}) with increment {increment:.3e} "
+                f"from a whole-box lift (tolerance {cfg.tol:.1e})")
         if sweep + 1 >= cfg.burn_in_sweeps and radius < max_radius:
             radius = min(radius * 4, max_radius)
     else:

@@ -10,13 +10,14 @@ stand-in for boundary geometry that admits no graph solution.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import get_lapack_funcs
 
 from . import operator
 from .geometry import PARABOLIC, _check_kind
@@ -75,36 +76,39 @@ class DirichletProblem:
 
     def interior_mask(self) -> np.ndarray:
         if self._interior is None:
-            inner = self.mask.copy()
-            d = self.mask.ndim
-            for off in itertools.product((-1, 0, 1), repeat=d):
-                if all(o == 0 for o in off):
-                    continue
-                inner &= _shift(self.mask, off)
-            self._interior = inner
+            self._interior = stencil_reduce(self.mask, np.logical_and)
         return self._interior
 
     def boundary_mask(self) -> np.ndarray:
         return self.mask & ~self.interior_mask()
 
 
-def _shift(arr: np.ndarray, off) -> np.ndarray:
-    """Array shifted by the offset, padded with False/0 at the moved-in edge."""
-    out = np.zeros_like(arr)
-    src = []
-    dst = []
-    for o in off:
-        if o == 0:
-            src.append(slice(None))
-            dst.append(slice(None))
-        elif o > 0:
-            src.append(slice(o, None))
-            dst.append(slice(None, -o))
-        else:
-            src.append(slice(None, o))
-            dst.append(slice(-o, None))
-    out[tuple(dst)] = arr[tuple(src)]
+def stencil_reduce(mask: np.ndarray, op) -> np.ndarray:
+    """Combine a boolean mask over each node's 3^d stencil, zero padded.
+
+    ``op=np.logical_and`` keeps the nodes whose whole stencil lies in the
+    mask (the interior); ``op=np.logical_or`` marks the nodes with a masked
+    node in their stencil (the one-layer dilation).  The 3^d box is the
+    product of 3-point windows, so the reduction runs axis by axis.
+    """
+    d = mask.ndim
+    out = np.zeros(tuple(s + 2 for s in mask.shape), dtype=bool)
+    out[(slice(1, -1),) * d] = mask
+    for a in range(d):
+        lo, mid, hi = (operator._axis_slice(d, a, sl)
+                       for sl in (slice(None, -2), slice(1, -1), slice(2, None)))
+        out = op(op(out[lo], out[mid]), out[hi])
     return out
+
+
+def _stencil_neighbors(arr: np.ndarray, fill) -> np.ndarray:
+    """Values over each node's 3^d stencil in C order of the offsets, (arr.size, 3^d).
+
+    Beyond the grid edges the stencil reads ``fill``.
+    """
+    d = arr.ndim
+    windows = sliding_window_view(np.pad(arr, 1, constant_values=fill), (3,) * d)
+    return windows.reshape(arr.size, 3**d)
 
 
 def ball_mask(grid: GridFunction, center, radius: float) -> np.ndarray:
@@ -121,8 +125,9 @@ def ball_mask(grid: GridFunction, center, radius: float) -> np.ndarray:
 
 def _residual_field(values: np.ndarray, grid: GridFunction, kind: str, H: float,
                     conv: OrientationConvention) -> np.ndarray:
+    """Residual of ``values`` on the grid; leading axes beyond the grid's are a batch."""
     h = grid.spacing
-    n = values.ndim
+    n = grid.ndim
     if kind == PARABOLIC:
         return operator.residual_field_parabolic(values, grid.y_grid(), h, n, H, conv.sign)
     gamma_fn, drift_fn = operator._hyperbolic_chart_fns(n)
@@ -136,46 +141,27 @@ def _frozen_residual_factory(values: np.ndarray, grid: GridFunction, kind: str, 
 
     Freezes the face W factors and the centered-slope W of the drift term;
     the returned callable is affine in its argument, so one colored pass
-    yields the Picard matrix.
+    yields the Picard matrix.  Like the residual kernels it takes the grid as
+    the trailing axes of its argument, so it accepts a stacked batch.
     """
     if kind != PARABOLIC:
         raise SolverDivergence("picard fallback is only wired for the translation structure")
     h = grid.spacing
-    d = values.ndim
-    n = d
-    w_faces = []
-    for a in range(d):
-        _, w = operator._face_w(values, h, a)
-        w_faces.append(w)
+    d = n = grid.ndim
     grads = operator._centered_gradients(values, h)
+    w_faces = [operator._face_w(values, h, a, grads)[1] for a in range(d)]
     wc = np.sqrt(1.0 + sum(g**2 for g in grads))
     y_grid = grid.y_grid()
 
     def frozen(v: np.ndarray) -> np.ndarray:
         div = np.zeros_like(v)
         for a in range(d):
-            dn = np.diff(v, axis=a) / h[a]
-            flux = dn / w_faces[a]
-            sl_hi = [slice(None)] * d
-            sl_lo = [slice(None)] * d
-            sl_c = [slice(None)] * d
-            sl_hi[a] = slice(1, None)
-            sl_lo[a] = slice(None, -1)
-            sl_c[a] = slice(1, -1)
-            div[tuple(sl_c)] += (flux[tuple(sl_hi)] - flux[tuple(sl_lo)]) / h[a]
+            dn = np.diff(v, axis=a - d) / h[a]
+            operator._add_flux_divergence(div, dn / w_faces[a], h, a)
         gy = operator._centered_gradients(v, h)[-1]
         return conv.sign * (y_grid * div - n * gy / wc) - n * H
 
     return frozen
-
-
-_OFFSETS_CACHE: dict[int, list] = {}
-
-
-def _stencil_offsets(d: int) -> list:
-    if d not in _OFFSETS_CACHE:
-        _OFFSETS_CACHE[d] = [off for off in itertools.product((-1, 0, 1), repeat=d)]
-    return _OFFSETS_CACHE[d]
 
 
 class JacobianBuilder:
@@ -183,9 +169,13 @@ class JacobianBuilder:
 
     Perturbing every interior node of one 3^d color class simultaneously
     keeps at most one perturbed node per stencil, so each colored evaluation
-    recovers one coupling per row exactly.  The color classes and scatter
-    index lists are precomputed once per (shape, interior) and reused across
-    Newton iterations; small problems assemble a dense matrix.
+    recovers one coupling per row exactly (Curtis, Powell and Reid, J. Inst.
+    Math. Appl. 13, 1974).  All color classes are evaluated together: the
+    perturbed copies are stacked along a leading axis and passed to the
+    residual in one call, whose kernels treat leading axes as a batch.  The
+    stacked perturbation mask and the flat gather/scatter indices are
+    precomputed once per (shape, interior) and reused across Newton
+    iterations; small problems assemble a dense matrix.
     """
 
     def __init__(self, shape, interior: np.ndarray, dense_cutoff: int = 400):
@@ -197,46 +187,31 @@ class JacobianBuilder:
         idx[interior] = np.arange(self.m)
         coords = np.indices(shape)
         color = sum((coords[k] % 3) * 3**k for k in range(d))
-        self.color_plan = []
-        for c in range(3**d):
-            pert = interior & (color == c)
-            if not pert.any():
-                continue
-            entries = []
-            for off in _stencil_offsets(d):
-                neighbor_pert = _shift(pert, tuple(-o for o in off))
-                touched = interior & neighbor_pert
-                if not touched.any():
-                    continue
-                entries.append((touched, idx[touched],
-                                _shift(idx, tuple(-o for o in off))[touched]))
-            self.color_plan.append((pert, entries))
+        colors = np.unique(color[interior])
+        # slot of each node's color in the stack (only colors with interior nodes)
+        slot = np.searchsorted(colors, color)
+        self.perturb = interior & (color == colors.reshape((-1,) + (1,) * d))
+        # row node r couples to each interior stencil neighbor q; the column
+        # of q is read at r from the evaluation that perturbed q's color
+        size = interior.size
+        neighbor = _stencil_neighbors(idx, -1)
+        node, k = np.nonzero(interior.reshape(-1, 1) & (neighbor >= 0))
+        self.rows = idx.reshape(-1)[node]
+        self.cols = neighbor[node, k]
+        self.src = _stencil_neighbors(slot, 0)[node, k] * size + node
 
     def assemble(self, values: np.ndarray, resid_fn, F0: np.ndarray,
                  eps: float | None = None):
         if eps is None:
             eps = math.sqrt(np.finfo(float).eps) * (1.0 + float(np.max(np.abs(values))))
+        vp = np.broadcast_to(values, self.perturb.shape).copy()
+        vp[self.perturb] += eps
+        vals = ((resid_fn(vp) - F0) / eps).ravel()[self.src]
         if self.dense:
-            J = np.zeros((self.m, self.m))
-        else:
-            rows, cols, data = [], [], []
-        for pert, entries in self.color_plan:
-            vp = values.copy()
-            vp[pert] += eps
-            dF = (resid_fn(vp) - F0) / eps
-            for touched, r_idx, c_idx in entries:
-                vals = dF[touched]
-                if self.dense:
-                    J[r_idx, c_idx] = vals
-                else:
-                    rows.append(r_idx)
-                    cols.append(c_idx)
-                    data.append(vals)
-        if self.dense:
+            J = np.zeros((self.m, self.m), order="F")
+            J[self.rows, self.cols] = vals
             return J
-        return sp.csr_matrix((np.concatenate(data),
-                              (np.concatenate(rows), np.concatenate(cols))),
-                             shape=(self.m, self.m))
+        return sp.csr_matrix((vals, (self.rows, self.cols)), shape=(self.m, self.m))
 
 
 _BUILDER_CACHE: dict = {}
@@ -254,22 +229,25 @@ def _cached_builder(shape, interior: np.ndarray, dense_cutoff: int) -> JacobianB
     return builder
 
 
+# Raw LAPACK routines for the dense branch: the scipy.linalg wrappers cost
+# more per call than factoring the small ball-lift matrices themselves.
+_getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
+
+
 def _factorize(J):
     """Linear solver for one assembled matrix: ``solve(rhs)`` returns the step.
 
-    A sparse matrix is LU-factored here, once, and the factors serve every
-    right-hand side until the caller drops the solver; a dense matrix (the
-    builder's choice for small problems) goes to ``np.linalg.solve`` per
-    call.  A singular matrix gives ``None``, "no step", from either branch.
+    The matrix is LU-factored here, once, and the factors serve every
+    right-hand side until the caller drops the solver: a dense matrix (the
+    builder's choice for small problems) with LAPACK ``getrf``, in place, a
+    sparse one with SuperLU.  A singular matrix gives ``None``, "no step", from either
+    branch.
     """
     if isinstance(J, np.ndarray):
-        def solve(rhs):
-            try:
-                return np.linalg.solve(J, rhs)
-            except np.linalg.LinAlgError:
-                return None
-
-        return solve
+        lu, piv, info = _getrf(J, overwrite_a=True)
+        if info != 0:
+            return lambda rhs: None
+        return lambda rhs: _getrs(lu, piv, rhs)[0]
     try:
         lu = spla.splu(J.tocsc())
     except RuntimeError:  # SuperLU: "Factor is exactly singular"
@@ -284,18 +262,14 @@ def harmonic_extension(problem: DirichletProblem) -> np.ndarray:
     values = problem.data.copy()
     values[interior] = 0.0
     h = grid.spacing
-    d = values.ndim
+    d = grid.ndim
 
-    def lap(v):
+    def lap(v):  # grid on the trailing axes, like the residual kernels
         out = np.zeros_like(v)
         for a in range(d):
-            sl_c = [slice(None)] * d
-            sl_p = [slice(None)] * d
-            sl_m = [slice(None)] * d
-            sl_c[a] = slice(1, -1)
-            sl_p[a] = slice(2, None)
-            sl_m[a] = slice(None, -2)
-            out[tuple(sl_c)] += (v[tuple(sl_p)] - 2 * v[tuple(sl_c)] + v[tuple(sl_m)]) / h[a] ** 2
+            c, p, m = (operator._axis_slice(d, a, sl)
+                       for sl in (slice(1, -1), slice(2, None), slice(None, -2)))
+            out[c] += (v[p] - 2 * v[c] + v[m]) / h[a] ** 2
         return out
 
     builder = JacobianBuilder(values.shape, interior)

@@ -222,6 +222,18 @@ class TestEndToEnd:
         assert cli.main(["solve-asymptotic", "--config", config,
                          "--out-dir", str(tmp_path)]) == cli.EXIT_DIVERGENCE
 
+    def test_perron_stall_exit_code(self, tmp_path, monkeypatch, capsys):
+        from plateau_hyp.perron import PerronStall
+
+        def stall(cfg, report, out_dir):
+            raise PerronStall("perron iteration stalled at sweep 6")
+
+        monkeypatch.setitem(cli._RUNNERS, "solve-asymptotic", stall)
+        config = write_config(tmp_path, self.asymptotic_doc())
+        assert cli.main(["solve-asymptotic", "--config", config,
+                         "--out-dir", str(tmp_path)]) == cli.EXIT_DIVERGENCE
+        assert "perron stall: " in capsys.readouterr().err
+
     def test_check_failure_exit_code(self, tmp_path, monkeypatch):
         def failing(cfg, report, out_dir):
             report.add("synthetic", False, 1.0, 0.5, "forced failure")

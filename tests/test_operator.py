@@ -227,6 +227,36 @@ class TestGridResidual:
         assert np.max(np.abs(res.values[~res.boundary])) <= 1e-10
 
 
+class TestBatchedResidual:
+    """Leading axes of the residual kernels' input are an independent batch."""
+
+    @pytest.mark.parametrize("kind", [PARABOLIC, HYPERBOLIC])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stack_equals_per_slice_calls(self, n, kind):
+        grid = op.make_grid(n, 0.5, 0.3, 1.1, 9 if n == 3 else 17)
+        rng = np.random.default_rng(11)
+        mesh = grid.meshgrid()
+        base = 0.4 + 0.2 * np.sin(2.0 * mesh[0]) * mesh[-1]
+        stack = base + 0.05 * rng.standard_normal((4,) + base.shape)
+        h = grid.spacing
+        sign = op.orientation().sign
+        if kind == PARABOLIC:
+            def resid(v):
+                return op.residual_field_parabolic(v, grid.y_grid(), h, n, 0.3, sign)
+        else:
+            gamma_fn, drift_fn = op._hyperbolic_chart_fns(n)
+
+            def resid(v):
+                return op.residual_field_chart(v, grid.axes, h, n, 0.3, sign, gamma_fn, drift_fn)
+        batched = resid(stack)
+        assert batched.shape == stack.shape
+        for k in range(stack.shape[0]):
+            assert np.array_equal(batched[k], resid(stack[k]))
+        # two batch axes flatten the same way
+        assert np.array_equal(resid(stack.reshape((2, 2) + base.shape)).reshape(stack.shape),
+                              batched)
+
+
 class TestScalarPatch:
     def test_fd_fallback_matches_analytic(self):
         analytic = op.exact_patch("hemisphere", t=0.1, R=1.7)

@@ -248,6 +248,24 @@ class TestAsymptoticSolve:
                                     pe.PerronConfig(tol=1e-8))
 
 
+class TestStall:
+    """A whole-box sweep that stops moving above tolerance raises a named stall."""
+
+    @pytest.mark.parametrize("y_min, H, residual", [
+        (1e-4, 0.0, 5.7507e-3),  # the iterate overshoots near y_min and cannot come down
+        (0.05, -0.5, 1.0),       # sigma = 0 is no lower barrier for H < 0
+    ])
+    def test_step_data_stall_is_named(self, y_min, H, residual):
+        grid = op.make_grid(2, 2.0, y_min, 0.8, 33)
+        phi = pe.smooth_step_datum(0.2, 0.8, width=0.5)
+        with pytest.raises(pe.PerronStall) as info:
+            pe.run_asymptotic_solve(phi, H, grid, pe.PerronConfig(tol=1e-8, max_sweeps=12))
+        message = str(info.value)
+        assert "sweep 6" in message and "increment" in message and "max at x = " in message
+        reported = float(message.split("residual ")[1].split()[0])
+        assert reported == pytest.approx(residual, rel=1e-3)
+
+
 class TestComparison:
     def test_identical_data(self):
         grid = small_grid()

@@ -1,5 +1,6 @@
 """Masked Dirichlet solver: recovery, comparison, diagnostics, divergence."""
 
+import itertools
 import math
 
 import numpy as np
@@ -151,28 +152,91 @@ def hemisphere_problem(nodes):
 
 
 class TestFactorization:
-    def test_one_sparse_factorization_per_assembly(self, monkeypatch):
-        problem = hemisphere_problem(33)  # 31^2 unknowns: the sparse branch
-        counts = {"splu": 0, "sparse_assemblies": 0}
-        real_splu = sv.spla.splu
+    @pytest.mark.parametrize("nodes", [17, 33])
+    def test_one_factorization_per_assembly(self, nodes, monkeypatch):
+        # 15^2 unknowns take the dense branch (LAPACK getrf), 31^2 the sparse
+        # one (SuperLU); either way each assembled matrix is factored once
+        problem = hemisphere_problem(nodes)
+        dense = nodes == 17
+        counts = {"factorizations": 0, "assemblies": 0}
+        owner, attr = (sv, "_getrf") if dense else (sv.spla, "splu")
+        real_factor = getattr(owner, attr)
         real_assemble = sv.JacobianBuilder.assemble
 
-        def counting_splu(*args, **kwargs):
-            counts["splu"] += 1
-            return real_splu(*args, **kwargs)
+        def counting_factor(*args, **kwargs):
+            counts["factorizations"] += 1
+            return real_factor(*args, **kwargs)
 
         def counting_assemble(self, *args, **kwargs):
-            if not self.dense:
-                counts["sparse_assemblies"] += 1
+            if self.dense == dense:
+                counts["assemblies"] += 1
             return real_assemble(self, *args, **kwargs)
 
-        monkeypatch.setattr(sv.spla, "splu", counting_splu)
+        monkeypatch.setattr(owner, attr, counting_factor)
         monkeypatch.setattr(sv.JacobianBuilder, "assemble", counting_assemble)
         _, rep = sv.solve_dirichlet(problem, sv.SolverConfig(tol=1e-10))
         assert rep.converged
-        newton_assemblies = counts["sparse_assemblies"] - 1  # one is the harmonic start
+        newton_assemblies = counts["assemblies"] - 1  # one is the harmonic start
         assert rep.iterations > newton_assemblies >= 1  # some Jacobians served several steps
-        assert counts["splu"] == counts["sparse_assemblies"]
+        assert counts["factorizations"] == counts["assemblies"]
+
+
+def one_node_jacobian(values, interior, resid, eps):
+    """FD Jacobian perturbing one interior node per residual evaluation."""
+    F0 = resid(values)
+    nodes = np.argwhere(interior)
+    J = np.zeros((len(nodes), len(nodes)))
+    for j, node in enumerate(nodes):
+        vp = values.copy()
+        vp[tuple(node)] += eps
+        J[:, j] = ((resid(vp) - F0) / eps)[interior]
+    return J
+
+
+class TestJacobianBuilder:
+    @pytest.mark.parametrize("n, nodes, kind, window", [
+        (2, 11, PARABOLIC, True),     # a ball-lift window: dense
+        (3, 5, PARABOLIC, False),     # three axes: dense
+        (2, 17, "hyperbolic", False),  # chart residual: dense
+        (2, 33, PARABOLIC, False),    # whole box: sparse
+    ])
+    def test_colored_equals_one_node_at_a_time(self, n, nodes, kind, window):
+        grid = op.make_grid(n, 0.5, 0.2, 1.0, nodes)
+        mesh = grid.meshgrid()
+        values = 0.3 + 0.2 * np.sin(3.0 * mesh[0]) * mesh[-1] \
+            + 0.02 * np.random.default_rng(5).standard_normal(mesh[0].shape)
+        mask = sv.ball_mask(grid, [0.0, 0.6], 0.4) if window else np.ones(values.shape, bool)
+        problem = sv.DirichletProblem(grid=grid, mask=mask, data=values, H=0.2, kind=kind)
+        interior = problem.interior_mask()
+        conv = op.orientation()
+
+        def resid(v):
+            return sv._residual_field(v, grid, kind, 0.2, conv)
+
+        builder = sv.JacobianBuilder(values.shape, interior)
+        assert builder.dense == (nodes < 33)
+        eps = 1e-7
+        J = builder.assemble(values, resid, resid(values), eps)
+        J = J if builder.dense else J.toarray()
+        expected = one_node_jacobian(values, interior, resid, eps)
+        assert np.count_nonzero(expected) > 0
+        assert np.array_equal(J, expected)
+
+    @pytest.mark.parametrize("nodes", [11, 33])
+    def test_one_residual_call_per_assembly(self, nodes):
+        problem = hemisphere_problem(nodes)
+        interior = problem.interior_mask()
+        conv = op.orientation()
+        calls = []
+
+        def resid(v):
+            calls.append(v.shape)
+            return sv._residual_field(v, problem.grid, PARABOLIC, 0.0, conv)
+
+        values = problem.data
+        F0 = sv._residual_field(values, problem.grid, PARABOLIC, 0.0, conv)
+        sv.JacobianBuilder(values.shape, interior).assemble(values, resid, F0)
+        assert calls == [(9,) + values.shape]  # every 3^2 color class in one stack
 
 
 class TestDivergence:
@@ -212,17 +276,20 @@ class TestDivergence:
             return np.full_like(rhs, np.nan)
 
         if nodes == 17:
-            real_solve = np.linalg.solve
+            real_getrf, real_getrs = sv._getrf, sv._getrs
+            steps = {"n": 0}
 
-            def flaky_solve(a, b):
+            def flaky_getrf(*args, **kwargs):
                 calls["n"] += 1
-                if calls["n"] == 1:
-                    return real_solve(a, b)
-                if calls["n"] == 2:
-                    return nan_step(b)
-                raise np.linalg.LinAlgError("Singular matrix")
+                lu, piv, info = real_getrf(*args, **kwargs)
+                return lu, piv, (info if calls["n"] == 1 else 1)  # then: U[0, 0] == 0
 
-            monkeypatch.setattr(np.linalg, "solve", flaky_solve)
+            def stale_getrs(lu, piv, rhs):
+                steps["n"] += 1
+                return (nan_step(rhs), 0) if steps["n"] == 2 else real_getrs(lu, piv, rhs)
+
+            monkeypatch.setattr(sv, "_getrf", flaky_getrf)
+            monkeypatch.setattr(sv, "_getrs", stale_getrs)
         else:
             real_splu = sv.spla.splu
 
@@ -245,3 +312,28 @@ class TestDivergence:
         with pytest.raises(sv.SolverDivergence):
             sv.solve_dirichlet(problem, sv.SolverConfig(tol=1e-12), initial=start)
         assert calls["n"] >= 3  # the retry and the fallback both asked for a factorization
+
+
+class TestStencilReduce:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_per_node_loop(self, d):
+        rng = np.random.default_rng(d)
+        shape = (12, 7, 6)[:d]
+        for density in (0.1, 0.95):
+            mask = rng.random(shape) < density
+            interior = np.zeros(shape, bool)
+            dilated = np.zeros(shape, bool)
+            for node in np.ndindex(*shape):
+                stencil = []
+                for off in itertools.product((-1, 0, 1), repeat=d):
+                    q = tuple(i + o for i, o in zip(node, off))
+                    inside = all(0 <= qi < si for qi, si in zip(q, shape))
+                    stencil.append(inside and bool(mask[q]))
+                interior[node] = all(stencil)
+                dilated[node] = any(stencil)
+            assert np.array_equal(sv.stencil_reduce(mask, np.logical_and), interior)
+            assert np.array_equal(sv.stencil_reduce(mask, np.logical_or), dilated)
+            if density > 0.5:
+                assert interior.any() and not interior.all()
+            else:
+                assert dilated.any() and not dilated.all()
