@@ -338,8 +338,7 @@ def _run_solve_asymptotic(cfg: RunConfig, report: DiagnosticsReport, out_dir: st
     phi = build_datum(cfg.boundary)
     grid = _grid_from_cfg(cfg)
     pcfg = PerronConfig(tol=cfg.solver["tol"], max_sweeps=cfg.solver["max_sweeps"],
-                        solver_max_iters=cfg.solver["max_iters"],
-                        shuffle_seed=None)
+                        solver_max_iters=cfg.solver["max_iters"])
     u, prun = perron.run_asymptotic_solve(phi, cfg.H, grid, pcfg)
     report.add("perron.converged", prun.converged, prun.final_residual, cfg.solver["tol"],
                "monotone lift iteration between the zero subsolution and the plane")

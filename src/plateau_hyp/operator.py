@@ -19,9 +19,23 @@ exactly on graphs whose measured curvature equals H.  With the conventions
 here that measurement gives +a/sqrt(1+a^2) for the plane u = a*y and the
 discovered prefactor is s = -1, so resid(u; H) = n * (H_measured(u) - H).
 
-A conservative face-flux discretization of the same residual acts on
-structured grids; it reproduces constants and tilted planes exactly and is
-second-order consistent on smooth graphs.
+On structured grids one face-flux kernel, :func:`_face_flux_residual`,
+discretizes the residual for every structure:
+
+    s * (scale * sum_a D_a(weight_a D_a u / W) - <Du, drift> / W) - n H,
+    W^2 = g + |Du|^2,
+
+with normal differences and averaged tangential slopes on the cell faces and
+centered gradients at the nodes.  A structure supplies only coefficient
+data: g, the node scale and the drift at the nodes, g and the flux weight on
+the faces.  The translation structure passes the constants g = 1, weight 1,
+drift n on the height axis and the scale y (:func:`residual_field_parabolic`,
+exact on constants and tilted planes); the dilation structure passes its
+pulled-back gamma / y^2, the height powers y^{1-n} and y^n and its drift
+(:func:`residual_field_chart`).  Given ``w_at``, the kernel takes the slopes
+inside W from that grid function: the Picard linearization, affine in u, for
+either structure.  :func:`residual_field` is the one dispatch on the
+structure.
 """
 
 from __future__ import annotations
@@ -462,30 +476,6 @@ def _axis_slice(d: int, axis: int, sl: slice) -> tuple:
     return (Ellipsis, *idx)
 
 
-def _face_w(values: np.ndarray, h, axis: int, grads: list) -> tuple[np.ndarray, np.ndarray]:
-    """Normal difference and W factor on the axis' cell faces (full slabs).
-
-    The grid occupies the trailing ``len(h)`` axes of ``values``; leading
-    axes are batch axes, evaluated independently.  ``grads`` are the
-    centered gradients of ``values``.
-    """
-    dn, t2 = _face_slopes(values, h, axis, grads)
-    return dn, np.sqrt(1.0 + dn**2 + t2)
-
-
-def _face_slopes(values: np.ndarray, h, axis: int, grads: list) -> tuple:
-    """Normal difference and squared face-averaged tangential slopes on the axis' faces."""
-    d = len(h)
-    dn = np.diff(values, axis=axis - d) / h[axis]
-    lo = _axis_slice(d, axis, slice(None, -1))
-    hi = _axis_slice(d, axis, slice(1, None))
-    t2 = 0.0
-    for b in range(d):
-        if b != axis:
-            t2 = t2 + (0.5 * (grads[b][lo] + grads[b][hi])) ** 2
-    return dn, t2
-
-
 def _centered_gradients(values: np.ndarray, h) -> list[np.ndarray]:
     """Centered differences per grid axis (trailing ``len(h)`` axes), zero on the edges."""
     d = len(h)
@@ -507,59 +497,84 @@ def _add_flux_divergence(div: np.ndarray, flux: np.ndarray, h, axis: int) -> Non
         - flux[_axis_slice(d, axis, slice(None, -1))]) / h[axis]
 
 
-def residual_field_parabolic(values: np.ndarray, y_grid: np.ndarray, h, n: int,
-                             H: float, sign: int) -> np.ndarray:
-    """Vectorized residual on the full grid; valid at full-stencil nodes only.
+def _face_flux_residual(values: np.ndarray, h, n: int, H: float, sign: int, scale, gamma,
+                        drift, faces, w_at: np.ndarray | None = None) -> np.ndarray:
+    """The face-flux residual kernel; valid at full-stencil nodes only.
 
-    The grid occupies the trailing ``len(h)`` axes of ``values`` and
-    ``y_grid`` broadcasts against them; any leading axes stack independent
-    grid functions, each evaluated with the same arithmetic as on its own.
+        sign * (scale * sum_a D_a(weight_a D_a u / W) - <Du, drift> / W) - n H,
+        W^2 = g + |Du|^2.
+
+    On the faces of axis a, D_a u is the normal difference, the tangential
+    slopes are averaged from the centered node gradients, and g and the flux
+    weight are the pair ``faces[a]`` (weight ``None`` for 1).  At the nodes
+    the slopes are the centered gradients, g is ``gamma`` and ``drift``
+    lists (axis, coefficient) pairs, at least one.  Coefficients broadcast
+    against the grid, which occupies the trailing ``len(h)`` axes of
+    ``values``; any leading axes stack independent grid functions, each
+    evaluated with the same arithmetic as on its own.
+
+    With ``w_at`` the slopes inside every W are those of ``w_at``: the
+    result is affine in ``values`` (the Picard linearization frozen at
+    ``w_at``) and equals the full residual at ``values = w_at``.
     """
     d = len(h)
     grads = _centered_gradients(values, h)
+    w_at, w_grads = (values, grads) if w_at is None else (w_at, _centered_gradients(w_at, h))
     div = np.zeros_like(values)
-    for a in range(d):
-        dn, w = _face_w(values, h, a, grads)
-        _add_flux_divergence(div, dn / w, h, a)
-    wc = np.sqrt(1.0 + sum(g**2 for g in grads))
-    return sign * (y_grid * div - n * grads[-1] / wc) - n * H
+    for a, (face_gamma, weight) in enumerate(faces):
+        lo = _axis_slice(d, a, slice(None, -1))
+        hi = _axis_slice(d, a, slice(1, None))
+        wn = np.diff(w_at, axis=a - d) / h[a]
+        dn = wn if w_at is values else np.diff(values, axis=a - d) / h[a]
+        t2 = 0.0
+        for b in range(d):
+            if b != a:
+                t2 = t2 + (0.5 * (w_grads[b][lo] + w_grads[b][hi])) ** 2
+        w = np.sqrt(face_gamma + wn**2 + t2)
+        _add_flux_divergence(div, (dn if weight is None else weight * dn) / w, h, a)
+    w_c = np.sqrt(gamma + sum(g**2 for g in w_grads))
+    (b, c), *rest = drift
+    pairing = grads[b] * c
+    for b, c in rest:
+        pairing = pairing + grads[b] * c
+    return sign * (scale * div - pairing / w_c) - n * H
+
+
+def residual_field_parabolic(values: np.ndarray, y_grid: np.ndarray, h, n: int,
+                             H: float, sign: int, w_at: np.ndarray | None = None) -> np.ndarray:
+    """Translation-structure residual y div_E(Du/W) - n u_y/W on the grid.
+
+    The kernel with g = 1, weight 1, the drift n on the height axis and the
+    scale y; ``y_grid`` broadcasts against the grid axes.
+    """
+    return _face_flux_residual(values, h, n, H, sign, y_grid, 1.0, ((len(h) - 1, n),),
+                               ((1.0, None),) * len(h), w_at)
 
 
 def residual_field_chart(values: np.ndarray, axes, h, n: int, H: float, sign: int,
-                         gamma_fn, drift_fn) -> np.ndarray:
+                         gamma_fn, drift_fn, w_at: np.ndarray | None = None) -> np.ndarray:
     """Residual with general chart Killing data (gamma, drift) on the grid.
 
-    Conservative form y^n * d_j(y^{2-n} u_j / Wtil) with Wtil^2 = gamma +
-    y^2 |Du|^2; used for the dilation structure, where gamma and the drift
-    are pulled back from the hemisphere slice.  As for the parabolic form,
-    the grid occupies the trailing ``len(h)`` axes of ``values``; gamma, the
-    heights and the drift are evaluated once on the grid and broadcast over
-    any leading batch axes.
+    Conservative form y^n d_j(y^{2-n} u_j / Wtil) - (gamma / Wtil) <Du, drift>
+    with Wtil^2 = gamma + y^2 |Du|^2; used for the dilation structure, where
+    gamma and the drift are pulled back from the hemisphere slice.  With
+    W = Wtil / y this is the kernel with g = gamma / y^2, the face weight
+    y^{1-n}, the scale y^n and the drift gamma / y times the chart drift,
+    evaluated once on the grid and broadcast over any batch axes.
     """
     d = len(h)
     mesh = np.meshgrid(*axes, indexing="ij")
-    gamma_c = gamma_fn(mesh)
-    y_c = mesh[-1]
-
-    grads = _centered_gradients(values, h)
-    grad2 = sum(g**2 for g in grads)
-    wtil_c = np.sqrt(gamma_c + y_c**2 * grad2)
-
-    div = np.zeros_like(values)
+    y = mesh[-1]
+    gamma_y = gamma_fn(mesh) / y
+    drift = drift_fn(mesh)  # coordinate-first, (d, ...)
+    faces = []
     for a in range(d):
-        dn, t2 = _face_slopes(values, h, a, grads)
         lo = _axis_slice(d, a, slice(None, -1))
         hi = _axis_slice(d, a, slice(1, None))
-        face_mesh = [0.5 * (mesh[b][lo] + mesh[b][hi]) for b in range(d)]
-        gamma_f = gamma_fn(face_mesh)
-        y_f = face_mesh[-1]
-        wtil_f = np.sqrt(gamma_f + y_f**2 * (dn**2 + t2))
-        _add_flux_divergence(div, y_f ** (2 - n) * dn / wtil_f, h, a)
-    div *= y_c**n
-
-    drift = drift_fn(mesh)  # coordinate-first, (d, ...)
-    pairing = sum(grads[b] * drift[b] for b in range(d))
-    return sign * (div - (gamma_c / wtil_c) * pairing) - n * H
+        face_mesh = [0.5 * (m[lo] + m[hi]) for m in mesh]
+        faces.append((gamma_fn(face_mesh) / face_mesh[-1] ** 2, face_mesh[-1] ** (1 - n)))
+    return _face_flux_residual(values, h, n, H, sign, y**n, gamma_y / y,
+                               [(b, gamma_y * drift[b]) for b in range(d)], faces, w_at)
 
 
 def _hyperbolic_chart_fns(n: int):
@@ -577,6 +592,23 @@ def _hyperbolic_chart_fns(n: int):
     return gamma_fn, drift_fn
 
 
+def residual_field(values: np.ndarray, grid: GridFunction, kind: str, H: float,
+                   conv: OrientationConvention, w_at: np.ndarray | None = None) -> np.ndarray:
+    """Residual of ``values`` on the grid for the ``kind`` structure.
+
+    Leading axes of ``values`` beyond the grid's are a batch; ``w_at``
+    freezes the W factors there (see :func:`_face_flux_residual`).  Calls go
+    through the module attributes ``residual_field_parabolic`` and
+    ``residual_field_chart``, so wrapping those sees every evaluation.
+    """
+    h = grid.spacing
+    n = grid.ndim
+    if kind == PARABOLIC:
+        return residual_field_parabolic(values, grid.y_grid(), h, n, H, conv.sign, w_at)
+    gamma_fn, drift_fn = _hyperbolic_chart_fns(n)
+    return residual_field_chart(values, grid.axes, h, n, H, conv.sign, gamma_fn, drift_fn, w_at)
+
+
 def qh_residual_grid(u: GridFunction, kind: str, H: float,
                      convention: OrientationConvention | None = None) -> GridFunction:
     """Discrete residual of the graph equation at interior nodes.
@@ -588,14 +620,7 @@ def qh_residual_grid(u: GridFunction, kind: str, H: float,
     if abs(H) >= 1:
         raise ValueError(f"|H| must be < 1, got H = {H}")
     _check_kind(kind)
-    conv = convention or orientation()
-    n = u.ndim
-    h = u.spacing
-    if kind == PARABOLIC:
-        res = residual_field_parabolic(u.values, u.y_grid(), h, n, H, conv.sign)
-    else:
-        gamma_fn, drift_fn = _hyperbolic_chart_fns(n)
-        res = residual_field_chart(u.values, u.axes, h, n, H, conv.sign, gamma_fn, drift_fn)
+    res = residual_field(u.values, u, kind, H, convention or orientation())
     out = u.copy()
     out.values = np.where(u.boundary, 0.0, res)
     # nodes missing a full stencil are treated as boundary for the residual

@@ -161,19 +161,8 @@ class Ball:
     radius: int
 
 
-@dataclass
-class BallCover:
-    """Overlapping index balls covering every non-pinned node of a grid."""
-
-    balls: list
-    shape: tuple
-
-    def __iter__(self):
-        return iter(self.balls)
-
-
-def build_ball_cover(boundary: np.ndarray, radius: int) -> BallCover:
-    """Lattice of index balls covering the free nodes with generous overlap.
+def build_ball_cover(boundary: np.ndarray, radius: int) -> list:
+    """Lattice of index balls (a list of :class:`Ball`) covering the free nodes.
 
     Stride is half the radius so that ball interiors (which shrink by a
     stencil layer) still tile the grid.
@@ -182,7 +171,7 @@ def build_ball_cover(boundary: np.ndarray, radius: int) -> BallCover:
     d = len(shape)
     if radius >= max(shape):
         center = tuple(int(s // 2) for s in shape)
-        return BallCover(balls=[Ball(center=center, radius=int(radius))], shape=shape)
+        return [Ball(center=center, radius=int(radius))]
     stride = max(radius - 2, 1)
     centers_per_axis = []
     for k in range(d):
@@ -197,13 +186,12 @@ def build_ball_cover(boundary: np.ndarray, radius: int) -> BallCover:
         idx_ball = _index_ball_mask(shape, center, radius)
         if np.any(idx_ball & free):
             balls.append(Ball(center=tuple(int(c) for c in center), radius=int(radius)))
-    cover = BallCover(balls=balls, shape=shape)
     covered = np.zeros(shape, dtype=bool)
     for b in balls:
         covered |= _index_ball_interior(shape, b.center, b.radius)
     if np.any(free & ~covered & ~operator.outer_face_mask(shape)):
         raise RuntimeError("ball cover has holes; radius/stride bookkeeping is wrong")
-    return cover
+    return balls
 
 
 def _index_ball_mask(shape, center, radius: int) -> np.ndarray:
@@ -243,17 +231,23 @@ class PerronState:
                 f"max(u - w) = {high:.3e}, tolerance {tol:.1e}")
 
 
+# Sweeps at the initial ball radius before the radius grows; the smallest
+# radius a diverging lift halves down to; the boundary points under which
+# lower barrier stacks are built, and the stacks' height as a fraction of
+# the datum there.
+BURN_IN_SWEEPS = 3
+INITIAL_RADIUS = 4
+MIN_RADIUS = 2
+BARRIER_POINTS = 3
+BARRIER_GAP = 0.5
+
+
 @dataclass
 class PerronConfig:
     tol: float = 1e-8
     max_sweeps: int = 200
-    burn_in_sweeps: int = 3
-    initial_radius: int = 4
-    min_radius: int = 2
     c_max: float | None = None
     solver_max_iters: int = 40
-    barrier_points: int = 3
-    barrier_gap: float = 0.5
     shuffle_seed: int | None = None
 
     def solver_cfg(self) -> SolverConfig:
@@ -290,9 +284,9 @@ def _lift_inplace(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig,
         try:
             return _lift_once(u, Ball(ball.center, radius), H, cfg, conv, upper)
         except SolverDivergence:
-            if radius <= cfg.min_radius:
+            if radius <= MIN_RADIUS:
                 raise
-            radius = max(cfg.min_radius, radius // 2)
+            radius = max(MIN_RADIUS, radius // 2)
 
 
 def _lift_once(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig,
@@ -339,7 +333,7 @@ def _dilate(mask: np.ndarray) -> np.ndarray:
     return solver.stencil_reduce(mask, np.logical_or)
 
 
-def perron_sweep(state: PerronState, cover: BallCover, H: float,
+def perron_sweep(state: PerronState, cover: list, H: float,
                  cfg: PerronConfig | None = None,
                  convention: OrientationConvention | None = None,
                  order: np.ndarray | None = None) -> PerronState:
@@ -351,7 +345,7 @@ def perron_sweep(state: PerronState, cover: BallCover, H: float,
     cfg = cfg or PerronConfig()
     conv = convention or operator.orientation()
     before = state.u.values.copy()
-    balls = cover.balls if order is None else [cover.balls[i] for i in order]
+    balls = cover if order is None else [cover[i] for i in order]
     for ball in balls:
         _lift_inplace(state.u, ball, H, cfg, conv, state.w.values)
     increment = float(np.max(state.u.values - before))
@@ -468,7 +462,7 @@ def run_asymptotic_solve(phi: BoundaryDatum, H: float, grid: GridFunction | None
             f"inside the box (y_max = {y_max}, zero at height {c_max / -plane.slope:.4g} "
             "above the bottom face)")
 
-    stacks = _build_lower_stacks(phi, grid, cfg) if H >= 0 else []
+    stacks = _build_lower_stacks(phi, grid) if H >= 0 else []
 
     def lower_envelope(x, y):
         x = np.asarray(x, dtype=float)
@@ -499,14 +493,14 @@ def run_asymptotic_solve(phi: BoundaryDatum, H: float, grid: GridFunction | None
     report = PerronReport(supersolution_slope=plane.slope, barrier_count=len(stacks))
 
     rng = np.random.default_rng(cfg.shuffle_seed) if cfg.shuffle_seed is not None else None
-    radius = cfg.initial_radius
+    radius = INITIAL_RADIUS
     max_radius = max(grid.values.shape)
     problem_all = DirichletProblem(grid=grid, mask=np.ones(u.values.shape, dtype=bool),
                                    data=face, H=H, kind=PARABOLIC)
 
     for sweep in range(cfg.max_sweeps):
         cover = build_ball_cover(u.boundary, radius)
-        order = rng.permutation(len(cover.balls)) if rng is not None else None
+        order = rng.permutation(len(cover)) if rng is not None else None
         perron_sweep(state, cover, H, cfg, conv, order=order)
         res = solver.residual_norm(state.u, problem_all, convention=conv)
         state.residuals.append(res)
@@ -516,7 +510,7 @@ def run_asymptotic_solve(phi: BoundaryDatum, H: float, grid: GridFunction | None
             report.converged = True
             break
         if increment <= cfg.tol and radius >= max_radius:  # one whole-box ball
-            field = np.abs(solver._residual_field(state.u.values, grid, PARABOLIC, H, conv))
+            field = np.abs(operator.residual_field(state.u.values, grid, PARABOLIC, H, conv))
             field[~problem_all.interior_mask()] = -np.inf
             at = np.unravel_index(int(np.argmax(field)), field.shape)
             x, y = float(grid.axes[0][at[0]]), float(grid.axes[-1][at[-1]])
@@ -524,7 +518,7 @@ def run_asymptotic_solve(phi: BoundaryDatum, H: float, grid: GridFunction | None
                 f"perron iteration stalled at sweep {state.sweeps}: residual {res:.4e} "
                 f"(max at x = {x:.4g}, y = {y:.4g}) with increment {increment:.3e} "
                 f"from a whole-box lift (tolerance {cfg.tol:.1e})")
-        if sweep + 1 >= cfg.burn_in_sweeps and radius < max_radius:
+        if sweep + 1 >= BURN_IN_SWEEPS and radius < max_radius:
             radius = min(radius * 4, max_radius)
     else:
         raise RuntimeError(
@@ -540,16 +534,14 @@ def run_asymptotic_solve(phi: BoundaryDatum, H: float, grid: GridFunction | None
     return state.u, report
 
 
-def _build_lower_stacks(phi: BoundaryDatum, grid: GridFunction, cfg: PerronConfig) -> list:
+def _build_lower_stacks(phi: BoundaryDatum, grid: GridFunction) -> list:
     """Stacked lower barriers under a few sample boundary points."""
-    if cfg.barrier_points <= 0:
-        return []
     lo = float(grid.axes[0][0]) if grid.ndim > 1 else 0.0
     hi = float(grid.axes[0][-1]) if grid.ndim > 1 else 0.0
-    xs = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), cfg.barrier_points)
+    xs = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), BARRIER_POINTS)
     out = []
     for x0 in xs:
-        q_offset = cfg.barrier_gap * float(phi(x0))
+        q_offset = BARRIER_GAP * float(phi(x0))
         if q_offset <= 1e-6:
             continue
         # separating radius: a safety fraction of the sampled distance to the datum graph
@@ -580,25 +572,30 @@ def boundary_attainment_report(u: GridFunction, phi, stacks: list | None = None,
     """Datum attainment along the bottom of the box.
 
     The bottom face itself is pinned to the datum, so the attainment error
-    is measured on the first free row above it; the report also carries the
-    sandwich margins against the supplied lower stacks and upper caps there.
+    is measured on the first free layer above it (index 1 on the height
+    axis); the report also carries the sandwich margins against the supplied
+    lower stacks and upper caps there.  The datum depends on x_1 only, so
+    each sampled x_1 reports the worst node over the remaining horizontal
+    axes: its value and error, and the smallest margins.
     """
     xs_axis = u.axes[0] if u.ndim > 1 else np.array([0.0])
     y0 = float(u.axes[-1][0])
     y1 = float(u.axes[-1][1])
+    layer = u.values[..., 1].reshape(len(xs_axis), -1)  # one line per x_1
     sel = np.linspace(0, len(xs_axis) - 1, min(samples, len(xs_axis))).astype(int)
     rows = []
     for i in sel:
         x = float(xs_axis[i])
-        uval = float(u.values[i, 1]) if u.ndim > 1 else float(u.values[1])
         target = float(phi(x))
+        line = layer[i]
+        uval = float(line[np.argmax(np.abs(line - target))])
         row = {"x": x, "height": y1, "u": uval, "phi": target, "error": abs(uval - target)}
         if stacks:
             env = max(float(st(np.array(x), np.array(y1))) for st in stacks)
-            row["lower_margin"] = uval - env
+            row["lower_margin"] = float(np.min(line)) - env
         if caps:
             bound = min(float(np.min(cap.upper_bound(np.array([x]), np.array(y1)))) for cap in caps)
-            row["upper_margin"] = bound - uval if np.isfinite(bound) else math.inf
+            row["upper_margin"] = bound - float(np.max(line)) if np.isfinite(bound) else math.inf
         rows.append(row)
     max_err = max(r["error"] for r in rows)
     return {"rows": rows, "max_error": max_err, "pinned_height": y0, "probe_height": y1}

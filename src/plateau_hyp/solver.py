@@ -1,15 +1,18 @@
 """Dirichlet solver for the discrete graph equation on masked grid domains.
 
 Damped Newton iteration on the conservative residual, with the Jacobian
-assembled by stencil-colored finite differences and a frozen-coefficient
-(Picard) fallback when a Newton step cannot reduce the residual.  Boundary
-nodes are constrained, never solved, so prescribed data is attained exactly.
+assembled by stencil-colored finite differences and a frozen-W (Picard)
+fallback when a Newton step cannot reduce the residual: the same residual
+kernel with its W factors frozen at the iterate.  Both take their steps
+through one backtracking line search.  Boundary nodes are constrained, never
+solved, so prescribed data is attained exactly.
 Failure to drive the residual down is reported as divergence, the numerical
 stand-in for boundary geometry that admits no graph solution.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -28,13 +31,17 @@ class SolverDivergence(RuntimeError):
     """No graph solution detected: the residual failed to decrease."""
 
 
+# Smallest backtracking step, and the largest interior a Jacobian is
+# assembled dense for.
+MIN_STEP = 2.0**-20
+DENSE_CUTOFF = 400
+
+
 @dataclass
 class SolverConfig:
     tol: float = 1e-8
     max_iters: int = 40
     picard_sweeps: int = 50
-    min_step: float = 2.0**-20
-    dense_cutoff: int = 400
 
 
 @dataclass
@@ -123,47 +130,6 @@ def ball_mask(grid: GridFunction, center, radius: float) -> np.ndarray:
 # Residual and Jacobian plumbing
 # ---------------------------------------------------------------------------
 
-def _residual_field(values: np.ndarray, grid: GridFunction, kind: str, H: float,
-                    conv: OrientationConvention) -> np.ndarray:
-    """Residual of ``values`` on the grid; leading axes beyond the grid's are a batch."""
-    h = grid.spacing
-    n = grid.ndim
-    if kind == PARABOLIC:
-        return operator.residual_field_parabolic(values, grid.y_grid(), h, n, H, conv.sign)
-    gamma_fn, drift_fn = operator._hyperbolic_chart_fns(n)
-    return operator.residual_field_chart(values, grid.axes, h, n, H, conv.sign,
-                                         gamma_fn, drift_fn)
-
-
-def _frozen_residual_factory(values: np.ndarray, grid: GridFunction, kind: str, H: float,
-                             conv: OrientationConvention):
-    """Linearized residual with the nonlinear factors frozen at ``values``.
-
-    Freezes the face W factors and the centered-slope W of the drift term;
-    the returned callable is affine in its argument, so one colored pass
-    yields the Picard matrix.  Like the residual kernels it takes the grid as
-    the trailing axes of its argument, so it accepts a stacked batch.
-    """
-    if kind != PARABOLIC:
-        raise SolverDivergence("picard fallback is only wired for the translation structure")
-    h = grid.spacing
-    d = n = grid.ndim
-    grads = operator._centered_gradients(values, h)
-    w_faces = [operator._face_w(values, h, a, grads)[1] for a in range(d)]
-    wc = np.sqrt(1.0 + sum(g**2 for g in grads))
-    y_grid = grid.y_grid()
-
-    def frozen(v: np.ndarray) -> np.ndarray:
-        div = np.zeros_like(v)
-        for a in range(d):
-            dn = np.diff(v, axis=a - d) / h[a]
-            operator._add_flux_divergence(div, dn / w_faces[a], h, a)
-        gy = operator._centered_gradients(v, h)[-1]
-        return conv.sign * (y_grid * div - n * gy / wc) - n * H
-
-    return frozen
-
-
 class JacobianBuilder:
     """Colored finite-difference Jacobian of the interior residual.
 
@@ -178,11 +144,11 @@ class JacobianBuilder:
     iterations; small problems assemble a dense matrix.
     """
 
-    def __init__(self, shape, interior: np.ndarray, dense_cutoff: int = 400):
+    def __init__(self, shape, interior: np.ndarray):
         self.shape = shape
         d = len(shape)
         self.m = int(np.count_nonzero(interior))
-        self.dense = self.m <= dense_cutoff
+        self.dense = self.m <= DENSE_CUTOFF
         idx = -np.ones(shape, dtype=np.int64)
         idx[interior] = np.arange(self.m)
         coords = np.indices(shape)
@@ -217,12 +183,12 @@ class JacobianBuilder:
 _BUILDER_CACHE: dict = {}
 
 
-def _cached_builder(shape, interior: np.ndarray, dense_cutoff: int) -> JacobianBuilder:
+def _cached_builder(shape, interior: np.ndarray) -> JacobianBuilder:
     """Builders keyed by the interior pattern; ball lifts reuse a handful."""
-    key = (shape, dense_cutoff, interior.tobytes())
+    key = (shape, interior.tobytes())
     builder = _BUILDER_CACHE.get(key)
     if builder is None:
-        builder = JacobianBuilder(shape, interior, dense_cutoff)
+        builder = JacobianBuilder(shape, interior)
         if len(_BUILDER_CACHE) > 128:
             _BUILDER_CACHE.clear()
         _BUILDER_CACHE[key] = builder
@@ -290,7 +256,7 @@ def residual_norm(u: GridFunction | np.ndarray, problem: DirichletProblem,
     """Max-norm of the discrete residual over the mask's interior nodes."""
     conv = convention or operator.orientation()
     values = u.values if isinstance(u, GridFunction) else np.asarray(u, dtype=float)
-    res = _residual_field(values, problem.grid, problem.kind, problem.H, conv)
+    res = operator.residual_field(values, problem.grid, problem.kind, problem.H, conv)
     return float(np.max(np.abs(res[problem.interior_mask()])))
 
 
@@ -301,9 +267,9 @@ def solve_dirichlet(problem: DirichletProblem, cfg: SolverConfig | None = None,
     """Solve the masked Dirichlet problem; returns (GridFunction, SolveReport).
 
     Newton directions come from the colored-FD Jacobian with backtracking
-    halving on the residual max-norm down to step 2^-20; if no Newton step
-    makes progress the solver falls back to frozen-coefficient sweeps before
-    declaring divergence.
+    halving on the residual max-norm (:func:`_backtrack`); if no Newton step
+    makes progress the solver falls back to frozen-W sweeps (either Killing
+    structure) before declaring divergence.
     """
     cfg = cfg or SolverConfig()
     conv = convention or operator.orientation()
@@ -324,8 +290,8 @@ def solve_dirichlet(problem: DirichletProblem, cfg: SolverConfig | None = None,
         values[boundary] = problem.data[boundary]
     values[~problem.mask] = 0.0
 
-    def resid(v):
-        return _residual_field(v, grid, problem.kind, problem.H, conv)
+    def resid(v, w_at=None):
+        return operator.residual_field(v, grid, problem.kind, problem.H, conv, w_at)
 
     report = SolveReport()
     F = resid(values)
@@ -334,40 +300,25 @@ def solve_dirichlet(problem: DirichletProblem, cfg: SolverConfig | None = None,
     solve = None  # factored Jacobian, reused for up to three more steps
     reused = 0
 
-    def line_search(step):
-        """Backtracking on the residual max-norm; (values, F, nrm, lam) or None."""
-        if step is None or not np.all(np.isfinite(step)):
-            return None
-        lam = 1.0
-        while lam >= cfg.min_step:
-            trial = values.copy()
-            trial[interior] += lam * step
-            Ft = resid(trial)
-            nt = float(np.max(np.abs(Ft[interior])))
-            if nt < nrm * (1.0 - 1e-4 * lam) or nt <= cfg.tol:
-                return trial, Ft, nt, lam
-            lam *= 0.5
-        return None
-
     for it in range(cfg.max_iters):
         if nrm <= cfg.tol:
             report.converged = True
             break
         if builder is None:
-            builder = _cached_builder(values.shape, interior, cfg.dense_cutoff)
+            builder = _cached_builder(values.shape, interior)
         if solve is None or reused >= 3:
             solve = None  # drop the old factors before the new assembly
             solve = _factorize(builder.assemble(values, resid, F))
             reused = 0
         else:
             reused += 1
-        found = line_search(solve(-F[interior]))
+        found = _backtrack(values, solve(-F[interior]), nrm, interior, resid, cfg.tol)
         if found is None and reused > 0:
             # stale Jacobian may be the culprit: rebuild before falling back
             solve = None
             solve = _factorize(builder.assemble(values, resid, F))
             reused = 0
-            found = line_search(solve(-F[interior]))
+            found = _backtrack(values, solve(-F[interior]), nrm, interior, resid, cfg.tol)
         elif found is not None and found[3] < 1.0:
             solve = None  # damped step: refresh the linearization next time
         report.iterations = it + 1
@@ -376,8 +327,7 @@ def solve_dirichlet(problem: DirichletProblem, cfg: SolverConfig | None = None,
             report.damping_history.append(lam)
         else:
             solve = None  # the fallback factors matrices of its own
-            values, F, nrm, picard_used = _picard_phase(values, F, nrm, problem, cfg, conv,
-                                                        interior, resid)
+            values, F, nrm, picard_used = _picard_phase(values, F, nrm, interior, resid, cfg)
             report.picard_iterations += picard_used
             if nrm > cfg.tol:
                 report.final_residual = nrm
@@ -400,31 +350,48 @@ def solve_dirichlet(problem: DirichletProblem, cfg: SolverConfig | None = None,
     return out, report
 
 
-def _picard_phase(values, F, nrm, problem, cfg, conv, interior, resid):
+def _backtrack(values, step, nrm, interior, resid, tol):
+    """Backtracking line search on the residual max-norm (sufficient decrease).
+
+    Tries ``values + lam * step`` on the interior for lam = 1, 1/2, ... down
+    to ``MIN_STEP`` and accepts the first trial whose norm nt satisfies
+    nt < nrm (1 - 1e-4 lam) or nt <= tol (Dennis and Schnabel, Numerical
+    Methods for Unconstrained Optimization, 1983, section 6.3).  Returns
+    (values, F, nrm, lam) of the accepted trial, or None when there is no
+    finite step or no trial is accepted.
+    """
+    if step is None or not np.all(np.isfinite(step)):
+        return None
+    lam = 1.0
+    while lam >= MIN_STEP:
+        trial = values.copy()
+        trial[interior] += lam * step
+        Ft = resid(trial)
+        nt = float(np.max(np.abs(Ft[interior])))
+        if nt < nrm * (1.0 - 1e-4 * lam) or nt <= tol:
+            return trial, Ft, nt, lam
+        lam *= 0.5
+    return None
+
+
+def _picard_phase(values, F, nrm, interior, resid, cfg):
+    """Frozen-W sweeps; returns (values, F, nrm, accepted sweeps).
+
+    Each sweep linearizes the residual with its W factors frozen at the
+    iterate (affine in the unknowns, so the colored pass yields the Picard
+    matrix exactly) and backtracks along the Picard step.
+    """
     used = 0
-    builder = _cached_builder(values.shape, interior, cfg.dense_cutoff)
-    for sweep in range(cfg.picard_sweeps):
-        if nrm <= cfg.tol:
+    builder = _cached_builder(values.shape, interior)
+    while used < cfg.picard_sweeps and nrm > cfg.tol:
+        frozen = functools.partial(resid, w_at=values)
+        # at its freeze point the frozen residual is F itself
+        step = _factorize(builder.assemble(values, frozen, F))(-F[interior])
+        found = _backtrack(values, step, nrm, interior, resid, cfg.tol)
+        if found is None:
             break
-        frozen = _frozen_residual_factory(values, problem.grid, problem.kind, problem.H, conv)
-        step = _factorize(builder.assemble(values, frozen, frozen(values)))(-F[interior])
-        if step is None or not np.all(np.isfinite(step)):
-            break
-        omega = 1.0
-        progressed = False
-        while omega >= cfg.min_step:
-            trial = values.copy()
-            trial[interior] += omega * step
-            Ft = resid(trial)
-            nt = float(np.max(np.abs(Ft[interior])))
-            if nt < nrm:
-                values, F, nrm = trial, Ft, nt
-                progressed = True
-                break
-            omega *= 0.5
-        used = sweep + 1
-        if not progressed:
-            break
+        values, F, nrm, _ = found
+        used += 1
     return values, F, nrm, used
 
 

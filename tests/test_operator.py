@@ -257,6 +257,31 @@ class TestBatchedResidual:
                               batched)
 
 
+class TestFrozenResidual:
+    """With ``w_at`` the residual kernel is the Picard linearization at ``w_at``."""
+
+    @pytest.mark.parametrize("kind", [PARABOLIC, HYPERBOLIC])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_exact_at_freeze_point_and_affine(self, n, kind):
+        grid = op.make_grid(n, 0.5, 0.3, 1.1, 9 if n == 3 else 17)
+        mesh = grid.meshgrid()
+        u = 0.4 + 0.2 * np.sin(2.0 * mesh[0]) * mesh[-1]
+        w = 0.2 * np.cos(3.0 * mesh[0]) * mesh[-1] ** 2
+        conv = op.orientation()
+
+        def frozen(v):
+            return op.residual_field(v, grid, kind, 0.3, conv, w_at=u)
+
+        base = frozen(u.copy())  # a copy, so the slopes of both arguments are formed
+        assert base.tobytes() == op.residual_field(u, grid, kind, 0.3, conv).tobytes()
+        unit = frozen(u + w) - base
+        for t in (-0.5, 0.25, 2.0):
+            assert np.max(np.abs(frozen(u + t * w) - base - t * unit)) <= 1e-12
+        # away from the freeze point it is not the full residual
+        full = op.residual_field(u + w, grid, kind, 0.3, conv)
+        assert np.max(np.abs(frozen(u + w) - full)) > 1e-3
+
+
 class TestScalarPatch:
     def test_fd_fallback_matches_analytic(self):
         analytic = op.exact_patch("hemisphere", t=0.1, R=1.7)

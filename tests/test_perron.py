@@ -117,14 +117,14 @@ class TestBallCover:
         for radius in (2, 4, 7):
             cover = pe.build_ball_cover(boundary, radius)
             covered = np.zeros((33, 33), dtype=bool)
-            for ball in cover.balls:
+            for ball in cover:
                 covered |= pe._index_ball_interior((33, 33), ball.center, ball.radius)
             assert np.all(covered[~boundary])
 
     def test_full_radius_single_ball(self):
         boundary = op.outer_face_mask((33, 33))
         cover = pe.build_ball_cover(boundary, 40)
-        assert len(cover.balls) == 1
+        assert len(cover) == 1
 
 
 class TestLift:
@@ -311,12 +311,28 @@ class TestAttainment:
             errors.append(report["max_error"])
         assert errors[1] < errors[0]
 
+    def test_three_axis_grid_reports_worst_node_per_x1(self):
+        # no solve: the first free layer is the datum in x_1 plus 0.01 x_2^2
+        grid = op.make_grid(3, 0.5, 0.1, 0.9, 9)
+        phi = pe.smooth_step_datum(0.3, 0.7, width=0.5)
+        mesh = grid.meshgrid()
+        u = grid.copy()
+        u.values = phi(mesh[0]) + 0.01 * mesh[1] ** 2
+        flat_stack = lambda x, y: np.full(np.shape(x), 0.1)  # noqa: E731
+        report = pe.boundary_attainment_report(u, phi, stacks=[flat_stack], samples=5)
+        assert len(report["rows"]) == 5
+        for row in report["rows"]:
+            assert abs(row["error"] - 0.01 * 0.5**2) <= 1e-12  # worst at |x_2| = 0.5
+            assert abs(row["u"] - row["phi"] - 0.01 * 0.5**2) <= 1e-12
+            assert abs(row["lower_margin"] - (row["phi"] - 0.1)) <= 1e-12  # min at x_2 = 0
+        assert report["probe_height"] == grid.axes[-1][1]
+
     def test_margins_reported_against_barriers(self):
         grid = small_grid()
         phi = pe.smooth_step_datum(0.3, 0.7, width=0.5)
         cfg = pe.PerronConfig(tol=1e-8)
         u, rep = pe.run_asymptotic_solve(phi, 0.0, grid, cfg)
-        stacks = pe._build_lower_stacks(phi, grid, cfg)
+        stacks = pe._build_lower_stacks(phi, grid)
         caps = [ba.upper_cap_barrier(0.9, [0.0], phi, 0.0)]
         report = pe.boundary_attainment_report(u, phi, stacks=stacks, caps=caps)
         assert all("lower_margin" in row for row in report["rows"])

@@ -211,7 +211,7 @@ class TestJacobianBuilder:
         conv = op.orientation()
 
         def resid(v):
-            return sv._residual_field(v, grid, kind, 0.2, conv)
+            return op.residual_field(v, grid, kind, 0.2, conv)
 
         builder = sv.JacobianBuilder(values.shape, interior)
         assert builder.dense == (nodes < 33)
@@ -231,10 +231,10 @@ class TestJacobianBuilder:
 
         def resid(v):
             calls.append(v.shape)
-            return sv._residual_field(v, problem.grid, PARABOLIC, 0.0, conv)
+            return op.residual_field(v, problem.grid, PARABOLIC, 0.0, conv)
 
         values = problem.data
-        F0 = sv._residual_field(values, problem.grid, PARABOLIC, 0.0, conv)
+        F0 = op.residual_field(values, problem.grid, PARABOLIC, 0.0, conv)
         sv.JacobianBuilder(values.shape, interior).assemble(values, resid, F0)
         assert calls == [(9,) + values.shape]  # every 3^2 color class in one stack
 
@@ -312,6 +312,74 @@ class TestDivergence:
         with pytest.raises(sv.SolverDivergence):
             sv.solve_dirichlet(problem, sv.SolverConfig(tol=1e-12), initial=start)
         assert calls["n"] >= 3  # the retry and the fallback both asked for a factorization
+
+
+def dilation_problem(nodes):
+    grid = op.make_grid(2, 0.45, 0.25, 0.95, nodes)
+    x, y = grid.meshgrid()
+    data = 0.35 + 0.25 * x + 0.15 * y**2
+    data[1:-1, 1:-1] = 0.0
+    return sv.DirichletProblem(grid=grid, mask=np.ones(data.shape, dtype=bool), data=data,
+                               H=0.0, kind="hyperbolic")
+
+
+class TestPicardFallback:
+    def test_dilation_structure_falls_back_to_picard(self, monkeypatch):
+        # Newton's first factorization gives no step, so the solve must go on
+        # with frozen-W sweeps of the chart residual
+        problem = dilation_problem(17)
+        start = sv.harmonic_extension(problem)
+        real_factorize = sv._factorize
+        calls = {"n": 0}
+
+        def first_gives_no_step(J):
+            calls["n"] += 1
+            return (lambda rhs: None) if calls["n"] == 1 else real_factorize(J)
+
+        monkeypatch.setattr(sv, "_factorize", first_gives_no_step)
+        u, rep = sv.solve_dirichlet(problem, sv.SolverConfig(tol=1e-9), initial=start)
+        assert rep.converged and rep.picard_iterations > 0
+        assert rep.final_residual <= 1e-9
+        assert sv.residual_norm(u, problem) <= 1e-9
+
+
+class TestResidualEntryPoints:
+    """Solves evaluate the residual kernel only through the two public names."""
+
+    @pytest.mark.parametrize("kind", [PARABOLIC, "hyperbolic"])
+    def test_solve_reaches_kernel_through_public_names(self, kind, monkeypatch):
+        problem = hemisphere_problem(17) if kind == PARABOLIC else dilation_problem(17)
+        names = ("residual_field_parabolic", "residual_field_chart")
+        calls = dict.fromkeys(names + ("kernel", "kernel_outside"), 0)
+        depth = [0]
+
+        def counting(name, real):
+            def wrapper(values, *args, **kwargs):
+                assert values.shape[-2:] == problem.grid.values.shape
+                calls[name] += 1
+                depth[0] += 1
+                try:
+                    return real(values, *args, **kwargs)
+                finally:
+                    depth[0] -= 1
+            return wrapper
+
+        real_kernel = op._face_flux_residual
+
+        def kernel(*args, **kwargs):
+            calls["kernel"] += 1
+            calls["kernel_outside"] += depth[0] == 0
+            return real_kernel(*args, **kwargs)
+
+        for name in names:
+            monkeypatch.setattr(op, name, counting(name, getattr(op, name)))
+        monkeypatch.setattr(op, "_face_flux_residual", kernel)
+        _, rep = sv.solve_dirichlet(problem, sv.SolverConfig(tol=1e-9))
+        assert rep.converged
+        used = names[0] if kind == PARABOLIC else names[1]
+        assert calls[used] > 0
+        assert calls["kernel"] == calls[names[0]] + calls[names[1]]
+        assert calls["kernel_outside"] == 0
 
 
 class TestStencilReduce:
