@@ -21,7 +21,7 @@ import numpy as np
 
 from . import operator
 from .geometry import PARABOLIC, IdealSphere, _chart_array
-from .operator import OrientationConvention, exact_patch, qh_pointwise
+from .operator import exact_patch, qh_pointwise
 
 
 def alpha_margin(alpha: float) -> float:
@@ -229,9 +229,7 @@ class SupersolutionPlane:
         return exact_patch("tilted_plane", a=self.slope, b=self.c)
 
 
-def make_supersolution(c: float, H: float,
-                       convention: OrientationConvention | None = None,
-                       check_points: int = 12) -> SupersolutionPlane:
+def make_supersolution(c: float, H: float, check_points: int = 12) -> SupersolutionPlane:
     """Exact equidistant plane through boundary offset c for curvature H.
 
     The slope has magnitude |H| / sqrt(1 - H^2) with the sign fixed by the
@@ -243,7 +241,7 @@ def make_supersolution(c: float, H: float,
         raise ValueError(f"no equidistant graph exists for |H| >= 1 (got H = {H})")
     if c <= 0:
         raise ValueError("boundary offset c must be positive")
-    conv = convention or operator.orientation()
+    conv = operator.orientation()
     slope = conv.solution_slope(H)
     plane = SupersolutionPlane(c=float(c), slope=float(slope), H=float(H))
     patch = plane.patch()
@@ -360,8 +358,7 @@ def upper_cap_barrier(q_offset: float, q_center, phi, H: float,
 # Discrete subsolution bookkeeping
 # ---------------------------------------------------------------------------
 
-def stack_subsolution_report(stack: BarrierStack, H_values, nodes: int = 65,
-                             convention: OrientationConvention | None = None) -> dict:
+def stack_subsolution_report(stack: BarrierStack, H_values, nodes: int = 65) -> dict:
     """Worst discrete residual of the sampled stack at smooth nodes, per H.
 
     Nodes are counted as smooth when a single hemisphere piece dominates
@@ -369,7 +366,6 @@ def stack_subsolution_report(stack: BarrierStack, H_values, nodes: int = 65,
     nonpositive residual there, up to the scheme's O(h^2) consistency slack.
     A minimal piece satisfies it exactly for H >= 0.
     """
-    conv = convention or operator.orientation()
     grid = operator.make_grid(2, 1.1, 0.02, 1.1, nodes)
     mesh = grid.meshgrid()
     rho = np.sqrt(sum(m**2 for m in mesh))
@@ -401,7 +397,7 @@ def stack_subsolution_report(stack: BarrierStack, H_values, nodes: int = 65,
     out = {}
     slack = 50.0 * h**2
     for H in H_values:
-        res = operator.qh_residual_grid(sampled, PARABOLIC, H, convention=conv)
+        res = operator.qh_residual_grid(sampled, PARABOLIC, H)
         vals = res.values[smooth]
         worst = float(np.max(vals)) if vals.size else float("nan")
         out[float(H)] = {"max_residual": worst, "holds": bool(vals.size and worst <= slack),

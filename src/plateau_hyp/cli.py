@@ -523,12 +523,7 @@ def _run_solve_dirichlet(cfg: RunConfig, report: DiagnosticsReport, out_dir: str
             raise ConfigError("$.mask: ball does not intersect the grid")
     else:
         mask = np.ones(grid.values.shape, dtype=bool)
-    mesh = grid.meshgrid()
-    data = np.zeros(grid.values.shape)
-    it = np.nditer(data, flags=["multi_index"], op_flags=["writeonly"])
-    for cell in it:
-        z = np.array([m[it.multi_index] for m in mesh])
-        cell[...] = patch.value(z)
+    data = sample_on_grid(grid, patch.value).values
     problem = DirichletProblem(grid=grid, mask=mask, data=data, H=cfg.H, kind=cfg.structure)
     scfg = SolverConfig(tol=cfg.solver["tol"], max_iters=cfg.solver["max_iters"])
     u, srep = solver.solve_dirichlet(problem, scfg)
@@ -576,7 +571,8 @@ def main(argv=None) -> int:
     parser.add_argument("mode", choices=MODES)
     parser.add_argument("--config", required=True, help="path to a JSON run configuration")
     parser.add_argument("--out-dir", default=".", help="artifact directory")
-    parser.add_argument("--seed", type=int, default=None, help="seed override for shuffled runs")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="seed override for the sample points of verify-exact")
     args = parser.parse_args(argv)
 
     try:

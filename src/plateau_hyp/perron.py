@@ -28,7 +28,7 @@ import numpy as np
 
 from . import barriers, operator, solver
 from .geometry import PARABOLIC
-from .operator import GridFunction, OrientationConvention, make_grid
+from .operator import GridFunction, make_grid
 from .solver import DirichletProblem, SolverConfig, SolverDivergence
 
 
@@ -219,13 +219,11 @@ class PerronState:
     sweeps: int = 0
     increments: list = field(default_factory=list)
     residuals: list = field(default_factory=list)
-    violations: list = field(default_factory=list)
 
     def check_sandwich(self, tol: float) -> None:
         low = float(np.min(self.u.values - self.sigma.values))
         high = float(np.max(self.u.values - self.w.values))
         if low < -tol or high > tol:
-            self.violations.append({"sweep": self.sweeps, "below_sigma": low, "above_w": high})
             raise RuntimeError(
                 f"sandwich violated at sweep {self.sweeps}: min(u - sigma) = {low:.3e}, "
                 f"max(u - w) = {high:.3e}, tolerance {tol:.1e}")
@@ -259,7 +257,6 @@ class PerronConfig:
 # ---------------------------------------------------------------------------
 
 def cmc_lift(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig | None = None,
-             convention: OrientationConvention | None = None,
              upper: np.ndarray | None = None) -> GridFunction:
     """Replace u inside one ball by the local solution, combined by maximum.
 
@@ -273,16 +270,16 @@ def cmc_lift(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig | None = N
     """
     cfg = cfg or PerronConfig()
     out = u.copy()
-    _lift_inplace(out, ball, H, cfg, convention or operator.orientation(), upper)
+    _lift_inplace(out, ball, H, cfg, upper)
     return out
 
 
 def _lift_inplace(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig,
-                  conv: OrientationConvention, upper: np.ndarray | None = None) -> float:
+                  upper: np.ndarray | None = None) -> float:
     radius = ball.radius
     while True:
         try:
-            return _lift_once(u, Ball(ball.center, radius), H, cfg, conv, upper)
+            return _lift_once(u, Ball(ball.center, radius), H, cfg, upper)
         except SolverDivergence:
             if radius <= MIN_RADIUS:
                 raise
@@ -290,7 +287,7 @@ def _lift_inplace(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig,
 
 
 def _lift_once(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig,
-               conv: OrientationConvention, upper: np.ndarray | None = None) -> float:
+               upper: np.ndarray | None = None) -> float:
     shape = u.values.shape
     d = len(shape)
     lo = [max(0, ball.center[k] - ball.radius - 1) for k in range(d)]
@@ -313,8 +310,7 @@ def _lift_once(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig,
                                H=H, kind=PARABOLIC)
     if not problem.interior_mask().any():
         return 0.0
-    solved, _ = solver.solve_dirichlet(problem, cfg.solver_cfg(), initial=sub_vals,
-                                       convention=conv, compute_bands=False)
+    solved, _ = solver.solve_dirichlet(problem, cfg.solver_cfg(), initial=sub_vals)
     interior = problem.interior_mask()
     # maximum with the old values up to a noise guard: genuine increases are
     # kept, decreases beyond solver noise are rejected (monotone sweeps)
@@ -335,7 +331,6 @@ def _dilate(mask: np.ndarray) -> np.ndarray:
 
 def perron_sweep(state: PerronState, cover: list, H: float,
                  cfg: PerronConfig | None = None,
-                 convention: OrientationConvention | None = None,
                  order: np.ndarray | None = None) -> PerronState:
     """One pass of lifts over the cover; nondecreasing up to tolerance.
 
@@ -343,11 +338,10 @@ def perron_sweep(state: PerronState, cover: list, H: float,
     the sweep tolerance (a discretization inconsistency).
     """
     cfg = cfg or PerronConfig()
-    conv = convention or operator.orientation()
     before = state.u.values.copy()
     balls = cover if order is None else [cover[i] for i in order]
     for ball in balls:
-        _lift_inplace(state.u, ball, H, cfg, conv, state.w.values)
+        _lift_inplace(state.u, ball, H, cfg, state.w.values)
     increment = float(np.max(state.u.values - before))
     drop = float(np.min(state.u.values - before))
     if drop < -cfg.tol:
@@ -420,7 +414,6 @@ def _face_data(grid: GridFunction, phi, plane: barriers.SupersolutionPlane,
 
 def run_asymptotic_solve(phi: BoundaryDatum, H: float, grid: GridFunction | None = None,
                          cfg: PerronConfig | None = None,
-                         convention: OrientationConvention | None = None,
                          use_stack_init: bool = False):
     """Drive the truncated asymptotic problem to the solver tolerance.
 
@@ -436,7 +429,6 @@ def run_asymptotic_solve(phi: BoundaryDatum, H: float, grid: GridFunction | None
     increment.
     """
     cfg = cfg or PerronConfig()
-    conv = convention or operator.orientation()
     if abs(H) >= 1:
         raise ValueError(f"|H| must be < 1, got H = {H}")
     if grid is None:
@@ -451,7 +443,7 @@ def run_asymptotic_solve(phi: BoundaryDatum, H: float, grid: GridFunction | None
     if not ok:
         raise ValueError(f"boundary datum violates the between-spheres window: {witness}")
 
-    plane = barriers.make_supersolution(c_max, H, convention=conv)
+    plane = barriers.make_supersolution(c_max, H)
     y_min = float(grid.axes[-1][0])
     y_max = float(grid.axes[-1][-1])
     # sandwich plane translated to pass through c_max on the bottom face,
@@ -501,8 +493,8 @@ def run_asymptotic_solve(phi: BoundaryDatum, H: float, grid: GridFunction | None
     for sweep in range(cfg.max_sweeps):
         cover = build_ball_cover(u.boundary, radius)
         order = rng.permutation(len(cover)) if rng is not None else None
-        perron_sweep(state, cover, H, cfg, conv, order=order)
-        res = solver.residual_norm(state.u, problem_all, convention=conv)
+        perron_sweep(state, cover, H, cfg, order=order)
+        res = solver.residual_norm(state.u, problem_all)
         state.residuals.append(res)
         report.radii.append(radius)
         increment = state.increments[-1]
@@ -510,7 +502,8 @@ def run_asymptotic_solve(phi: BoundaryDatum, H: float, grid: GridFunction | None
             report.converged = True
             break
         if increment <= cfg.tol and radius >= max_radius:  # one whole-box ball
-            field = np.abs(operator.residual_field(state.u.values, grid, PARABOLIC, H, conv))
+            field = np.abs(operator.residual_field(state.u.values, grid, PARABOLIC, H,
+                                                   operator.orientation()))
             field[~problem_all.interior_mask()] = -np.inf
             at = np.unravel_index(int(np.argmax(field)), field.shape)
             x, y = float(grid.axes[0][at[0]]), float(grid.axes[-1][at[-1]])

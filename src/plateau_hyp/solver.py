@@ -1,13 +1,15 @@
 """Dirichlet solver for the discrete graph equation on masked grid domains.
 
 Damped Newton iteration on the conservative residual, with the Jacobian
-assembled by stencil-colored finite differences and a frozen-W (Picard)
-fallback when a Newton step cannot reduce the residual: the same residual
-kernel with its W factors frozen at the iterate.  Both take their steps
-through one backtracking line search.  Boundary nodes are constrained, never
-solved, so prescribed data is attained exactly.
-Failure to drive the residual down is reported as divergence, the numerical
-stand-in for boundary geometry that admits no graph solution.
+assembled by stencil-colored finite differences.  The residual kernel with
+its W factors frozen serves twice more: frozen flat, it is the operator's
+linearization whose solution is the default warm start; frozen at the
+iterate, it is the Picard fallback when a Newton step cannot reduce the
+residual.  Newton and Picard take their steps through one backtracking line
+search.  Boundary nodes are constrained, never solved, so prescribed data
+is attained exactly.  Failure to drive the residual down is reported as
+divergence, the numerical stand-in for boundary geometry that admits no
+graph solution.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from scipy.linalg import get_lapack_funcs
 
 from . import operator
 from .geometry import PARABOLIC, _check_kind
-from .operator import GridFunction, OrientationConvention
+from .operator import GridFunction
 
 
 class SolverDivergence(RuntimeError):
@@ -221,77 +223,73 @@ def _factorize(J):
     return lu.solve
 
 
-def harmonic_extension(problem: DirichletProblem) -> np.ndarray:
-    """Chart-Laplace extension of the boundary data, used as a warm start."""
-    grid = problem.grid
+def _residual_fn(problem: DirichletProblem):
+    """``resid(v, w_at=None)``: the problem's residual field under the orientation."""
+    conv = operator.orientation()
+
+    def resid(v, w_at=None):
+        return operator.residual_field(v, problem.grid, problem.kind, problem.H, conv, w_at)
+    return resid
+
+
+def linearized_start(problem: DirichletProblem) -> np.ndarray:
+    """Warm start: the solution of the problem's own operator linearized flat.
+
+    With W frozen at zero slopes the residual is affine, y Lap(v) - n v_y - nH
+    for the translation structure, so one frozen-W step from the data with a
+    zero interior solves it, and a second step with the same factors refines
+    away the rounding of the first.  The matrix is assembled by the cached
+    builder that Newton then reuses; a singular one leaves the interior at
+    zero.
+    """
     interior = problem.interior_mask()
     values = problem.data.copy()
     values[interior] = 0.0
-    h = grid.spacing
-    d = grid.ndim
-
-    def lap(v):  # grid on the trailing axes, like the residual kernels
-        out = np.zeros_like(v)
-        for a in range(d):
-            c, p, m = (operator._axis_slice(d, a, sl)
-                       for sl in (slice(1, -1), slice(2, None), slice(None, -2)))
-            out[c] += (v[p] - 2 * v[c] + v[m]) / h[a] ** 2
-        return out
-
-    builder = JacobianBuilder(values.shape, interior)
-    F0 = lap(values)
-    sol = _factorize(builder.assemble(values, lap, F0))(-F0[interior])
-    out = values.copy()
-    if sol is not None:
-        out[interior] += sol
-    return out
+    frozen = functools.partial(_residual_fn(problem), w_at=np.zeros_like(values))
+    F = frozen(values)
+    solve = _factorize_frozen(_cached_builder(values.shape, interior), values, frozen, F)
+    step = solve(-F[interior])
+    if step is not None:
+        values[interior] += step
+        values[interior] += solve(-frozen(values)[interior])
+    return values
 
 
 # ---------------------------------------------------------------------------
 # Newton driver
 # ---------------------------------------------------------------------------
 
-def residual_norm(u: GridFunction | np.ndarray, problem: DirichletProblem,
-                  convention: OrientationConvention | None = None) -> float:
+def residual_norm(u: GridFunction | np.ndarray, problem: DirichletProblem) -> float:
     """Max-norm of the discrete residual over the mask's interior nodes."""
-    conv = convention or operator.orientation()
     values = u.values if isinstance(u, GridFunction) else np.asarray(u, dtype=float)
-    res = operator.residual_field(values, problem.grid, problem.kind, problem.H, conv)
+    res = _residual_fn(problem)(values)
     return float(np.max(np.abs(res[problem.interior_mask()])))
 
 
 def solve_dirichlet(problem: DirichletProblem, cfg: SolverConfig | None = None,
-                    initial: np.ndarray | str = "harmonic",
-                    convention: OrientationConvention | None = None,
-                    compute_bands: bool = True):
+                    initial: np.ndarray | None = None, compute_bands: bool = False):
     """Solve the masked Dirichlet problem; returns (GridFunction, SolveReport).
 
-    Newton directions come from the colored-FD Jacobian with backtracking
-    halving on the residual max-norm (:func:`_backtrack`); if no Newton step
-    makes progress the solver falls back to frozen-W sweeps (either Killing
-    structure) before declaring divergence.
+    The iteration starts from ``initial``, whose boundary values are replaced
+    by the data, or by default from :func:`linearized_start`.  Newton
+    directions come from the colored-FD Jacobian with backtracking halving on
+    the residual max-norm (:func:`_backtrack`); if no Newton step makes
+    progress the solver falls back to frozen-W sweeps (either Killing
+    structure) before declaring divergence.  ``compute_bands`` adds the
+    :func:`gradient_diagnostic` table to the report.
     """
     cfg = cfg or SolverConfig()
-    conv = convention or operator.orientation()
     grid = problem.grid
     interior = problem.interior_mask()
     boundary = problem.boundary_mask()
 
-    if isinstance(initial, str):
-        if initial == "harmonic":
-            values = harmonic_extension(problem)
-        elif initial == "mean":
-            values = problem.data.copy()
-            values[interior] = float(np.mean(problem.data[boundary]))
-        else:
-            raise ValueError(f"unknown initializer {initial!r}")
+    if initial is None:
+        values = linearized_start(problem)
     else:
         values = np.asarray(initial, dtype=float).copy()
         values[boundary] = problem.data[boundary]
     values[~problem.mask] = 0.0
-
-    def resid(v, w_at=None):
-        return operator.residual_field(v, grid, problem.kind, problem.H, conv, w_at)
+    resid = _residual_fn(problem)
 
     report = SolveReport()
     F = resid(values)
@@ -374,19 +372,28 @@ def _backtrack(values, step, nrm, interior, resid, tol):
     return None
 
 
+def _factorize_frozen(builder: JacobianBuilder, values, frozen, F):
+    """Factored matrix of a frozen-W residual ``frozen``, whose value at ``values`` is F.
+
+    Frozen, the residual is affine in the unknowns, so the colored
+    difference quotients are exact for any increment; a unit increment
+    keeps their rounding at the level of the residual's own.
+    """
+    return _factorize(builder.assemble(values, frozen, F, eps=1.0))
+
+
 def _picard_phase(values, F, nrm, interior, resid, cfg):
     """Frozen-W sweeps; returns (values, F, nrm, accepted sweeps).
 
-    Each sweep linearizes the residual with its W factors frozen at the
-    iterate (affine in the unknowns, so the colored pass yields the Picard
-    matrix exactly) and backtracks along the Picard step.
+    Each sweep solves the residual with W frozen at the iterate
+    (:func:`_factorize_frozen`) and backtracks along that step.
     """
     used = 0
     builder = _cached_builder(values.shape, interior)
     while used < cfg.picard_sweeps and nrm > cfg.tol:
         frozen = functools.partial(resid, w_at=values)
         # at its freeze point the frozen residual is F itself
-        step = _factorize(builder.assemble(values, frozen, F))(-F[interior])
+        step = _factorize_frozen(builder, values, frozen, F)(-F[interior])
         found = _backtrack(values, step, nrm, interior, resid, cfg.tol)
         if found is None:
             break

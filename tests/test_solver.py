@@ -113,8 +113,10 @@ class TestComparisonAndUniqueness:
         grid = op.make_grid(2, 0.5, 0.2, 1.0, 33)
         problem, _ = full_problem(grid, lambda z: 0.4 + 0.2 * math.tanh(z[0]), 0.2)
         cfg = sv.SolverConfig(tol=1e-10)
-        ua, _ = sv.solve_dirichlet(problem, cfg, initial="harmonic")
-        ub, _ = sv.solve_dirichlet(problem, cfg, initial="mean")
+        mean_start = problem.data.copy()
+        mean_start[problem.interior_mask()] = float(np.mean(problem.data[problem.boundary_mask()]))
+        ua, _ = sv.solve_dirichlet(problem, cfg)
+        ub, _ = sv.solve_dirichlet(problem, cfg, initial=mean_start)
         assert np.max(np.abs(ua.values - ub.values)) <= 10 * cfg.tol
 
 
@@ -122,7 +124,7 @@ class TestGradientDiagnostic:
     def test_constant_solution_has_zero_bands(self):
         grid = op.make_grid(2, 0.5, 0.2, 1.0, 25)
         problem, _ = full_problem(grid, lambda z: 0.8, 0.0)
-        u, rep = sv.solve_dirichlet(problem)
+        u, rep = sv.solve_dirichlet(problem, compute_bands=True)
         assert rep.gradient_bands
         assert all(b["sup_gradient"] <= 1e-11 for b in rep.gradient_bands)
 
@@ -130,8 +132,9 @@ class TestGradientDiagnostic:
         grid = op.make_grid(2, 0.45, 0.25, 0.95, 49)
         problem, _ = full_problem(
             grid, lambda z: 0.1 + math.sqrt(1.5**2 - float(np.dot(z, z))), 0.0)
-        u, rep = sv.solve_dirichlet(problem)
+        u, rep = sv.solve_dirichlet(problem, compute_bands=True)
         sups = [b["sup_gradient"] for b in sorted(rep.gradient_bands, key=lambda b: b["distance"])]
+        assert sups
         assert all(sups[i] >= sups[i + 1] - 1e-12 for i in range(len(sups) - 1))
 
     def test_band_sup_stable_under_refinement(self):
@@ -140,7 +143,7 @@ class TestGradientDiagnostic:
             grid = op.make_grid(2, 0.45, 0.25, 0.95, nodes)
             problem, _ = full_problem(
                 grid, lambda z: 0.1 + math.sqrt(1.5**2 - float(np.dot(z, z))), 0.0)
-            u, rep = sv.solve_dirichlet(problem)
+            u, rep = sv.solve_dirichlet(problem, compute_bands=True)
             bands = sorted(rep.gradient_bands, key=lambda b: b["distance"])
             sups[nodes] = bands[0]["sup_gradient"]
         assert abs(sups[49] - sups[97]) / sups[97] <= 0.05
@@ -176,7 +179,7 @@ class TestFactorization:
         monkeypatch.setattr(sv.JacobianBuilder, "assemble", counting_assemble)
         _, rep = sv.solve_dirichlet(problem, sv.SolverConfig(tol=1e-10))
         assert rep.converged
-        newton_assemblies = counts["assemblies"] - 1  # one is the harmonic start
+        newton_assemblies = counts["assemblies"] - 1  # one is the linearized start
         assert rep.iterations > newton_assemblies >= 1  # some Jacobians served several steps
         assert counts["factorizations"] == counts["assemblies"]
 
@@ -269,7 +272,7 @@ class TestDivergence:
         # is singular.  That must end as divergence, not as a linear algebra
         # error.  17^2 takes the dense branch, 33^2 the sparse one.
         problem = hemisphere_problem(nodes)
-        start = sv.harmonic_extension(problem)
+        start = sv.linearized_start(problem)
         calls = {"n": 0}
 
         def nan_step(rhs):
@@ -328,7 +331,7 @@ class TestPicardFallback:
         # Newton's first factorization gives no step, so the solve must go on
         # with frozen-W sweeps of the chart residual
         problem = dilation_problem(17)
-        start = sv.harmonic_extension(problem)
+        start = sv.linearized_start(problem)
         real_factorize = sv._factorize
         calls = {"n": 0}
 
@@ -341,6 +344,45 @@ class TestPicardFallback:
         assert rep.converged and rep.picard_iterations > 0
         assert rep.final_residual <= 1e-9
         assert sv.residual_norm(u, problem) <= 1e-9
+
+
+class TestLinearizedStart:
+    @pytest.mark.parametrize("n, kind", [(2, PARABOLIC), (3, PARABOLIC),
+                                         (2, "hyperbolic"), (3, "hyperbolic")])
+    def test_solves_the_flat_linearization(self, n, kind):
+        grid = op.make_grid(n, 0.5, 0.2, 1.0, 17 if n == 2 else 9)
+        mesh = grid.meshgrid()
+        data = 0.4 + 0.2 * np.sin(3.0 * mesh[0]) + 0.1 * mesh[-1] ** 2
+        problem = sv.DirichletProblem(grid=grid, mask=np.ones(data.shape, dtype=bool),
+                                      data=data, H=0.2, kind=kind)
+        start = sv.linearized_start(problem)
+        interior = problem.interior_mask()
+        assert np.array_equal(start[~interior], data[~interior])
+        flat = op.residual_field(start, grid, kind, 0.2, op.orientation(), np.zeros_like(start))
+        assert np.max(np.abs(flat[interior])) <= 1e-10
+
+    def test_cold_solve_builds_one_jacobian_builder(self, monkeypatch):
+        # the start and Newton share the cached builder of the interior
+        built = []
+        real_init = sv.JacobianBuilder.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args[0])
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(sv, "_BUILDER_CACHE", {})
+        monkeypatch.setattr(sv.JacobianBuilder, "__init__", counting_init)
+        _, rep = sv.solve_dirichlet(hemisphere_problem(17), sv.SolverConfig(tol=1e-10))
+        assert rep.converged and rep.iterations > 0
+        assert len(built) == 1
+
+    def test_default_solve_skips_gradient_diagnostic(self, monkeypatch):
+        def diagnostic(*args, **kwargs):
+            raise AssertionError("gradient_diagnostic ran in a default solve")
+
+        monkeypatch.setattr(sv, "gradient_diagnostic", diagnostic)
+        _, rep = sv.solve_dirichlet(hemisphere_problem(17))
+        assert rep.converged and rep.gradient_bands == []
 
 
 class TestResidualEntryPoints:
