@@ -20,7 +20,7 @@ from .barriers import (BarrierStack, SupersolutionPlane, UpperCap, build_stack,
                        eval_stack, make_supersolution, select_alpha, upper_cap_barrier)
 from .solver import (DirichletProblem, SolveReport, SolverConfig, SolverDivergence,
                      gradient_diagnostic, residual_norm, solve_dirichlet)
-from .perron import (BoundaryDatum, PerronConfig, PerronStall, PerronState,
+from .perron import (BoundaryDatum, PerronConfig, PerronStall,
                      boundary_attainment_report, cmc_lift, comparison_check,
                      perron_sweep, run_asymptotic_solve)
 

@@ -13,9 +13,9 @@ solution and the core barely moves when the box grows.
 Starting from the zero subsolution the iterate is repeatedly replaced,
 ball by ball, by the local Dirichlet solution combined with a pointwise
 maximum, so sweeps are nondecreasing by construction and the iterate stays
-within the barrier sandwich.  Ball radii grow across sweeps once the burn-in
-phase has settled, ending at whole-domain lifts, so the fixed point
-satisfies the solver's residual tolerance.
+within the barrier sandwich.  Ball radii grow fourfold after every sweep,
+from small balls that see the bottom data to whole-domain lifts, so the
+fixed point satisfies the solver's residual tolerance.
 """
 
 from __future__ import annotations
@@ -204,36 +204,9 @@ def _index_ball_interior(shape, center, radius: int) -> np.ndarray:
     return solver.stencil_reduce(_index_ball_mask(shape, center, radius), np.logical_and)
 
 
-# ---------------------------------------------------------------------------
-# Perron state
-# ---------------------------------------------------------------------------
-
-@dataclass
-class PerronState:
-    """Iterate bracketed between the zero subsolution and the supersolution."""
-
-    u: GridFunction
-    sigma: GridFunction
-    w: GridFunction
-    H: float
-    sweeps: int = 0
-    increments: list = field(default_factory=list)
-    residuals: list = field(default_factory=list)
-
-    def check_sandwich(self, tol: float) -> None:
-        low = float(np.min(self.u.values - self.sigma.values))
-        high = float(np.max(self.u.values - self.w.values))
-        if low < -tol or high > tol:
-            raise RuntimeError(
-                f"sandwich violated at sweep {self.sweeps}: min(u - sigma) = {low:.3e}, "
-                f"max(u - w) = {high:.3e}, tolerance {tol:.1e}")
-
-
-# Sweeps at the initial ball radius before the radius grows; the smallest
-# radius a diverging lift halves down to; the boundary points under which
-# lower barrier stacks are built, and the stacks' height as a fraction of
-# the datum there.
-BURN_IN_SWEEPS = 3
+# Ball radius of the first sweep; the smallest radius a diverging lift
+# halves down to; the boundary points under which lower barrier stacks are
+# built, and the stacks' height as a fraction of the datum there.
 INITIAL_RADIUS = 4
 MIN_RADIUS = 2
 BARRIER_POINTS = 3
@@ -244,7 +217,6 @@ BARRIER_GAP = 0.5
 class PerronConfig:
     tol: float = 1e-8
     max_sweeps: int = 200
-    c_max: float | None = None
     solver_max_iters: int = 40
     shuffle_seed: int | None = None
 
@@ -308,8 +280,6 @@ def _lift_once(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig,
     problem_mask = mask | _dilate(mask)
     problem = DirichletProblem(grid=sub_grid, mask=problem_mask, data=sub_vals,
                                H=H, kind=PARABOLIC)
-    if not problem.interior_mask().any():
-        return 0.0
     solved, _ = solver.solve_dirichlet(problem, cfg.solver_cfg(), initial=sub_vals)
     interior = problem.interior_mask()
     # maximum with the old values up to a noise guard: genuine increases are
@@ -318,7 +288,7 @@ def _lift_once(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig,
     lifted = np.maximum(solved.values[interior], sub_vals[interior] - guard)
     if upper is not None:
         lifted = np.minimum(lifted, upper[window][interior])
-    delta = float(np.max(lifted - u.values[window][interior])) if interior.any() else 0.0
+    delta = float(np.max(lifted - u.values[window][interior]))
     patch = u.values[window]
     patch[interior] = lifted
     u.values[window] = patch
@@ -329,27 +299,32 @@ def _dilate(mask: np.ndarray) -> np.ndarray:
     return solver.stencil_reduce(mask, np.logical_or)
 
 
-def perron_sweep(state: PerronState, cover: list, H: float,
+def perron_sweep(u: GridFunction, upper: np.ndarray, cover: list, H: float,
                  cfg: PerronConfig | None = None,
-                 order: np.ndarray | None = None) -> PerronState:
-    """One pass of lifts over the cover; nondecreasing up to tolerance.
+                 order: np.ndarray | None = None) -> float:
+    """One pass of lifts over the cover, in place; returns the sweep increment.
 
-    Raises if the iterate escapes the supersolution by more than ten times
-    the sweep tolerance (a discretization inconsistency).
+    Every lift is clamped below the supersolution values ``upper``.  Raises
+    if a lift lowered the iterate beyond the sweep tolerance, or if the
+    iterate leaves the sandwich [0, upper] by more than ten times it (a
+    discretization inconsistency).
     """
     cfg = cfg or PerronConfig()
-    before = state.u.values.copy()
+    before = u.values.copy()
     balls = cover if order is None else [cover[i] for i in order]
     for ball in balls:
-        _lift_inplace(state.u, ball, H, cfg, state.w.values)
-    increment = float(np.max(state.u.values - before))
-    drop = float(np.min(state.u.values - before))
+        _lift_inplace(u, ball, H, cfg, upper)
+    increment = float(np.max(u.values - before))
+    drop = float(np.min(u.values - before))
     if drop < -cfg.tol:
         raise RuntimeError(f"lift decreased the iterate by {drop:.3e}")
-    state.sweeps += 1
-    state.increments.append(increment)
-    state.check_sandwich(10 * cfg.tol)
-    return state
+    low = float(np.min(u.values))
+    high = float(np.max(u.values - upper))
+    if low < -10 * cfg.tol or high > 10 * cfg.tol:
+        raise RuntimeError(
+            f"sandwich violated: min(u) = {low:.3e}, max(u - upper) = {high:.3e}, "
+            f"tolerance {10 * cfg.tol:.1e}")
+    return increment
 
 
 # ---------------------------------------------------------------------------
@@ -413,14 +388,16 @@ def _face_data(grid: GridFunction, phi, plane: barriers.SupersolutionPlane,
 
 
 def run_asymptotic_solve(phi: BoundaryDatum, H: float, grid: GridFunction | None = None,
-                         cfg: PerronConfig | None = None,
-                         use_stack_init: bool = False):
+                         cfg: PerronConfig | None = None):
     """Drive the truncated asymptotic problem to the solver tolerance.
 
     Returns (GridFunction, PerronReport).  The iterate starts at the zero
-    subsolution (optionally raised to the stacked lower barriers for
-    H >= 0), sweeps lifts over growing ball covers, and stops when both the
-    sweep increment and the interior residual are below tolerance.
+    subsolution inside the box and sweeps lifts over ball covers whose
+    radius starts at ``INITIAL_RADIUS`` and grows fourfold after every
+    sweep until one ball covers the box.  It stops when both the sweep
+    increment and the interior residual are below tolerance.  The sandwich
+    between zero and the supersolution plane through ``phi.c_max`` is
+    checked after every sweep.
 
     Once the cover is the single whole-box ball a sweep is a deterministic
     map of the iterate, so a sweep that ends with increment <= tol and
@@ -433,25 +410,16 @@ def run_asymptotic_solve(phi: BoundaryDatum, H: float, grid: GridFunction | None
         raise ValueError(f"|H| must be < 1, got H = {H}")
     if grid is None:
         grid = make_grid(2, 2.0, 0.05, 0.8, 65)
-    c_max = cfg.c_max if cfg.c_max is not None else phi.c_max
 
-    from .geometry import IdealSphere, between_spheres_check
-    ok, witness = between_spheres_check(
-        phi,
-        IdealSphere(kind="flat", normal=np.array([1.0]), offset=0.0),
-        IdealSphere(kind="flat", normal=np.array([1.0]), offset=c_max))
-    if not ok:
-        raise ValueError(f"boundary datum violates the between-spheres window: {witness}")
-
-    plane = barriers.make_supersolution(c_max, H)
+    plane = barriers.make_supersolution(phi.c_max, H)
     y_min = float(grid.axes[-1][0])
     y_max = float(grid.axes[-1][-1])
     # sandwich plane translated to pass through c_max on the bottom face,
     # so it dominates the truncated data for either sign of the slope
-    if c_max + plane.slope * (y_max - y_min) <= 0:
+    if phi.c_max + plane.slope * (y_max - y_min) <= 0:
         raise ValueError(
             "truncation box too tall for H < 0: the supersolution plane crosses zero "
-            f"inside the box (y_max = {y_max}, zero at height {c_max / -plane.slope:.4g} "
+            f"inside the box (y_max = {y_max}, zero at height {phi.c_max / -plane.slope:.4g} "
             "above the bottom face)")
 
     stacks = _build_lower_stacks(phi, grid) if H >= 0 else []
@@ -465,23 +433,10 @@ def run_asymptotic_solve(phi: BoundaryDatum, H: float, grid: GridFunction | None
         return env
 
     face = _face_data(grid, phi, plane, lower_envelope)
-    mesh = grid.meshgrid()
-    first_coord = mesh[0] if grid.ndim > 1 else np.zeros_like(mesh[-1])
-
     u = grid.copy()
     u.values = face.copy()
-    interior = ~u.boundary
-    if use_stack_init and stacks:
-        u.values[interior] = lower_envelope(first_coord, mesh[-1])[interior]
-    else:
-        u.values[interior] = 0.0
-
-    sigma = grid.copy()
-    sigma.values = np.zeros_like(grid.values)
-    w_grid = grid.copy()
-    w_grid.values = plane.c + plane.slope * (mesh[-1] - y_min)
-
-    state = PerronState(u=u, sigma=sigma, w=w_grid, H=H)
+    u.values[~u.boundary] = 0.0
+    upper = plane.c + plane.slope * (grid.meshgrid()[-1] - y_min)
     report = PerronReport(supersolution_slope=plane.slope, barrier_count=len(stacks))
 
     rng = np.random.default_rng(cfg.shuffle_seed) if cfg.shuffle_seed is not None else None
@@ -490,41 +445,37 @@ def run_asymptotic_solve(phi: BoundaryDatum, H: float, grid: GridFunction | None
     problem_all = DirichletProblem(grid=grid, mask=np.ones(u.values.shape, dtype=bool),
                                    data=face, H=H, kind=PARABOLIC)
 
-    for sweep in range(cfg.max_sweeps):
+    for sweep in range(1, cfg.max_sweeps + 1):
         cover = build_ball_cover(u.boundary, radius)
         order = rng.permutation(len(cover)) if rng is not None else None
-        perron_sweep(state, cover, H, cfg, order=order)
-        res = solver.residual_norm(state.u, problem_all)
-        state.residuals.append(res)
+        increment = perron_sweep(u, upper, cover, H, cfg, order=order)
+        res = solver.residual_norm(u, problem_all)
+        report.sweeps = sweep
+        report.increments.append(increment)
+        report.residuals.append(res)
         report.radii.append(radius)
-        increment = state.increments[-1]
         if increment <= cfg.tol and res <= cfg.tol:
             report.converged = True
             break
         if increment <= cfg.tol and radius >= max_radius:  # one whole-box ball
-            field = np.abs(operator.residual_field(state.u.values, grid, PARABOLIC, H,
+            field = np.abs(operator.residual_field(u.values, grid, PARABOLIC, H,
                                                    operator.orientation()))
             field[~problem_all.interior_mask()] = -np.inf
             at = np.unravel_index(int(np.argmax(field)), field.shape)
             x, y = float(grid.axes[0][at[0]]), float(grid.axes[-1][at[-1]])
             raise PerronStall(
-                f"perron iteration stalled at sweep {state.sweeps}: residual {res:.4e} "
+                f"perron iteration stalled at sweep {sweep}: residual {res:.4e} "
                 f"(max at x = {x:.4g}, y = {y:.4g}) with increment {increment:.3e} "
                 f"from a whole-box lift (tolerance {cfg.tol:.1e})")
-        if sweep + 1 >= BURN_IN_SWEEPS and radius < max_radius:
-            radius = min(radius * 4, max_radius)
+        radius = min(radius * 4, max_radius)
     else:
         raise RuntimeError(
             f"perron iteration did not converge within {cfg.max_sweeps} sweeps "
-            f"(last increment {state.increments[-1]:.3e}, residual {state.residuals[-1]:.3e})")
+            f"(last increment {report.increments[-1]:.3e}, residual {report.residuals[-1]:.3e})")
 
-    report.sweeps = state.sweeps
-    report.increments = list(state.increments)
-    report.residuals = list(state.residuals)
-    report.final_residual = state.residuals[-1]
-    state.check_sandwich(10 * cfg.tol)
-    report.sandwich_ok = True
-    return state.u, report
+    report.final_residual = report.residuals[-1]
+    report.sandwich_ok = True  # every sweep checked it
+    return u, report
 
 
 def _build_lower_stacks(phi: BoundaryDatum, grid: GridFunction) -> list:

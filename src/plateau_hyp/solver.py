@@ -2,14 +2,14 @@
 
 Damped Newton iteration on the conservative residual, with the Jacobian
 assembled by stencil-colored finite differences.  The residual kernel with
-its W factors frozen serves twice more: frozen flat, it is the operator's
-linearization whose solution is the default warm start; frozen at the
-iterate, it is the Picard fallback when a Newton step cannot reduce the
-residual.  Newton and Picard take their steps through one backtracking line
-search.  Boundary nodes are constrained, never solved, so prescribed data
-is attained exactly.  Failure to drive the residual down is reported as
-divergence, the numerical stand-in for boundary geometry that admits no
-graph solution.
+its W factors frozen serves twice more: frozen at the equidistant plane, it
+is the operator's linearization whose solution is the default warm start;
+frozen at the iterate, it is the Picard fallback when a Newton step cannot
+reduce the residual.  Newton and Picard take their steps through one
+backtracking line search.  Boundary nodes are constrained, never solved, so
+prescribed data is attained exactly.  Failure to drive the residual down is
+reported as divergence, the numerical stand-in for boundary geometry that
+admits no graph solution.
 """
 
 from __future__ import annotations
@@ -233,19 +233,23 @@ def _residual_fn(problem: DirichletProblem):
 
 
 def linearized_start(problem: DirichletProblem) -> np.ndarray:
-    """Warm start: the solution of the problem's own operator linearized flat.
+    """Warm start: the solution of the problem's own operator linearized about a plane.
 
-    With W frozen at zero slopes the residual is affine, y Lap(v) - n v_y - nH
-    for the translation structure, so one frozen-W step from the data with a
-    zero interior solves it, and a second step with the same factors refines
-    away the rounding of the first.  The matrix is assembled by the cached
-    builder that Newton then reuses; a singular one leaves the interior at
-    zero.
+    W is frozen at the slopes of the equidistant plane a y, with
+    a = ``solution_slope(H)``; the frozen residual is affine (for H = 0 and
+    the translation structure, y Lap(v) - n v_y), so one frozen-W step from
+    the data with a zero interior solves it, and a second step with the same
+    factors refines away the rounding of the first.  Data sampled from an
+    equidistant plane are reproduced exactly.  The matrix is assembled by
+    the cached builder that Newton then reuses; a singular one leaves the
+    interior at zero.
     """
     interior = problem.interior_mask()
     values = problem.data.copy()
     values[interior] = 0.0
-    frozen = functools.partial(_residual_fn(problem), w_at=np.zeros_like(values))
+    slope = operator.orientation().solution_slope(problem.H)
+    plane = slope * problem.grid.meshgrid()[-1]
+    frozen = functools.partial(_residual_fn(problem), w_at=plane)
     F = frozen(values)
     solve = _factorize_frozen(_cached_builder(values.shape, interior), values, frozen, F)
     step = solve(-F[interior])

@@ -220,19 +220,19 @@ class TestCriterion6ComparisonPrinciple:
     def test_three_ordered_pairs(self):
         started = time.perf_counter()
         tol = 1e-8
-        cfg = lambda cm: pe.PerronConfig(tol=tol, c_max=cm)
+        cfg = pe.PerronConfig(tol=tol)
         grid = lambda: op.make_grid(2, 2.0, 0.05, 0.8, 65)
         pairs = [
-            ("constants", pe.constant_datum(0.3, c_max=0.5), pe.constant_datum(0.5, c_max=0.5), 0.5),
+            ("constants", pe.constant_datum(0.3, c_max=0.5), pe.constant_datum(0.5, c_max=0.5)),
             ("steps", pe.smooth_step_datum(0.2, 0.6, width=0.5, c_max=0.7),
-             pe.smooth_step_datum(0.3, 0.7, width=0.5, c_max=0.7), 0.7),
+             pe.smooth_step_datum(0.3, 0.7, width=0.5, c_max=0.7)),
             ("bumps", pe.bump_datum(0.0, 0.3, 1.0, base=0.2, c_max=0.7),
-             pe.bump_datum(0.0, 0.3, 1.0, base=0.3, c_max=0.7), 0.7),
+             pe.bump_datum(0.0, 0.3, 1.0, base=0.3, c_max=0.7)),
         ]
         gaps = {}
-        for name, lo, hi, cm in pairs:
-            u1, _ = pe.run_asymptotic_solve(lo, 0.0, grid(), cfg(cm))
-            u2, _ = pe.run_asymptotic_solve(hi, 0.0, grid(), cfg(cm))
+        for name, lo, hi in pairs:
+            u1, _ = pe.run_asymptotic_solve(lo, 0.0, grid(), cfg)
+            u2, _ = pe.run_asymptotic_solve(hi, 0.0, grid(), cfg)
             gaps[name] = pe.comparison_check(u1, u2, tol)["max_positive_part"]
         elapsed = time.perf_counter() - started
         ok = all(g <= 10 * tol for g in gaps.values()) and elapsed < 600.0

@@ -358,8 +358,19 @@ class TestLinearizedStart:
         start = sv.linearized_start(problem)
         interior = problem.interior_mask()
         assert np.array_equal(start[~interior], data[~interior])
-        flat = op.residual_field(start, grid, kind, 0.2, op.orientation(), np.zeros_like(start))
-        assert np.max(np.abs(flat[interior])) <= 1e-10
+        # W frozen at the slopes of the equidistant plane a y
+        plane = op.orientation().solution_slope(0.2) * mesh[-1]
+        frozen = op.residual_field(start, grid, kind, 0.2, op.orientation(), plane)
+        assert np.max(np.abs(frozen[interior])) <= 1e-10
+
+    def test_equidistant_plane_needs_no_newton_step(self):
+        # criterion 3's tilted plane: the start reproduces the exact solution
+        slope = op.orientation().solution_slope(0.5)
+        grid = op.make_grid(2, 0.45, 0.25, 0.95, 65)
+        problem, data = full_problem(grid, lambda z: slope * z[-1] + 0.3, 0.5)
+        sol, rep = sv.solve_dirichlet(problem, sv.SolverConfig(tol=1e-10))
+        assert rep.converged and rep.iterations == 0
+        assert np.max(np.abs(sol.values - data)) <= 1e-12
 
     def test_cold_solve_builds_one_jacobian_builder(self, monkeypatch):
         # the start and Newton share the cached builder of the interior
