@@ -10,9 +10,8 @@ supersolutions, upper caps), ``solver`` (masked Dirichlet solver),
 
 from . import barriers, cli, geometry, operator, perron, solver
 from .geometry import (AmbientPoint, ChartPoint, IdealPoint, IdealSphere, Isometry,
-                       between_spheres_check, christoffel_drift, exact_solution,
-                       flow_apply, gamma_eval, hyperbolic_distance, killing_graph_embed,
-                       killing_structure)
+                       between_spheres_check, exact_solution,
+                       hyperbolic_distance, killing_structure)
 from .operator import (GridFunction, OrientationConvention, ScalarPatch, exact_patch,
                        fix_orientation_sign, make_grid, numerical_mean_curvature,
                        qh_pointwise, qh_residual_grid, sample_on_grid)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import barriers, geometry, operator, perron, solver
+from . import barriers, operator, perron, solver
 from .geometry import PARABOLIC, HYPERBOLIC
 from .operator import GridFunction, exact_patch, make_grid, sample_on_grid
 from .perron import BoundaryDatum, PerronConfig
@@ -213,11 +213,18 @@ def build_datum(spec: dict, path: str = "$.boundary") -> BoundaryDatum:
 
 @dataclass
 class CheckRecord:
+    """One check; ``value`` is one measured number or a list of them."""
+
     name: str
     status: str
-    value: float
+    value: float | list
     tolerance: float
     anchor: str
+
+    def value_text(self) -> str:
+        if isinstance(self.value, list):
+            return "[" + ", ".join(f"{v:.6g}" for v in self.value) + "]"
+        return f"{self.value:.6g}"
 
 
 @dataclass
@@ -227,9 +234,10 @@ class DiagnosticsReport:
     outputs: dict = field(default_factory=dict)
     runtime_seconds: float = 0.0
 
-    def add(self, name: str, passed: bool, value: float, tolerance: float, anchor: str) -> None:
+    def add(self, name: str, passed: bool, value, tolerance: float, anchor: str) -> None:
+        value = [float(v) for v in value] if isinstance(value, list) else float(value)
         self.checks.append(CheckRecord(name, "PASS" if passed else "FAIL",
-                                       float(value), float(tolerance), anchor))
+                                       value, float(tolerance), anchor))
 
     def all_passed(self) -> bool:
         return all(c.status == "PASS" for c in self.checks)
@@ -344,8 +352,11 @@ def _run_solve_asymptotic(cfg: RunConfig, report: DiagnosticsReport, out_dir: st
     u, prun = perron.run_asymptotic_solve(phi, cfg.H, _grid_from_cfg(cfg), _perron_cfg(cfg))
     report.add("perron.converged", prun.converged, prun.final_residual, cfg.solver["tol"],
                "monotone lift iteration between the zero subsolution and the plane")
-    report.add("perron.sandwich", prun.sandwich_ok, 0.0, 10 * cfg.solver["tol"],
-               "iterate stays between the zero graph and the equidistant plane")
+    low, high = prun.min_u, prun.max_above_upper
+    slack = 10 * cfg.solver["tol"]
+    report.add("perron.sandwich", low >= -slack and high <= slack, [low, high], slack,
+               "min(u) and max(u - upper): the iterate stays between the zero graph "
+               "and the equidistant plane")
     inc = prun.increments
     monotone = all(inc[i + 1] <= inc[i] + 10 * cfg.solver["tol"] for i in range(len(inc) - 1))
     report.add("perron.increments_settle", monotone, inc[-1], cfg.solver["tol"],
@@ -477,7 +488,6 @@ def _run_oracle_mc(cfg: RunConfig, report: DiagnosticsReport, out_dir: str) -> N
     conv = operator.orientation()
     n = cfg.n if cfg.n >= 2 else 2
     if cfg.structure == HYPERBOLIC:
-        struct = geometry.killing_structure(HYPERBOLIC, n)
         patch = operator.ScalarPatch(lambda z: 0.35)
         val = operator.graph_mean_curvature(patch, np.array([0.2] * (n - 1) + [0.9]), HYPERBOLIC, n)
         report.add("oracle.dilated_hemisphere_minimal", abs(val) <= 1e-6, abs(val), 1e-6,
@@ -616,7 +626,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     for check in report.checks:
-        print(f"{check.status:4s} {check.name}: value={check.value:.6g} "
+        print(f"{check.status:4s} {check.name}: value={check.value_text()} "
               f"tol={check.tolerance:.6g} ({check.anchor})")
     print(f"runtime: {report.runtime_seconds:.2f} s; artifacts: "
           f"{', '.join(report.outputs.values()) or 'none'}")

@@ -268,11 +268,12 @@ class KillingStructure:
     ambient acceleration nabla_Z Z, and ``flow`` the one-parameter isometry
     group; all evaluated at ambient points.  Chart-level access goes through
     ``chart_gamma`` / ``chart_drift`` which, for the dilation structure, pull
-    the hemisphere-slice data back to the vertical-plane chart.
+    the hemisphere-slice data back to the vertical-plane chart.  The chart
+    methods take one point (d,) or a coordinate-first array (d, ...) of
+    points, in any dimension d.
     """
 
     kind: str
-    n: int
 
     def field(self, p) -> np.ndarray:
         p = _ambient_array(p)
@@ -312,17 +313,17 @@ class KillingStructure:
 
     # -- chart-level data -------------------------------------------------
 
-    def chart_to_ambient(self, chart) -> np.ndarray:
+    def chart_gamma(self, chart):
+        """gamma on the slice, at one point (d,) or at each point of a (d, ...) array.
+
+        For the dilation structure this is gamma at the hemisphere
+        representative, where |p| = 1: (2 y / (1 + rho^2))^2.
+        """
         z = _chart_array(chart)
         if self.kind == PARABOLIC:
-            return np.concatenate([[0.0], z])
-        return hemisphere_chart_to_ambient(z)
-
-    def chart_gamma(self, chart) -> float:
-        if self.kind == PARABOLIC:
-            z = _chart_array(chart)
             return z[-1] ** 2
-        return self.gamma(self.chart_to_ambient(chart))
+        rho2 = np.sum(z * z, axis=0)
+        return (2.0 * z[-1] / (1.0 + rho2)) ** 2
 
     def chart_drift(self, chart) -> np.ndarray:
         """Chart components of the drift, tangent to the slice.
@@ -347,67 +348,8 @@ class KillingStructure:
         return math.exp(u_value) * hemisphere_chart_to_ambient(z)
 
 
-def killing_structure(kind: str, n: int) -> KillingStructure:
-    return KillingStructure(_check_kind(kind), n)
-
-
-def gamma_eval(kind: str, p) -> float:
-    """gamma = 1 / <Z, Z>.
-
-    ``ChartPoint`` arguments are evaluated on the structure's slice (for the
-    dilation field this pulls the hemisphere slice back through the chart
-    inversion); ``AmbientPoint`` arguments and raw arrays evaluate the field
-    in place.  For the parabolic field both readings agree, gamma = y^2.
-    """
-    _check_kind(kind)
-    if isinstance(p, ChartPoint):
-        z = p.as_array()
-        return killing_structure(kind, z.shape[0]).chart_gamma(z)
-    if kind == PARABOLIC:
-        return float(np.atleast_1d(np.asarray(p, dtype=float))[-1]) ** 2
-    return killing_structure(kind, 2).gamma(p)
-
-
-def christoffel_drift(kind: str, p) -> np.ndarray:
-    """Drift vector nabla_Z Z.
-
-    ``ChartPoint`` arguments return chart components on the slice; ambient
-    points and raw arrays return ambient components of the field evaluated
-    in place.  For the translation field both are (0, ..., 0, 1/y).
-    """
-    _check_kind(kind)
-    if isinstance(p, ChartPoint):
-        z = p.as_array()
-        return killing_structure(kind, z.shape[0]).chart_drift(z)
-    if kind == PARABOLIC:
-        z = np.atleast_1d(np.asarray(p, dtype=float))
-        out = np.zeros_like(z)
-        out[-1] = 1.0 / z[-1]
-        return out
-    return killing_structure(kind, 2).drift(p)
-
-
-def flow_apply(kind: str, s: float, p) -> np.ndarray:
-    """Flow of the Killing field for time s applied to an ambient point."""
-    _check_kind(kind)
-    return killing_structure(kind, 2).flow(s, p)
-
-
-def killing_graph_embed(u, chart_points, kind: str = PARABOLIC) -> np.ndarray:
-    """Embed a graph as ambient points, flowing each slice point for time u.
-
-    ``u`` is a callable on chart arrays or an array aligned with
-    ``chart_points`` (an iterable of chart points / arrays).
-    """
-    struct = killing_structure(kind, 2)
-    pts = [_chart_array(cp) for cp in chart_points]
-    if callable(u):
-        values = [float(u(z)) for z in pts]
-    else:
-        values = [float(v) for v in np.asarray(u, dtype=float).reshape(-1)]
-        if len(values) != len(pts):
-            raise ValueError("u values and chart points must align")
-    return np.array([struct.embed_graph_point(v, z) for v, z in zip(values, pts)])
+def killing_structure(kind: str) -> KillingStructure:
+    return KillingStructure(_check_kind(kind))
 
 
 # ---------------------------------------------------------------------------

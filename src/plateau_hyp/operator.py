@@ -30,8 +30,10 @@ centered gradients at the nodes.  A structure supplies only coefficient
 data: g, the node scale and the drift at the nodes, g and the flux weight on
 the faces.  The translation structure passes the constants g = 1, weight 1,
 drift n on the height axis and the scale y (:func:`residual_field_parabolic`,
-exact on constants and tilted planes); the dilation structure passes its
-pulled-back gamma / y^2, the height powers y^{1-n} and y^n and its drift
+exact on constants and tilted planes); the dilation structure passes
+gamma / y^2, the height powers y^{1-n} and y^n and its drift, with gamma
+and the drift read from ``KillingStructure.chart_gamma`` and
+``chart_drift``, the one source of Killing data
 (:func:`residual_field_chart`).  Given ``w_at``, the kernel takes the slopes
 inside W from that grid function: the Picard linearization, affine in u, for
 either structure.  :func:`residual_field` is the one dispatch on the
@@ -46,7 +48,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import geometry
 from .geometry import (PARABOLIC, HYPERBOLIC, _chart_array, _check_kind,
                        ambient_christoffel_term, exact_solution_callables,
                        killing_structure)
@@ -169,9 +170,6 @@ class GridFunction:
     def copy(self) -> "GridFunction":
         return GridFunction(self.axes, self.values.copy(), self.boundary.copy())
 
-    def interior_mask(self) -> np.ndarray:
-        return ~self.boundary
-
 
 def outer_face_mask(shape) -> np.ndarray:
     mask = np.zeros(shape, dtype=bool)
@@ -266,9 +264,9 @@ def numerical_mean_curvature(patch_map, xi0, n: int, orientation_ref,
     return total / n
 
 
-def graph_patch_map(patch: ScalarPatch, kind: str, n: int):
+def graph_patch_map(patch: ScalarPatch, kind: str):
     """Parametric map of the Killing graph of a chart patch."""
-    struct = killing_structure(_check_kind(kind), n)
+    struct = killing_structure(kind)
 
     def f(z):
         z = np.asarray(z, dtype=float)
@@ -279,8 +277,8 @@ def graph_patch_map(patch: ScalarPatch, kind: str, n: int):
 
 def graph_mean_curvature(patch: ScalarPatch, P, kind: str, n: int) -> float:
     """Oracle mean curvature of a Killing graph, normal opposing the flow."""
-    struct = killing_structure(kind, n)
-    return numerical_mean_curvature(graph_patch_map(patch, kind, n), _chart_array(P), n,
+    struct = killing_structure(kind)
+    return numerical_mean_curvature(graph_patch_map(patch, kind), _chart_array(P), n,
                                     orientation_ref=struct.field)
 
 
@@ -397,7 +395,7 @@ def generic_qh_value(patch: ScalarPatch, z, kind: str, n: int) -> float:
     differenced, so no chart simplification is assumed.
     """
     z = np.asarray(z, dtype=float)
-    struct = killing_structure(kind, n)
+    struct = killing_structure(kind)
     d = z.shape[0]
 
     def flux(q):
@@ -552,44 +550,30 @@ def residual_field_parabolic(values: np.ndarray, y_grid: np.ndarray, h, n: int,
 
 
 def residual_field_chart(values: np.ndarray, axes, h, n: int, H: float, sign: int,
-                         gamma_fn, drift_fn, w_at: np.ndarray | None = None) -> np.ndarray:
-    """Residual with general chart Killing data (gamma, drift) on the grid.
+                         w_at: np.ndarray | None = None) -> np.ndarray:
+    """Dilation-structure residual on the grid.
 
     Conservative form y^n d_j(y^{2-n} u_j / Wtil) - (gamma / Wtil) <Du, drift>
-    with Wtil^2 = gamma + y^2 |Du|^2; used for the dilation structure, where
-    gamma and the drift are pulled back from the hemisphere slice.  With
-    W = Wtil / y this is the kernel with g = gamma / y^2, the face weight
-    y^{1-n}, the scale y^n and the drift gamma / y times the chart drift,
-    evaluated once on the grid and broadcast over any batch axes.
+    with Wtil^2 = gamma + y^2 |Du|^2, where gamma and the drift are the
+    dilation structure's ``chart_gamma`` and ``chart_drift``, pulled back
+    from the hemisphere slice.  With W = Wtil / y this is the kernel with
+    g = gamma / y^2, the face weight y^{1-n}, the scale y^n and the drift
+    gamma / y times the chart drift, evaluated once on the stacked node and
+    face meshes and broadcast over any batch axes.
     """
     d = len(h)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    y = mesh[-1]
-    gamma_y = gamma_fn(mesh) / y
-    drift = drift_fn(mesh)  # coordinate-first, (d, ...)
+    struct = killing_structure(HYPERBOLIC)
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"))  # coordinate-first, (d, ...)
+    y = nodes[-1]
+    gamma_y = struct.chart_gamma(nodes) / y
+    drift = struct.chart_drift(nodes)
     faces = []
     for a in range(d):
-        lo = _axis_slice(d, a, slice(None, -1))
-        hi = _axis_slice(d, a, slice(1, None))
-        face_mesh = [0.5 * (m[lo] + m[hi]) for m in mesh]
-        faces.append((gamma_fn(face_mesh) / face_mesh[-1] ** 2, face_mesh[-1] ** (1 - n)))
+        face = 0.5 * (nodes[_axis_slice(d, a, slice(None, -1))]
+                      + nodes[_axis_slice(d, a, slice(1, None))])
+        faces.append((struct.chart_gamma(face) / face[-1] ** 2, face[-1] ** (1 - n)))
     return _face_flux_residual(values, h, n, H, sign, y**n, gamma_y / y,
                                [(b, gamma_y * drift[b]) for b in range(d)], faces, w_at)
-
-
-def _hyperbolic_chart_fns(n: int):
-    struct = killing_structure(HYPERBOLIC, n)
-
-    def gamma_fn(mesh):
-        rho2 = sum(m**2 for m in mesh)
-        y = mesh[-1]
-        # gamma at the hemisphere representative: (2y/(1+rho^2))^2 / 1
-        return (2.0 * y / (1.0 + rho2)) ** 2
-
-    def drift_fn(mesh):
-        return struct.chart_drift(np.stack(np.broadcast_arrays(*mesh)))
-
-    return gamma_fn, drift_fn
 
 
 def residual_field(values: np.ndarray, grid: GridFunction, kind: str, H: float,
@@ -605,8 +589,7 @@ def residual_field(values: np.ndarray, grid: GridFunction, kind: str, H: float,
     n = grid.ndim
     if kind == PARABOLIC:
         return residual_field_parabolic(values, grid.y_grid(), h, n, H, conv.sign, w_at)
-    gamma_fn, drift_fn = _hyperbolic_chart_fns(n)
-    return residual_field_chart(values, grid.axes, h, n, H, conv.sign, gamma_fn, drift_fn, w_at)
+    return residual_field_chart(values, grid.axes, h, n, H, conv.sign, w_at)
 
 
 def qh_residual_grid(u: GridFunction, kind: str, H: float,

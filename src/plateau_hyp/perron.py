@@ -277,7 +277,7 @@ def _lift_once(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig,
     mask &= ~pinned
     if not mask.any():
         return 0.0
-    problem_mask = mask | _dilate(mask)
+    problem_mask = _dilate(mask)
     problem = DirichletProblem(grid=sub_grid, mask=problem_mask, data=sub_vals,
                                H=H, kind=PARABOLIC)
     solved, _ = solver.solve_dirichlet(problem, cfg.solver_cfg(), initial=sub_vals)
@@ -318,13 +318,17 @@ def perron_sweep(u: GridFunction, upper: np.ndarray, cover: list, H: float,
     drop = float(np.min(u.values - before))
     if drop < -cfg.tol:
         raise RuntimeError(f"lift decreased the iterate by {drop:.3e}")
-    low = float(np.min(u.values))
-    high = float(np.max(u.values - upper))
+    low, high = _sandwich_margins(u, upper)
     if low < -10 * cfg.tol or high > 10 * cfg.tol:
         raise RuntimeError(
             f"sandwich violated: min(u) = {low:.3e}, max(u - upper) = {high:.3e}, "
             f"tolerance {10 * cfg.tol:.1e}")
     return increment
+
+
+def _sandwich_margins(u: GridFunction, upper: np.ndarray) -> tuple:
+    """min(u) and max(u - upper): how far the iterate sits inside [0, upper]."""
+    return float(np.min(u.values)), float(np.max(u.values - upper))
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +342,8 @@ class PerronReport:
     residuals: list = field(default_factory=list)
     radii: list = field(default_factory=list)
     final_residual: float = math.inf
-    sandwich_ok: bool = False
+    min_u: float = math.nan
+    max_above_upper: float = math.nan
     converged: bool = False
     barrier_count: int = 0
     supersolution_slope: float = 0.0
@@ -397,7 +402,8 @@ def run_asymptotic_solve(phi: BoundaryDatum, H: float, grid: GridFunction | None
     sweep until one ball covers the box.  It stops when both the sweep
     increment and the interior residual are below tolerance.  The sandwich
     between zero and the supersolution plane through ``phi.c_max`` is
-    checked after every sweep.
+    checked after every sweep; the report keeps the final iterate's margins
+    ``min_u`` = min(u) and ``max_above_upper`` = max(u - upper).
 
     Once the cover is the single whole-box ball a sweep is a deterministic
     map of the iterate, so a sweep that ends with increment <= tol and
@@ -474,7 +480,7 @@ def run_asymptotic_solve(phi: BoundaryDatum, H: float, grid: GridFunction | None
             f"(last increment {report.increments[-1]:.3e}, residual {report.residuals[-1]:.3e})")
 
     report.final_residual = report.residuals[-1]
-    report.sandwich_ok = True  # every sweep checked it
+    report.min_u, report.max_above_upper = _sandwich_margins(u, upper)
     return u, report
 
 

@@ -33,9 +33,10 @@ class SolverDivergence(RuntimeError):
     """No graph solution detected: the residual failed to decrease."""
 
 
-# Smallest backtracking step, and the largest interior a Jacobian is
-# assembled dense for.
+# Smallest backtracking step, the most frozen-W (Picard) sweeps of one
+# fallback phase, and the largest interior a Jacobian is assembled dense for.
 MIN_STEP = 2.0**-20
+PICARD_SWEEPS = 50
 DENSE_CUTOFF = 400
 
 
@@ -43,7 +44,6 @@ DENSE_CUTOFF = 400
 class SolverConfig:
     tol: float = 1e-8
     max_iters: int = 40
-    picard_sweeps: int = 50
 
 
 @dataclass
@@ -394,7 +394,7 @@ def _picard_phase(values, F, nrm, interior, resid, cfg):
     """
     used = 0
     builder = _cached_builder(values.shape, interior)
-    while used < cfg.picard_sweeps and nrm > cfg.tol:
+    while used < PICARD_SWEEPS and nrm > cfg.tol:
         frozen = functools.partial(resid, w_at=values)
         # at its freeze point the frozen residual is F itself
         step = _factorize_frozen(builder, values, frozen, F)(-F[interior])

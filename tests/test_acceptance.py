@@ -310,7 +310,7 @@ class TestCriterion8BoundaryAttainment:
 class TestCriterion9HyperbolicStructure:
     def test_dilation_structure_oracles(self):
         started = time.perf_counter()
-        struct = ge.killing_structure(HYPERBOLIC, 2)
+        struct = ge.killing_structure(HYPERBOLIC)
         rng = np.random.default_rng(109)
         worst_gamma = 0.0
         worst_drift = 0.0

@@ -172,6 +172,33 @@ class TestEndToEnd:
         assert (tmp_path / "solution.csv").exists()
         assert (tmp_path / "solution.obj").exists()
 
+    def test_sandwich_check_records_measured_margins(self, tmp_path):
+        config = write_config(tmp_path, self.asymptotic_doc())
+        assert cli.main(["solve-asymptotic", "--config", config, "--out-dir", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        check = next(c for c in report["checks"] if c["name"] == "perron.sandwich")
+        u = cli.csv_to_grid((tmp_path / "solution.csv").read_text())
+        low, high = check["value"]
+        assert low == float(np.min(u.values))
+        assert check["status"] == "PASS"
+        assert low >= -check["tolerance"] and high <= check["tolerance"]
+
+    def test_sandwich_breach_fails_the_check(self, tmp_path, monkeypatch):
+        solve = cli.perron.run_asymptotic_solve
+
+        def breached(*args, **kwargs):
+            u, rep = solve(*args, **kwargs)
+            rep.min_u = -1.0
+            return u, rep
+
+        monkeypatch.setattr(cli.perron, "run_asymptotic_solve", breached)
+        config = write_config(tmp_path, self.asymptotic_doc())
+        assert cli.main(["solve-asymptotic", "--config", config,
+                         "--out-dir", str(tmp_path)]) == cli.EXIT_CHECK
+        report = json.loads((tmp_path / "report.json").read_text())
+        check = next(c for c in report["checks"] if c["name"] == "perron.sandwich")
+        assert check["status"] == "FAIL" and check["value"][0] == -1.0
+
     def test_constant_data_match_plane_through_datum(self, tmp_path):
         # for H != 0 the solution is the equidistant plane through the datum
         # on the bottom face, c + slope * (y - y_min)

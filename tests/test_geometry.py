@@ -100,46 +100,49 @@ class TestIsometries:
 
 class TestKillingStructures:
     def test_parabolic_flow_translates(self):
-        out = ge.flow_apply(ge.PARABOLIC, 1.5, [0.0, 2.0, 1.0])
+        out = ge.killing_structure(ge.PARABOLIC).flow(1.5, [0.0, 2.0, 1.0])
         assert np.allclose(out, [1.5, 2.0, 1.0], atol=0)
 
     def test_hyperbolic_flow_dilates(self):
-        out = ge.flow_apply(ge.HYPERBOLIC, math.log(2.0), [1.0, 0.0, 1.0])
+        out = ge.killing_structure(ge.HYPERBOLIC).flow(math.log(2.0), [1.0, 0.0, 1.0])
         assert np.allclose(out, [2.0, 0.0, 2.0], rtol=1e-15)
 
     def test_flow_identity_and_group_law(self):
         rng = np.random.default_rng(3)
         for kind in (ge.PARABOLIC, ge.HYPERBOLIC):
+            flow = ge.killing_structure(kind).flow
             p = np.append(rng.normal(size=2), rng.uniform(0.5, 2.0))
-            assert np.allclose(ge.flow_apply(kind, 0.0, p), p, atol=0)
+            assert np.allclose(flow(0.0, p), p, atol=0)
             s, t = rng.normal(size=2) * 0.8
-            one = ge.flow_apply(kind, s, ge.flow_apply(kind, t, p))
-            two = ge.flow_apply(kind, s + t, p)
+            one = flow(s, flow(t, p))
+            two = flow(s + t, p)
             assert np.allclose(one, two, rtol=1e-12)
 
     def test_flow_is_isometric(self):
         rng = np.random.default_rng(9)
         for kind in (ge.PARABOLIC, ge.HYPERBOLIC):
+            flow = ge.killing_structure(kind).flow
             for _ in range(200):
                 p = np.append(rng.normal(size=2), rng.uniform(0.2, 3.0))
                 q = np.append(rng.normal(size=2), rng.uniform(0.2, 3.0))
                 s = rng.normal() * 1.2
                 d0 = ge.hyperbolic_distance(p, q)
-                d1 = ge.hyperbolic_distance(ge.flow_apply(kind, s, p), ge.flow_apply(kind, s, q))
+                d1 = ge.hyperbolic_distance(flow(s, p), flow(s, q))
                 assert abs(d0 - d1) <= 1e-10
 
     def test_gamma_parabolic(self):
-        assert abs(ge.gamma_eval(ge.PARABOLIC, ge.ChartPoint(np.zeros(1), 3.0)) - 9.0) < 1e-15
-        assert ge.gamma_eval(ge.PARABOLIC, ge.ChartPoint(np.zeros(1), 1.0)) == 1.0
+        struct = ge.killing_structure(ge.PARABOLIC)
+        assert abs(struct.chart_gamma(ge.ChartPoint(np.zeros(1), 3.0)) - 9.0) < 1e-15
+        assert struct.chart_gamma(ge.ChartPoint(np.zeros(1), 1.0)) == 1.0
 
     def test_gamma_hyperbolic_ambient(self):
-        assert abs(ge.gamma_eval(ge.HYPERBOLIC, [0.0, 0.0, 2.0]) - 1.0) < 1e-15
+        assert abs(ge.killing_structure(ge.HYPERBOLIC).gamma([0.0, 0.0, 2.0]) - 1.0) < 1e-15
 
     def test_gamma_consistency_direct_metric(self):
         # gamma * <Z, Z> = 1 with <Z, Z> evaluated from the model metric
         rng = np.random.default_rng(21)
         for kind in (ge.PARABOLIC, ge.HYPERBOLIC):
-            struct = ge.killing_structure(kind, 2)
+            struct = ge.killing_structure(kind)
             for _ in range(100):
                 p = np.append(rng.normal(size=2), rng.uniform(0.2, 3.0))
                 z = struct.field(p)
@@ -147,8 +150,9 @@ class TestKillingStructures:
                 assert abs(struct.gamma(p) * zz - 1.0) <= 1e-12
 
     def test_gamma_chart_pullback_consistency(self):
-        # chart gamma equals the raw gamma at the hemisphere representative
-        struct = ge.killing_structure(ge.HYPERBOLIC, 2)
+        # the closed-form chart gamma equals the ambient gamma at the
+        # hemisphere representative
+        struct = ge.killing_structure(ge.HYPERBOLIC)
         rng = np.random.default_rng(2)
         for _ in range(50):
             z = np.array([rng.normal() * 0.8, rng.uniform(0.3, 2.0)])
@@ -180,20 +184,21 @@ def sympy_drift_oracle(dim):
 
 class TestDrift:
     def test_parabolic_chart_values(self):
-        d = ge.christoffel_drift(ge.PARABOLIC, ge.ChartPoint(np.zeros(1), 2.0))
+        struct = ge.killing_structure(ge.PARABOLIC)
+        d = struct.chart_drift(ge.ChartPoint(np.zeros(1), 2.0))
         assert np.allclose(d, [0.0, 0.5], atol=0)
-        d = ge.christoffel_drift(ge.PARABOLIC, ge.ChartPoint(np.array([5.0]), 1.0))
+        d = struct.chart_drift(ge.ChartPoint(np.array([5.0]), 1.0))
         assert np.allclose(d, [0.0, 1.0], atol=0)
 
     def test_parabolic_matches_symbolic_christoffels(self):
         funcs = sympy_drift_oracle(2)
         for yv in (0.5, 1.0, 2.0, 3.7):
             expected = np.array([f(yv) for f in funcs])
-            got = ge.christoffel_drift(ge.PARABOLIC, [0.3, -0.2, yv])
+            got = ge.killing_structure(ge.PARABOLIC).drift([0.3, -0.2, yv])
             assert np.allclose(got, expected, atol=1e-14)
 
     def test_hyperbolic_drift_matches_fd_connection(self):
-        struct = ge.killing_structure(ge.HYPERBOLIC, 2)
+        struct = ge.killing_structure(ge.HYPERBOLIC)
         rng = np.random.default_rng(13)
         for _ in range(25):
             p = np.append(rng.normal(size=2) * 0.7, rng.uniform(0.4, 2.0))
@@ -202,7 +207,7 @@ class TestDrift:
             assert np.max(np.abs(closed - oracle)) <= 1e-6
 
     def test_fd_oracle_second_order(self):
-        struct = ge.killing_structure(ge.HYPERBOLIC, 2)
+        struct = ge.killing_structure(ge.HYPERBOLIC)
         p = np.array([0.4, -0.3, 1.1])
         closed = struct.drift(p)
         errs = []
@@ -213,15 +218,15 @@ class TestDrift:
         assert min(orders) > 1.7
 
     def test_parabolic_ambient_drift_matches_fd(self):
-        struct = ge.killing_structure(ge.PARABOLIC, 2)
+        struct = ge.killing_structure(ge.PARABOLIC)
         p = np.array([0.1, 0.2, 1.7])
         oracle = ge.fd_covariant_derivative(struct.field, p)
         assert np.max(np.abs(struct.drift(p) - oracle)) <= 1e-8
 
     def test_hyperbolic_chart_drift_tangent_and_isometric(self):
-        struct = ge.killing_structure(ge.HYPERBOLIC, 2)
+        struct = ge.killing_structure(ge.HYPERBOLIC)
         z = np.array([0.4, 0.9])
-        b_chart = ge.christoffel_drift(ge.HYPERBOLIC, ge.ChartPoint(z[:1], z[1]))
+        b_chart = struct.chart_drift(ge.ChartPoint(z[:1], z[1]))
         assert b_chart.shape == (2,)
         # pull back through the inversion and compare against the ambient drift
         p = ge.hemisphere_chart_to_ambient(z)
@@ -233,23 +238,25 @@ class TestDrift:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("kind", [ge.PARABOLIC, ge.HYPERBOLIC])
     def test_chart_drift_broadcasts_over_point_arrays(self, kind, n):
-        # a coordinate-first (d, ...) array gives the per-point values
-        struct = ge.killing_structure(kind, n)
+        # a coordinate-first (d, ...) array gives the per-point values, for
+        # the drift (one vector per point) and gamma (one number per point)
+        struct = ge.killing_structure(kind)
         rng = np.random.default_rng(40 + n)
         shape = (5, 7)
         pts = np.empty((n,) + shape)
         pts[:-1] = rng.uniform(-1.5, 1.5, size=(n - 1,) + shape)
         pts[-1] = rng.uniform(0.05, 2.0, size=shape)
-        field = struct.chart_drift(pts)
-        assert field.shape == pts.shape
-        for idx in np.ndindex(shape):
-            point = pts[(slice(None),) + idx]
-            expected = struct.chart_drift(point)
-            assert expected.shape == (n,)
-            assert np.max(np.abs(field[(slice(None),) + idx] - expected)) <= 1e-14
+        for method, per_point in (("chart_drift", (n,)), ("chart_gamma", ())):
+            evaluate = getattr(struct, method)
+            field = evaluate(pts)
+            assert field.shape == per_point + shape
+            for idx in np.ndindex(shape):
+                expected = evaluate(pts[(slice(None),) + idx])
+                assert np.shape(expected) == per_point
+                assert np.max(np.abs(field[(Ellipsis,) + idx] - expected)) <= 1e-14
 
     def test_point_arrays_reject_nonpositive_height(self):
-        struct = ge.killing_structure(ge.HYPERBOLIC, 2)
+        struct = ge.killing_structure(ge.HYPERBOLIC)
         pts = np.array([[0.1, 0.2], [0.5, -0.1]])
         with pytest.raises(ValueError, match="y > 0"):
             struct.chart_drift(pts)
@@ -258,13 +265,13 @@ class TestDrift:
 class TestOrbits:
     def test_parabolic_orbits_keep_height(self):
         for s in (-2.0, 0.7, 5.0):
-            out = ge.flow_apply(ge.PARABOLIC, s, [0.0, 1.0, 0.8])
+            out = ge.killing_structure(ge.PARABOLIC).flow(s, [0.0, 1.0, 0.8])
             assert out[-1] == 0.8
 
     def test_hyperbolic_orbits_stay_on_ray(self):
         p = np.array([0.6, -0.2, 1.1])
         for s in (-1.0, 0.3, 2.0):
-            out = ge.flow_apply(ge.HYPERBOLIC, s, p)
+            out = ge.killing_structure(ge.HYPERBOLIC).flow(s, p)
             cross = np.linalg.norm(np.cross(out / np.linalg.norm(out), p / np.linalg.norm(p)))
             assert cross < 1e-14
 
@@ -318,16 +325,19 @@ class TestBetweenSpheres:
 class TestGraphEmbedding:
     def test_zero_graph_lies_on_slice(self):
         pts = [ge.ChartPoint(np.array([x]), y) for x, y in [(0.0, 1.0), (0.5, 0.3), (-1.0, 2.0)]]
-        out = ge.killing_graph_embed(lambda z: 0.0, pts, ge.PARABOLIC)
+        struct = ge.killing_structure(ge.PARABOLIC)
+        out = np.array([struct.embed_graph_point(0.0, cp) for cp in pts])
         assert np.allclose(out[:, 0], 0.0, atol=0)
 
     def test_hemisphere_graph_lies_on_sphere(self):
         val, _, _ = ge.exact_solution_callables("hemisphere", t=0.0, R=1.0)
         pts = [ge.ChartPoint(np.array([x]), y) for x, y in [(0.0, 0.5), (0.3, 0.4), (-0.2, 0.7)]]
-        out = ge.killing_graph_embed(val, pts, ge.PARABOLIC)
+        struct = ge.killing_structure(ge.PARABOLIC)
+        out = np.array([struct.embed_graph_point(val(cp.as_array()), cp) for cp in pts])
         assert np.allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-14)
 
     def test_dilation_graph_scales_hemisphere(self):
         pts = [ge.ChartPoint(np.array([x]), y) for x, y in [(0.0, 1.0), (0.4, 0.8), (-0.6, 1.5)]]
-        out = ge.killing_graph_embed(lambda z: math.log(2.0), pts, ge.HYPERBOLIC)
+        struct = ge.killing_structure(ge.HYPERBOLIC)
+        out = np.array([struct.embed_graph_point(math.log(2.0), cp) for cp in pts])
         assert np.allclose(np.linalg.norm(out, axis=1), 2.0, rtol=1e-14)

@@ -244,10 +244,8 @@ class TestBatchedResidual:
             def resid(v):
                 return op.residual_field_parabolic(v, grid.y_grid(), h, n, 0.3, sign)
         else:
-            gamma_fn, drift_fn = op._hyperbolic_chart_fns(n)
-
             def resid(v):
-                return op.residual_field_chart(v, grid.axes, h, n, 0.3, sign, gamma_fn, drift_fn)
+                return op.residual_field_chart(v, grid.axes, h, n, 0.3, sign)
         batched = resid(stack)
         assert batched.shape == stack.shape
         for k in range(stack.shape[0]):

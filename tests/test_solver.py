@@ -250,7 +250,7 @@ class TestDivergence:
         mask = np.ones(grid.values.shape, dtype=bool)
         problem = sv.DirichletProblem(grid=grid, mask=mask, data=data, H=0.5)
         with pytest.raises(sv.SolverDivergence):
-            sv.solve_dirichlet(problem, sv.SolverConfig(tol=1e-10, max_iters=8, picard_sweeps=5))
+            sv.solve_dirichlet(problem, sv.SolverConfig(tol=1e-10, max_iters=8))
 
     def test_rejects_unit_curvature(self):
         grid = op.make_grid(2, 0.5, 0.2, 1.0, 17)
