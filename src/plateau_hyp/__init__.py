@@ -9,9 +9,8 @@ supersolutions, upper caps), ``solver`` (masked Dirichlet solver),
 """
 
 from . import barriers, cli, geometry, operator, perron, solver
-from .geometry import (AmbientPoint, ChartPoint, IdealPoint, IdealSphere, Isometry,
-                       between_spheres_check, exact_solution,
-                       hyperbolic_distance, killing_structure)
+from .geometry import (ChartPoint, IdealPoint, IdealSphere, Isometry, between_spheres_check,
+                       exact_solution, hyperbolic_distance, killing_structure)
 from .operator import (GridFunction, OrientationConvention, ScalarPatch, exact_patch,
                        fix_orientation_sign, make_grid, numerical_mean_curvature,
                        qh_pointwise, qh_residual_grid, sample_on_grid)

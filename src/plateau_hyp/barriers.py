@@ -36,12 +36,13 @@ def alpha_margin(alpha: float) -> float:
     return math.cos(alpha / 2.0) * math.cos(0.75 * alpha) / math.sin(0.75 * alpha)
 
 
-def select_alpha(l: float, tol: float = 1e-10, max_iter: int = 200) -> float:
+def select_alpha(l: float) -> float:
     """Opening angle with limiting height in (l, l + 1), by bisection.
 
     Targets the midpoint l + 1/2: the margin function decreases from
     +infinity to about 0.293 on (0, pi/2), so a sign-changing bracket always
-    exists for l > 0 and bisection converges to |margin - target| <= tol.
+    exists for l > 0 and bisection converges to |margin - target| <= 1e-10
+    within 200 halvings.
     """
     if l <= 0:
         raise ValueError("separation distance l must be positive")
@@ -49,10 +50,10 @@ def select_alpha(l: float, tol: float = 1e-10, max_iter: int = 200) -> float:
     lo, hi = 1e-12, math.pi / 2 - 1e-12
     if not (alpha_margin(lo) > target > alpha_margin(hi)):
         raise RuntimeError("bisection bracket failed; margin function not straddling the target")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         val = alpha_margin(mid)
-        if abs(val - target) <= tol:
+        if abs(val - target) <= 1e-10:
             alpha = mid
             break
         if val > target:
@@ -60,7 +61,7 @@ def select_alpha(l: float, tol: float = 1e-10, max_iter: int = 200) -> float:
         else:
             hi = mid
     else:
-        raise RuntimeError(f"bisection did not reach tolerance {tol} for l = {l}")
+        raise RuntimeError(f"bisection did not reach tolerance 1e-10 for l = {l}")
     g = alpha_margin(alpha)
     if not (l < g < l + 1):
         raise RuntimeError(f"selected alpha fails the height window: margin = {g}")
@@ -94,10 +95,6 @@ class BarrierStack:
     def limit_height(self) -> float:
         return alpha_margin(self.alpha)
 
-    @property
-    def termination_margin(self) -> float:
-        return 0.5 * (self.limit_height - self.l)
-
     def radii(self) -> np.ndarray:
         return np.array([R for _, R in self.levels])
 
@@ -105,12 +102,12 @@ class BarrierStack:
         return np.array([t for t, _ in self.levels])
 
 
-def build_stack(l: float, alpha: float, max_levels: int = 10**6,
-                closed_form_tol: float = 1e-12) -> BarrierStack:
+def build_stack(l: float, alpha: float) -> BarrierStack:
     """Generate stack levels until the center height first exceeds l.
 
     Each level is produced by the two-term recursion and cross-checked
-    against the geometric-series closed form to ``closed_form_tol``; the
+    against the geometric-series closed form to 1e-12, for at most 10^6
+    levels; the
     construction also verifies t_0 = -sin(beta) exactly, the final height
     window l < t_K < l + 1, and strict monotonicity of both sequences.
     """
@@ -124,13 +121,13 @@ def build_stack(l: float, alpha: float, max_levels: int = 10**6,
     levels = [(-sin_b, 1.0)]
     t, R = -sin_b, 1.0
     # closed form: t_k = S_k sin(a) - S_{k+1} sin(b), S_k = (1 - r^k)/(1 - r)
-    for k in range(1, max_levels + 1):
+    for k in range(1, 10**6 + 1):
         R_next = ratio * R
         t_next = t + R * sin_a - R_next * sin_b
         s_k = (1.0 - ratio**k) / (1.0 - ratio)
         s_k1 = (1.0 - ratio ** (k + 1)) / (1.0 - ratio)
         closed = s_k * sin_a - s_k1 * sin_b
-        if abs(t_next - closed) > closed_form_tol:
+        if abs(t_next - closed) > 1e-12:
             raise RuntimeError(
                 f"recursion/closed-form mismatch at level {k}: {abs(t_next - closed):.3e}")
         if not (t_next > t and R_next < R):
@@ -229,13 +226,13 @@ class SupersolutionPlane:
         return exact_patch("tilted_plane", a=self.slope, b=self.c)
 
 
-def make_supersolution(c: float, H: float, check_points: int = 12) -> SupersolutionPlane:
+def make_supersolution(c: float, H: float) -> SupersolutionPlane:
     """Exact equidistant plane through boundary offset c for curvature H.
 
     The slope has magnitude |H| / sqrt(1 - H^2) with the sign fixed by the
     orientation convention so the residual vanishes identically; for H >= 0
     the slope is nonnegative and the plane dominates its offset everywhere.
-    Construction verifies the residual at sampled chart points.
+    Construction verifies the residual at 12 sampled chart points.
     """
     if abs(H) >= 1:
         raise ValueError(f"no equidistant graph exists for |H| >= 1 (got H = {H})")
@@ -246,7 +243,7 @@ def make_supersolution(c: float, H: float, check_points: int = 12) -> Supersolut
     plane = SupersolutionPlane(c=float(c), slope=float(slope), H=float(H))
     patch = plane.patch()
     rng = np.random.default_rng(3)
-    for _ in range(check_points):
+    for _ in range(12):
         z = np.array([rng.uniform(-2, 2), rng.uniform(0.2, 2.5)])
         r = qh_pointwise(patch, z, PARABOLIC, H, n=2, convention=conv)
         if abs(r) > 1e-10:
@@ -321,15 +318,14 @@ class UpperCap:
         return f
 
 
-def upper_cap_barrier(q_offset: float, q_center, phi, H: float,
-                      window: float = 6.0, samples: int = 4001,
-                      safety: float = 0.5, min_radius: float = 1e-8) -> UpperCap:
+def upper_cap_barrier(q_offset: float, q_center, phi, H: float) -> UpperCap:
     """Cap over a small ideal sphere about (q_offset, q_center), avoiding the data.
 
     The point must lie on the far side of the data graph (q_offset above
-    phi near its center).  The disk radius is a safety fraction of the
-    sampled distance from the point to the graph of phi; no admissible
-    radius raises a ValueError.
+    phi near its center).  The disk radius is half the distance from the
+    point to the graph of phi, sampled within 6 of the center (4001 samples
+    on one axis, 64 per axis on several); a radius of at most 1e-8
+    raises a ValueError.
     """
     q_center = np.atleast_1d(np.asarray(q_center, dtype=float))
     if abs(H) >= 1:
@@ -338,18 +334,17 @@ def upper_cap_barrier(q_offset: float, q_center, phi, H: float,
     if q_offset <= float(phi(x0)):
         raise ValueError("cap center must lie beyond the data graph")
     if q_center.shape[0] == 1:
-        xs = np.linspace(q_center[0] - window, q_center[0] + window, samples)
+        xs = np.linspace(q_center[0] - 6.0, q_center[0] + 6.0, 4001)
         d2 = np.array([ (q_offset - float(phi(x)))**2 + (q_center[0] - x)**2 for x in xs ])
     else:
-        side = int(math.isqrt(samples)) + 1
-        axes = [np.linspace(c - window, c + window, side) for c in q_center]
+        axes = [np.linspace(c - 6.0, c + 6.0, 64) for c in q_center]
         grid = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([g.ravel() for g in grid], axis=-1)
         d2 = np.array([(q_offset - float(phi(p)))**2 + float(np.dot(q_center - p, q_center - p))
                        for p in pts])
     dist = math.sqrt(float(np.min(d2)))
-    rho = safety * dist
-    if rho <= min_radius:
+    rho = 0.5 * dist
+    if rho <= 1e-8:
         raise ValueError("no disjoint ideal sphere found: data graph touches the cap point")
     return UpperCap(offset=float(q_offset), center=q_center, rho=float(rho), H=float(H))
 

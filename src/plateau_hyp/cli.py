@@ -11,6 +11,7 @@ error, 3 solver divergence or Perron stall, 4 check failure.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -76,6 +77,14 @@ def _require(cond: bool, path: str, message: str) -> None:
         raise ConfigError(f"{path}: {message}")
 
 
+def _number(value, path: str, integer: bool = False):
+    """``value`` if it is a JSON number (an integer when ``integer``), else a ConfigError."""
+    kinds = int if integer else (int, float)
+    _require(isinstance(value, kinds) and not isinstance(value, bool), path,
+             "must be an integer" if integer else "must be a number")
+    return value
+
+
 def parse_config(document: dict) -> RunConfig:
     """Validate a config document; unknown keys are rejected with their path."""
     if not isinstance(document, dict):
@@ -88,9 +97,9 @@ def parse_config(document: dict) -> RunConfig:
     _require(mode in MODES, "$.mode", f"must be one of {MODES}")
 
     cfg = RunConfig(mode=mode)
-    cfg.n = document.get("n", 2)
+    cfg.n = _number(document.get("n", 2), "$.n", integer=True)
     _require(cfg.n in (1, 2, 3), "$.n", "dimension must be 1, 2, or 3")
-    cfg.H = float(document.get("H", 0.0))
+    cfg.H = float(_number(document.get("H", 0.0), "$.H"))
     _require(abs(cfg.H) < 1,
              "$.H", f"|H| < 1 is required (equidistant graphs exhaust |H| < 1); got {cfg.H}")
     cfg.structure = document.get("structure", PARABOLIC)
@@ -102,7 +111,7 @@ def parse_config(document: dict) -> RunConfig:
     _require(isinstance(extra, dict), "$.domain", "must be an object")
     for key in extra:
         _require(key in dom, f"$.domain.{key}", "unknown key")
-    dom.update({k: float(v) for k, v in extra.items()})
+    dom.update({k: float(_number(v, f"$.domain.{k}")) for k, v in extra.items()})
     _require(dom["y_min"] > 0, "$.domain.y_min", "must be positive")
     _require(dom["y_max"] > dom["y_min"], "$.domain.y_max", "must exceed y_min")
     _require(dom["L"] > 0, "$.domain.L", "must be positive")
@@ -125,12 +134,17 @@ def parse_config(document: dict) -> RunConfig:
     for key in extra:
         _require(key in sol, f"$.solver.{key}", "unknown key")
     sol.update(extra)
-    _require(sol["tol"] > 0, "$.solver.tol", "must be positive")
+    _require(_number(sol["tol"], "$.solver.tol") > 0, "$.solver.tol", "must be positive")
+    for key in ("max_iters", "max_sweeps"):
+        _require(_number(sol[key], f"$.solver.{key}", integer=True) >= 1, f"$.solver.{key}",
+                 "must be at least 1")
     cfg.solver = sol
 
     cfg.outputs = document.get("outputs", {})
     _require(isinstance(cfg.outputs, dict), "$.outputs", "must be an object of name -> path")
-    cfg.seed = int(document.get("seed", 0))
+    for key, value in cfg.outputs.items():
+        _require(isinstance(value, str), f"$.outputs.{key}", "must be a path string")
+    cfg.seed = _number(document.get("seed", 0), "$.seed", integer=True)
 
     if "boundary" in document:
         cfg.boundary = _parse_boundary(document["boundary"], "$.boundary")
@@ -145,10 +159,10 @@ def parse_config(document: dict) -> RunConfig:
 
     if mode == "barrier":
         _require("l" in document, "$.l", "barrier mode needs the separation distance l")
-        cfg.l = float(document["l"])
+        cfg.l = float(_number(document["l"], "$.l"))
         _require(cfg.l > 0, "$.l", "must be positive")
         if "alpha" in document:
-            cfg.alpha = float(document["alpha"])
+            cfg.alpha = float(_number(document["alpha"], "$.alpha"))
             _require(0 < cfg.alpha < math.pi / 2, "$.alpha", "must lie in (0, pi/2)")
 
     if mode == "solve-dirichlet":
@@ -157,54 +171,35 @@ def parse_config(document: dict) -> RunConfig:
                  "must be an object with a 'name'")
         cfg.family = fam
         cfg.mask = document.get("mask", {"kind": "box"})
+        _require(isinstance(cfg.mask, dict), "$.mask", "must be an object")
         _require(cfg.mask.get("kind") in ("box", "ball"), "$.mask.kind", "must be 'box' or 'ball'")
 
     return cfg
 
 
 def _parse_boundary(spec, path: str) -> dict:
+    """Check a datum spec: its kind, and keys that are its constructor's parameters."""
     _require(isinstance(spec, dict), path, "must be an object")
+    kinds = perron.DATUM_KINDS
     kind = spec.get("kind")
-    kinds = {"constant": {"c"},
-             "smooth_step": {"lo", "hi", "center", "width"},
-             "bump": {"center", "height", "width", "base"},
-             "sinusoid_decay": {"amplitude", "period", "decay", "base"},
-             "table": {"xs", "values"}}
     _require(kind in kinds, f"{path}.kind", f"must be one of {sorted(kinds)}")
-    allowed = kinds[kind] | {"kind", "c_max"}
-    for key in spec:
+    allowed = {"kind", *inspect.signature(kinds[kind]).parameters}
+    for key, value in spec.items():
         _require(key in allowed, f"{path}.{key}", "unknown key")
+        if key != "kind":
+            for v in value if isinstance(value, list) else [value]:
+                _number(v, f"{path}.{key}")
     return dict(spec)
 
 
 def build_datum(spec: dict, path: str = "$.boundary") -> BoundaryDatum:
-    spec = dict(spec)
-    kind = spec.pop("kind")
-    c_max = spec.pop("c_max", None)
+    """The datum of a parsed spec, from its kind's constructor in ``perron.DATUM_KINDS``."""
+    params = dict(spec)
+    kind = params.pop("kind")
     try:
-        if kind == "constant":
-            return perron.constant_datum(spec["c"], c_max)
-        if kind == "smooth_step":
-            return perron.smooth_step_datum(spec["lo"], spec["hi"], spec.get("center", 0.0),
-                                            spec.get("width", 1.0), c_max)
-        if kind == "bump":
-            return perron.bump_datum(spec["center"], spec["height"], spec["width"],
-                                     spec.get("base", 0.0), c_max)
-        if kind == "sinusoid_decay":
-            params = {"amplitude": spec["amplitude"], "period": spec["period"],
-                      "decay": spec["decay"]}
-            if "base" in spec:
-                params["base"] = spec["base"]
-            cm = c_max if c_max is not None else 2 * params.get("base", abs(spec["amplitude"]))
-            return BoundaryDatum("sinusoid_decay", params, cm)
-        if kind == "table":
-            cm = c_max if c_max is not None else max(spec["values"])
-            return BoundaryDatum("table", {"xs": spec["xs"], "values": spec["values"]}, cm)
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing field {exc}")
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}")
-    raise ConfigError(f"{path}.kind: unhandled kind {kind!r}")
+        return perron.DATUM_KINDS[kind](**params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +452,10 @@ def _run_verify_exact(cfg: RunConfig, report: DiagnosticsReport, out_dir: str) -
                        "discrete residual converges at second order")
 
 
-def _grid_orders(conv, grids=(65, 129, 257)) -> dict:
+def _grid_orders(conv) -> dict:
     errs = {"hemisphere": [], "tilted_plane": [], "constant": []}
     slope = conv.solution_slope(0.5)
-    for nodes in grids:
+    for nodes in (65, 129, 257):
         grid = make_grid(2, 0.45, 0.25, 0.95, nodes)
         for name in errs:
             if name == "hemisphere":

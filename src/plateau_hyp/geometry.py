@@ -38,27 +38,6 @@ def _check_kind(kind: str) -> str:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class AmbientPoint:
-    """Point of the open half-space, coords = (x_1, ..., x_n, y), y > 0."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=float)
-        object.__setattr__(self, "coords", c)
-        if c.ndim != 1 or c.shape[0] < 2:
-            raise ValueError("ambient point needs at least (x_1, y)")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("ambient coordinates must be finite")
-        if c[-1] <= 0:
-            raise ValueError(f"ambient point must have y > 0, got y = {c[-1]}")
-
-    @property
-    def y(self) -> float:
-        return float(self.coords[-1])
-
-
-@dataclass(frozen=True)
 class ChartPoint:
     """Point of the slice M in the (x, y) chart, x in R^{n-1}, y > 0."""
 
@@ -125,8 +104,6 @@ class IdealSphere:
 
 def _ambient_array(p) -> np.ndarray:
     """Coordinates of one point, shape (d,), or of many, coordinate-first (d, ...)."""
-    if isinstance(p, AmbientPoint):
-        return p.coords
     c = np.atleast_1d(np.asarray(p, dtype=float))
     if np.any(c[-1] <= 0):
         raise ValueError(f"ambient point must have y > 0, got y = {np.min(c[-1])}")
@@ -233,17 +210,8 @@ def hemisphere_chart_to_ambient(chart) -> np.ndarray:
     return out
 
 
-def hemisphere_inversion(p) -> np.ndarray:
-    """The involutive boundary inversion used by the hemisphere chart."""
-    p = _ambient_array(p)
-    c = np.zeros_like(p)
-    c[0] = -1.0
-    w = p - c
-    return c + 2.0 * w / float(np.dot(w, w))
-
-
 def hemisphere_inversion_differential(p, v) -> np.ndarray:
-    """Differential of :func:`hemisphere_inversion` at p applied to v.
+    """Differential at p, applied to v, of the chart's inversion (center -e_1, radius sqrt(2)).
 
     Broadcasts over coordinate-first arrays (d, ...) of points and vectors.
     """
@@ -461,10 +429,10 @@ def _apply_primitive_ideal(prim, q: IdealPoint) -> IdealPoint:
     raise TypeError(f"unknown primitive {type(prim)}")
 
 
-def random_isometry(rng: np.random.Generator, n: int, depth: int = 4) -> Isometry:
-    """Random composition of primitives, for invariance property tests."""
+def random_isometry(rng: np.random.Generator, n: int) -> Isometry:
+    """Random composition of four primitives, for invariance property tests."""
     prims = []
-    for _ in range(depth):
+    for _ in range(4):
         choice = rng.integers(0, 4)
         if choice == 0:
             prims.append(BoundaryTranslation(rng.normal(size=n)))
@@ -564,13 +532,13 @@ def exact_solution_callables(name: str, **params):
 # Between-spheres condition on boundary data
 # ---------------------------------------------------------------------------
 
-def between_spheres_check(phi, e1: IdealSphere, e2: IdealSphere,
-                          window: float = 8.0, samples: int = 2001, dim: int = 1):
-    """Check 0 <= phi(x) <= c for the normalized parallel flat sphere pair.
+def between_spheres_check(phi, e1: IdealSphere, e2: IdealSphere):
+    """Check 0 <= phi(x_1) <= c for the normalized parallel flat sphere pair.
 
     ``e1`` must be the flat sphere at offset 0 and ``e2`` the parallel flat
-    sphere at offset c > 0.  Returns (ok, witness); on failure the witness is
-    a sample point where the datum escapes the closed slab.
+    sphere at offset c > 0.  The datum is a function of x_1 alone, sampled at
+    2001 points of [-8, 8].  Returns (ok, witness); on failure the witness is
+    (x_1, phi(x_1)) at a sample where the datum escapes the closed slab.
     """
     if e1.kind != "flat" or e2.kind != "flat":
         raise ValueError("between-spheres check expects flat ideal spheres in the normalized chart")
@@ -582,16 +550,8 @@ def between_spheres_check(phi, e1: IdealSphere, e2: IdealSphere,
     if c <= 0:
         raise ValueError("second sphere offset must be positive")
 
-    if dim == 1:
-        xs = np.linspace(-window, window, samples)
-        pts = xs.reshape(-1, 1)
-    else:
-        side = int(math.isqrt(samples)) + 1
-        axis = np.linspace(-window, window, side)
-        grid = np.meshgrid(*([axis] * dim), indexing="ij")
-        pts = np.stack([g.ravel() for g in grid], axis=-1)
-    for pt in pts:
-        v = float(phi(pt if dim > 1 else pt[0]))
+    for x in np.linspace(-8.0, 8.0, 2001):
+        v = float(phi(x))
         if v < -1e-12 or v > c + 1e-12:
-            return False, (pt.copy(), v)
+            return False, (x, v)
     return True, None

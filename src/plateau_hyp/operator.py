@@ -72,13 +72,12 @@ class ScalarPatch:
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray] | None = None
     hessian: Callable[[np.ndarray], np.ndarray] | None = None
-    fd_step: float = FD_STEP_FIRST
 
     def grad(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         if self.gradient is not None:
             return np.asarray(self.gradient(z), dtype=float)
-        h = self.fd_step * z[-1]
+        h = FD_STEP_FIRST * z[-1]
         g = np.empty_like(z)
         for i in range(z.shape[0]):
             e = np.zeros_like(z)
@@ -107,9 +106,7 @@ class ScalarPatch:
         return out
 
     def shifted(self, offset: float) -> "ScalarPatch":
-        grad = self.gradient
-        hess = self.hessian
-        return ScalarPatch(lambda z, _v=self.value: _v(z) + offset, grad, hess, self.fd_step)
+        return ScalarPatch(lambda z, _v=self.value: _v(z) + offset, self.gradient, self.hessian)
 
 
 def exact_patch(name: str, **params) -> ScalarPatch:
@@ -207,12 +204,12 @@ def sample_on_grid(grid: GridFunction, fn) -> GridFunction:
 # Independent mean curvature oracle
 # ---------------------------------------------------------------------------
 
-def numerical_mean_curvature(patch_map, xi0, n: int, orientation_ref,
-                             step: float | None = None) -> float:
+def numerical_mean_curvature(patch_map, xi0, n: int, orientation_ref) -> float:
     """Mean curvature of a parametric hypersurface patch at a parameter point.
 
     ``patch_map`` sends a parameter vector in R^n to an ambient point of the
-    half-space; derivatives are formed by centered differences, the ambient
+    half-space; derivatives are formed by centered differences with step
+    ``FD_STEP_SECOND`` times the height (at least 1e-3), the ambient
     connection enters through the analytic conformal correction, and the
     result is the trace of the shape operator over n against the unit normal
     whose inner product with ``orientation_ref`` (a vector, or a callable on
@@ -228,7 +225,7 @@ def numerical_mean_curvature(patch_map, xi0, n: int, orientation_ref,
     y = P0[-1]
     if y <= 0:
         raise ValueError("patch leaves the half-space")
-    h = (FD_STEP_SECOND if step is None else step) * max(y, 1e-3)
+    h = FD_STEP_SECOND * max(y, 1e-3)
 
     T = np.empty((d, P0.shape[0]))
     for i in range(d):
@@ -336,7 +333,7 @@ def fix_orientation_sign(force: bool = False) -> OrientationConvention:
     conv = OrientationConvention(sign=sign, plane_curvature=float(measured))
 
     # anchor 1: reduced chart form vs structure-level form
-    gap = verify_reduction(n, rng=np.random.default_rng(7), samples=25)
+    gap = verify_reduction(n, rng=np.random.default_rng(7))
     if gap > 1e-10:
         raise OrientationError(f"chart reduction mismatch: max gap {gap:.3e} > 1e-10")
 
@@ -422,15 +419,15 @@ def generic_qh_value(patch: ScalarPatch, z, kind: str, n: int) -> float:
     return div - (gamma0 / wtil0) * float(np.dot(grad0, drift))
 
 
-def verify_reduction(n: int, rng: np.random.Generator, samples: int = 25) -> float:
-    """Max |generic - reduced| over random points and catalog patches."""
+def verify_reduction(n: int, rng: np.random.Generator) -> float:
+    """Max |generic - reduced| over 25 random points and three catalog patches."""
     patches = [
         exact_patch("constant", c=0.7),
         exact_patch("tilted_plane", a=0.8, b=-0.1),
         exact_patch("hemisphere", t=0.2, R=2.0),
     ]
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(25):
         z = np.empty(n)
         z[:-1] = rng.uniform(-0.6, 0.6, size=n - 1)
         z[-1] = rng.uniform(0.4, 1.4)

@@ -66,10 +66,9 @@ class BoundaryDatum:
         if self.kind == "bump":
             r = np.abs(first - p["center"]) / p["width"]
             prof = np.where(r < 1.0, (1.0 - np.minimum(r, 1.0) ** 2) ** 3, 0.0)
-            return p.get("base", 0.0) + p["height"] * prof
+            return p["base"] + p["height"] * prof
         if self.kind == "sinusoid_decay":
-            base = p.get("base", self.c_max / 2.0)
-            return base + p["amplitude"] * np.sin(2.0 * math.pi * first / p["period"]) \
+            return p["base"] + p["amplitude"] * np.sin(2.0 * math.pi * first / p["period"]) \
                 * np.exp(-p["decay"] * np.abs(first))
         if self.kind == "table":
             xs = np.asarray(p["xs"], dtype=float)
@@ -78,10 +77,14 @@ class BoundaryDatum:
         raise ValueError(f"unknown boundary datum kind {self.kind!r}")
 
     def __post_init__(self):
-        if self.c_max <= 0:
-            raise ValueError("c_max must be positive")
+        if not 0 < self.c_max < math.inf:
+            raise ValueError(f"c_max must be positive and finite, got {self.c_max}")
         xs = np.linspace(-40.0, 40.0, 8001)
-        vals = np.asarray(self(xs), dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = np.asarray(self(xs), dtype=float)
+        if not np.all(np.isfinite(vals)):
+            bad = int(np.argmax(~np.isfinite(vals)))
+            raise ValueError(f"boundary datum is not finite at x = {xs[bad]} (value {vals[bad]})")
         if np.any(vals < -1e-12) or np.any(vals > self.c_max + 1e-12):
             bad = int(np.argmax((vals < -1e-12) | (vals > self.c_max + 1e-12)))
             raise ValueError(
@@ -104,6 +107,32 @@ def bump_datum(center: float, height: float, width: float, base: float = 0.0,
     return BoundaryDatum("bump", {"center": float(center), "height": float(height),
                                   "width": float(width), "base": float(base)},
                          float(c_max if c_max is not None else base + max(height, 0.0)))
+
+
+def sinusoid_decay_datum(amplitude: float, period: float, decay: float,
+                         base: float | None = None, c_max: float | None = None) -> BoundaryDatum:
+    """base + amplitude sin(2 pi x / period) exp(-decay |x|).
+
+    ``c_max`` defaults to 2 base, else to 2 |amplitude|, and ``base`` to c_max / 2.
+    """
+    if c_max is None:
+        c_max = 2 * (base if base is not None else abs(amplitude))
+    params = {"amplitude": float(amplitude), "period": float(period), "decay": float(decay),
+              "base": float(base if base is not None else c_max / 2.0)}
+    return BoundaryDatum("sinusoid_decay", params, float(c_max))
+
+
+def table_datum(xs, values, c_max: float | None = None) -> BoundaryDatum:
+    """Linear interpolation of ``values`` at increasing ``xs``; c_max defaults to max(values)."""
+    params = {"xs": [float(x) for x in xs], "values": [float(v) for v in values]}
+    return BoundaryDatum("table", params, float(c_max if c_max is not None else max(values)))
+
+
+# Each boundary datum kind and its constructor; the constructor's parameters
+# are the kind's config keys.
+DATUM_KINDS = {"constant": constant_datum, "smooth_step": smooth_step_datum,
+               "bump": bump_datum, "sinusoid_decay": sinusoid_decay_datum,
+               "table": table_datum}
 
 
 _KERNEL_NODES = 801
@@ -228,21 +257,21 @@ class PerronConfig:
 # Lifts and sweeps
 # ---------------------------------------------------------------------------
 
-def cmc_lift(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig | None = None,
-             upper: np.ndarray | None = None) -> GridFunction:
+def cmc_lift(u: GridFunction, ball: Ball, H: float,
+             cfg: PerronConfig | None = None) -> GridFunction:
     """Replace u inside one ball by the local solution, combined by maximum.
 
     The ball solve takes its boundary values from the current iterate (and
     from the pinned truncation faces where the ball meets them); divergence
-    halves the radius down to the configured minimum before giving up.  The
+    halves the radius down to ``MIN_RADIUS`` before giving up.  The
     pointwise maximum guards discretization noise, so the lift never lowers
-    the iterate; when a supersolution field ``upper`` is supplied the lift
-    is also combined with it from above, absorbing the scheme's transient
+    the iterate.  The lift is returned on a copy and is not clamped from
+    above; the sweeps of :func:`perron_sweep` lift in place and combine each
+    lift with the supersolution from above, absorbing the scheme's transient
     overshoot without disturbing the fixed point.
     """
-    cfg = cfg or PerronConfig()
     out = u.copy()
-    _lift_inplace(out, ball, H, cfg, upper)
+    _lift_inplace(out, ball, H, cfg or PerronConfig())
     return out
 
 
@@ -414,6 +443,8 @@ def run_asymptotic_solve(phi: BoundaryDatum, H: float, grid: GridFunction | None
     cfg = cfg or PerronConfig()
     if abs(H) >= 1:
         raise ValueError(f"|H| must be < 1, got H = {H}")
+    if cfg.max_sweeps < 1:
+        raise ValueError(f"max_sweeps must be at least 1, got {cfg.max_sweeps}")
     if grid is None:
         grid = make_grid(2, 2.0, 0.05, 0.8, 65)
 

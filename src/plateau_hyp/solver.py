@@ -304,7 +304,6 @@ def solve_dirichlet(problem: DirichletProblem, cfg: SolverConfig | None = None,
 
     for it in range(cfg.max_iters):
         if nrm <= cfg.tol:
-            report.converged = True
             break
         if builder is None:
             builder = _cached_builder(values.shape, interior)
@@ -332,19 +331,17 @@ def solve_dirichlet(problem: DirichletProblem, cfg: SolverConfig | None = None,
             values, F, nrm, picard_used = _picard_phase(values, F, nrm, interior, resid, cfg)
             report.picard_iterations += picard_used
             if nrm > cfg.tol:
-                report.final_residual = nrm
                 raise SolverDivergence(
                     f"no graph solution detected: residual stalled at {nrm:.3e} "
                     f"(tolerance {cfg.tol:.1e})")
-            report.converged = True
             break
-    else:
-        report.final_residual = nrm
+    if nrm > cfg.tol:  # checked after the last step too: it may have converged
         raise SolverDivergence(
             f"no graph solution detected: residual {nrm:.3e} after {cfg.max_iters} "
             f"Newton iterations (tolerance {cfg.tol:.1e})")
 
     solve = None  # release the factors before the diagnostic's workspace
+    report.converged = True
     report.final_residual = nrm
     out = GridFunction(grid.axes, values, boundary | ~problem.mask)
     if compute_bands:
@@ -410,11 +407,11 @@ def _picard_phase(values, F, nrm, interior, resid, cfg):
 # Interior gradient diagnostic
 # ---------------------------------------------------------------------------
 
-def gradient_diagnostic(u: GridFunction, problem: DirichletProblem,
-                        bands: int = 4) -> list:
-    """Sup of the chart gradient over bands of distance to the mask boundary.
+def gradient_diagnostic(u: GridFunction, problem: DirichletProblem) -> list:
+    """Sup of the chart gradient over four bands of distance to the mask boundary.
 
-    Distances are hyperbolic, to the nearest boundary node.  The table only
+    Distances are hyperbolic, to the nearest boundary node; band k = 1..4
+    holds the nodes at least k/5 of the largest distance away.  The table only
     reports empirical suprema; no a priori constant is asserted, but the
     suprema are expected to be stable under refinement and nondecreasing as
     the band distance shrinks.
@@ -442,8 +439,8 @@ def gradient_diagnostic(u: GridFunction, problem: DirichletProblem,
 
     rmax = float(np.max(dmin))
     out = []
-    for k in range(bands):
-        r = rmax * (k + 1) / (bands + 1)
+    for k in range(4):
+        r = rmax * (k + 1) / 5
         sel = dmin >= r
         if not sel.any():
             continue

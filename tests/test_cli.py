@@ -1,5 +1,6 @@
 """Config parsing, scenario runs, artifact formats, determinism, exit codes."""
 
+import inspect
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import pytest
 
 from plateau_hyp import cli
 from plateau_hyp import operator as op
+from plateau_hyp import perron as pe
 
 
 def write_config(tmp_path, doc, name="run.json"):
@@ -52,6 +54,39 @@ class TestParseConfig:
     def test_threads_key_rejected(self):
         with pytest.raises(cli.ConfigError, match=r"\$\.threads"):
             cli.parse_config({"mode": "barrier", "l": 1.0, "threads": 2})
+
+    @pytest.mark.parametrize("spec, constructor, args", [
+        ({"kind": "sinusoid_decay", "amplitude": 0.1, "period": 2.0, "decay": 0.5, "base": 0.3},
+         pe.sinusoid_decay_datum, (0.1, 2.0, 0.5, 0.3)),
+        ({"kind": "sinusoid_decay", "amplitude": -0.2, "period": 2, "decay": 1, "c_max": 0.5},
+         pe.sinusoid_decay_datum, (-0.2, 2.0, 1.0, None, 0.5)),
+        ({"kind": "table", "xs": [-1, 0, 1], "values": [0.1, 0.5, 0.3]},
+         pe.table_datum, ([-1.0, 0.0, 1.0], [0.1, 0.5, 0.3])),
+        ({"kind": "table", "xs": [-1.0, 1.0], "values": [0.1, 0.3], "c_max": 1},
+         pe.table_datum, ([-1.0, 1.0], [0.1, 0.3], 1.0)),
+    ])
+    def test_datum_built_by_its_kinds_constructor(self, spec, constructor, args):
+        cfg = cli.parse_config({"mode": "solve-asymptotic", "boundary": spec})
+        built, direct = cli.build_datum(cfg.boundary), constructor(*args)
+        assert (built.kind, built.params, built.c_max) == (direct.kind, direct.params,
+                                                           direct.c_max)
+        xs = np.linspace(-3.0, 3.0, 61)
+        assert np.array_equal(built(xs), direct(xs))
+
+    @pytest.mark.parametrize("kind, keys", [
+        ("constant", {"c", "c_max"}),
+        ("smooth_step", {"lo", "hi", "center", "width", "c_max"}),
+        ("bump", {"center", "height", "width", "base", "c_max"}),
+        ("sinusoid_decay", {"amplitude", "period", "decay", "base", "c_max"}),
+        ("table", {"xs", "values", "c_max"}),
+    ])
+    def test_datum_keys_are_the_constructor_parameters(self, kind, keys):
+        assert set(inspect.signature(pe.DATUM_KINDS[kind]).parameters) == keys
+        for key in keys:
+            cli.parse_config({"mode": "solve-asymptotic", "boundary": {"kind": kind, key: 1.0}})
+        with pytest.raises(cli.ConfigError, match=r"\$\.boundary\.colour: unknown key"):
+            cli.parse_config({"mode": "solve-asymptotic",
+                              "boundary": {"kind": kind, "colour": 1.0}})
 
     def test_compare_needs_both_sides(self):
         with pytest.raises(cli.ConfigError, match="boundary_2"):
@@ -228,6 +263,46 @@ class TestEndToEnd:
         config = write_config(tmp_path, doc)
         assert cli.main(["solve-asymptotic", "--config", config,
                          "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+
+    MALFORMED = [
+        ("solve-asymptotic", ("n",), 2.0),
+        ("solve-asymptotic", ("n",), True),
+        ("solve-asymptotic", ("H",), "x"),
+        ("solve-asymptotic", ("domain", "L"), "abc"),
+        ("solve-asymptotic", ("seed",), "a"),
+        ("solve-asymptotic", ("solver", "tol"), "1e-8"),
+        ("solve-asymptotic", ("solver", "max_iters"), "40"),
+        ("solve-asymptotic", ("solver", "max_iters"), 0),
+        ("solve-asymptotic", ("solver", "max_sweeps"), 0),
+        ("solve-asymptotic", ("outputs", "csv"), 3),
+        ("solve-asymptotic", ("boundary", "c"), "0.4"),
+        ("solve-dirichlet", ("mask",), "ball"),
+        ("barrier", ("l",), "1"),
+    ]
+
+    @pytest.mark.parametrize("mode, path, value", MALFORMED,
+                             ids=[f"{'.'.join(path)}-{value}" for _, path, value in MALFORMED])
+    def test_malformed_value_is_config_error_naming_its_key(self, tmp_path, capsys,
+                                                            mode, path, value):
+        doc = self.asymptotic_doc()
+        doc["mode"] = mode
+        doc["outputs"] = {}
+        node = doc
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = value
+        config = write_config(tmp_path, doc)
+        assert cli.main([mode, "--config", config, "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "$." + ".".join(path) + ":" in err, err
+
+    def test_non_finite_datum_is_config_error(self, tmp_path, capsys):
+        doc = self.asymptotic_doc()
+        doc["boundary"] = {"kind": "smooth_step", "lo": 0.2, "hi": 0.8, "width": 0.0}
+        config = write_config(tmp_path, doc)
+        assert cli.main(["solve-asymptotic", "--config", config,
+                         "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert "$.boundary: boundary datum is not finite at x = 0.0" in capsys.readouterr().err
 
     def test_mode_mismatch_is_config_error(self, tmp_path):
         config = write_config(tmp_path, self.asymptotic_doc())

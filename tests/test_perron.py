@@ -44,6 +44,30 @@ class TestBoundaryData:
         assert abs(phi(0.5) - 0.4) < 1e-14
         assert phi(5.0) == 0.3  # flat extension
 
+    def test_sinusoid_decay_window_defaults(self):
+        # c_max is 2 base, else 2 |amplitude|; base is c_max / 2
+        about_base = pe.sinusoid_decay_datum(0.1, 2.0, 0.5, base=0.3)
+        assert about_base.c_max == 0.6 and about_base(0.0) == 0.3
+        about_amplitude = pe.sinusoid_decay_datum(-0.2, 2.0, 0.5)
+        assert about_amplitude.c_max == 0.4 and about_amplitude(0.0) == 0.2
+        about_window = pe.sinusoid_decay_datum(0.1, 2.0, 0.5, c_max=0.5)
+        assert about_window(0.0) == 0.25
+        x = 0.3
+        expected = 0.3 + 0.1 * math.sin(2 * math.pi * x / 2.0) * math.exp(-0.5 * x)
+        assert about_base(x) == pytest.approx(expected, abs=1e-15)
+
+    def test_table_datum_window(self):
+        phi = pe.table_datum([-1.0, 0.0, 1.0], [0.1, 0.5, 0.3])
+        assert phi.c_max == 0.5 and abs(phi(0.5) - 0.4) < 1e-14
+        assert pe.table_datum([-1.0, 1.0], [0.1, 0.3], c_max=2.0).c_max == 2.0
+
+    def test_non_finite_datum_rejected_at_its_x(self):
+        # a zero-width step is 0/0 at its center: NaN there, which no window check catches
+        with pytest.raises(ValueError, match=r"not finite at x = 0\.0"):
+            pe.smooth_step_datum(0.2, 0.8, width=0.0)
+        with pytest.raises(ValueError, match="c_max"):
+            pe.constant_datum(0.5, c_max=math.nan)
+
     def test_window_violation_rejected(self):
         with pytest.raises(ValueError):
             pe.bump_datum(center=0.0, height=1.2, width=1.0, base=0.0, c_max=1.0)
@@ -244,6 +268,11 @@ class TestAsymptoticSolve:
         phi = pe.constant_datum(0.5)
         with pytest.raises(ValueError):
             pe.run_asymptotic_solve(phi, -0.5, grid, pe.PerronConfig(tol=1e-8))
+
+    def test_rejects_zero_sweeps(self):
+        with pytest.raises(ValueError, match="max_sweeps"):
+            pe.run_asymptotic_solve(pe.constant_datum(0.4), 0.0, small_grid(),
+                                    pe.PerronConfig(max_sweeps=0))
 
     def test_rejects_unit_curvature(self):
         with pytest.raises(ValueError):

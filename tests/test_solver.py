@@ -252,6 +252,17 @@ class TestDivergence:
         with pytest.raises(sv.SolverDivergence):
             sv.solve_dirichlet(problem, sv.SolverConfig(tol=1e-10, max_iters=8))
 
+    def test_convergence_on_the_last_allowed_iteration_is_not_divergence(self):
+        grid = op.make_grid(2, 0.45, 0.25, 0.95, 17)
+        problem, _ = full_problem(
+            grid, lambda z: 0.1 + math.sqrt(1.5**2 - float(np.dot(z, z))), 0.0)
+        _, free = sv.solve_dirichlet(problem, sv.SolverConfig(tol=1e-10))
+        _, capped = sv.solve_dirichlet(
+            problem, sv.SolverConfig(tol=1e-10, max_iters=free.iterations))
+        assert free.iterations == 5
+        assert capped.converged and capped.final_residual <= 1e-10
+        assert capped.iterations == 5
+
     def test_rejects_unit_curvature(self):
         grid = op.make_grid(2, 0.5, 0.2, 1.0, 17)
         with pytest.raises(ValueError):
