@@ -12,7 +12,7 @@ from . import barriers, cli, geometry, operator, perron, solver
 from .geometry import (ChartPoint, IdealPoint, IdealSphere, Isometry, between_spheres_check,
                        exact_solution, hyperbolic_distance, killing_structure)
 from .operator import (GridFunction, OrientationConvention, ScalarPatch, exact_patch,
-                       fix_orientation_sign, make_grid, numerical_mean_curvature,
+                       make_grid, numerical_mean_curvature, orientation,
                        qh_pointwise, qh_residual_grid, sample_on_grid)
 from .barriers import (BarrierStack, SupersolutionPlane, UpperCap, build_stack,
                        eval_stack, make_supersolution, select_alpha, upper_cap_barrier)

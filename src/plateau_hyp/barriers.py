@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import operator
-from .geometry import PARABOLIC, IdealSphere, _chart_array
+from .geometry import PARABOLIC, IdealSphere, _point_array
 from .operator import exact_patch, qh_pointwise
 
 
@@ -151,7 +151,7 @@ def eval_stack(stack: BarrierStack, P) -> float:
     rho = R_{k-1} cos(alpha), and the function vanishes outside the unit
     disk.  Values are nonnegative.
     """
-    z = _chart_array(P)
+    z = _point_array(P)
     return float(eval_stack_radial(stack, math.sqrt(float(np.dot(z, z)))))
 
 
@@ -353,15 +353,15 @@ def upper_cap_barrier(q_offset: float, q_center, phi, H: float) -> UpperCap:
 # Discrete subsolution bookkeeping
 # ---------------------------------------------------------------------------
 
-def stack_subsolution_report(stack: BarrierStack, H_values, nodes: int = 65) -> dict:
-    """Worst discrete residual of the sampled stack at smooth nodes, per H.
+def stack_subsolution_report(stack: BarrierStack, H_values) -> dict:
+    """Worst discrete residual of the stack sampled on a 49^2 grid at smooth nodes, per H.
 
     Nodes are counted as smooth when a single hemisphere piece dominates
     strictly over the whole stencil; the subsolution inequality asks for a
     nonpositive residual there, up to the scheme's O(h^2) consistency slack.
     A minimal piece satisfies it exactly for H >= 0.
     """
-    grid = operator.make_grid(2, 1.1, 0.02, 1.1, nodes)
+    grid = operator.make_grid(2, 1.1, 0.02, 1.1, 49)
     mesh = grid.meshgrid()
     rho = np.sqrt(sum(m**2 for m in mesh))
     sampled = grid.copy()
@@ -387,7 +387,6 @@ def stack_subsolution_report(stack: BarrierStack, H_values, nodes: int = 65) -> 
         agree = np.zeros_like(smooth)
         agree[core] = (best[tuple(sl_p)] == best[core]) & (best[tuple(sl_m)] == best[core])
         smooth &= agree
-    smooth &= ~sampled.boundary
 
     out = {}
     slack = 50.0 * h**2

@@ -18,12 +18,12 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import barriers, operator, perron, solver
-from .geometry import PARABOLIC, HYPERBOLIC
+from .geometry import EXACT_FAMILIES, PARABOLIC, HYPERBOLIC
 from .operator import GridFunction, exact_patch, make_grid, sample_on_grid
 from .perron import BoundaryDatum, PerronConfig
 from .solver import DirichletProblem, SolverConfig, SolverDivergence
@@ -45,7 +45,8 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 _DOMAIN_DEFAULTS = {"L": 2.0, "y_min": 0.05, "y_max": 0.8}
-_SOLVER_DEFAULTS = {"tol": 1e-8, "max_iters": 40, "max_sweeps": 200}
+_SOLVER_DEFAULTS = {"tol": PerronConfig.tol, "max_iters": PerronConfig.solver_max_iters,
+                    "max_sweeps": PerronConfig.max_sweeps}
 
 
 @dataclass
@@ -89,24 +90,23 @@ def parse_config(document: dict) -> RunConfig:
     """Validate a config document; unknown keys are rejected with their path."""
     if not isinstance(document, dict):
         raise ConfigError("$: config must be a JSON object")
-    known = {"mode", "n", "H", "structure", "boundary", "boundary_2", "domain", "grid",
-             "solver", "outputs", "seed", "l", "alpha", "family", "mask"}
+    known = {f.name for f in fields(RunConfig)}
     for key in document:
         _require(key in known, f"$.{key}", "unknown key")
     mode = document.get("mode")
     _require(mode in MODES, "$.mode", f"must be one of {MODES}")
 
     cfg = RunConfig(mode=mode)
-    cfg.n = _number(document.get("n", 2), "$.n", integer=True)
+    cfg.n = _number(document.get("n", cfg.n), "$.n", integer=True)
     _require(cfg.n in (1, 2, 3), "$.n", "dimension must be 1, 2, or 3")
-    cfg.H = float(_number(document.get("H", 0.0), "$.H"))
+    cfg.H = float(_number(document.get("H", cfg.H), "$.H"))
     _require(abs(cfg.H) < 1,
              "$.H", f"|H| < 1 is required (equidistant graphs exhaust |H| < 1); got {cfg.H}")
-    cfg.structure = document.get("structure", PARABOLIC)
+    cfg.structure = document.get("structure", cfg.structure)
     _require(cfg.structure in (PARABOLIC, HYPERBOLIC), "$.structure",
              "must be 'parabolic' or 'hyperbolic'")
 
-    dom = dict(_DOMAIN_DEFAULTS)
+    dom = cfg.domain
     extra = document.get("domain", {})
     _require(isinstance(extra, dict), "$.domain", "must be an object")
     for key in extra:
@@ -115,9 +115,8 @@ def parse_config(document: dict) -> RunConfig:
     _require(dom["y_min"] > 0, "$.domain.y_min", "must be positive")
     _require(dom["y_max"] > dom["y_min"], "$.domain.y_max", "must exceed y_min")
     _require(dom["L"] > 0, "$.domain.L", "must be positive")
-    cfg.domain = dom
 
-    grid = document.get("grid", 65)
+    grid = document.get("grid", cfg.grid)
     if isinstance(grid, list):
         _require(len(grid) == cfg.n and all(isinstance(g, int) for g in grid),
                  "$.grid", "must be an int or a list of ints, one per axis")
@@ -128,7 +127,7 @@ def parse_config(document: dict) -> RunConfig:
         nodes = cfg.grid_nodes()
         _require(min(nodes) >= 17, "$.grid", "solve modes need at least 17 nodes per axis")
 
-    sol = dict(_SOLVER_DEFAULTS)
+    sol = cfg.solver
     extra = document.get("solver", {})
     _require(isinstance(extra, dict), "$.solver", "must be an object")
     for key in extra:
@@ -138,13 +137,12 @@ def parse_config(document: dict) -> RunConfig:
     for key in ("max_iters", "max_sweeps"):
         _require(_number(sol[key], f"$.solver.{key}", integer=True) >= 1, f"$.solver.{key}",
                  "must be at least 1")
-    cfg.solver = sol
 
-    cfg.outputs = document.get("outputs", {})
+    cfg.outputs = document.get("outputs", cfg.outputs)
     _require(isinstance(cfg.outputs, dict), "$.outputs", "must be an object of name -> path")
     for key, value in cfg.outputs.items():
         _require(isinstance(value, str), f"$.outputs.{key}", "must be a path string")
-    cfg.seed = _number(document.get("seed", 0), "$.seed", integer=True)
+    cfg.seed = _number(document.get("seed", cfg.seed), "$.seed", integer=True)
 
     if "boundary" in document:
         cfg.boundary = _parse_boundary(document["boundary"], "$.boundary")
@@ -166,15 +164,43 @@ def parse_config(document: dict) -> RunConfig:
             _require(0 < cfg.alpha < math.pi / 2, "$.alpha", "must lie in (0, pi/2)")
 
     if mode == "solve-dirichlet":
-        fam = document.get("family", {"name": "constant", "c": 0.5})
-        _require(isinstance(fam, dict) and "name" in fam, "$.family",
-                 "must be an object with a 'name'")
-        cfg.family = fam
-        cfg.mask = document.get("mask", {"kind": "box"})
-        _require(isinstance(cfg.mask, dict), "$.mask", "must be an object")
-        _require(cfg.mask.get("kind") in ("box", "ball"), "$.mask.kind", "must be 'box' or 'ball'")
+        cfg.family = _parse_family(document.get("family", {"name": "constant", "c": 0.5}))
+        cfg.mask = _parse_mask(document.get("mask", {"kind": "box"}), cfg.n)
 
     return cfg
+
+
+def _parse_family(fam) -> dict:
+    """Check a catalog family spec: a name and its parameters from ``EXACT_FAMILIES``."""
+    _require(isinstance(fam, dict) and "name" in fam, "$.family", "must be an object with a 'name'")
+    name = fam["name"]
+    _require(isinstance(name, str) and name in EXACT_FAMILIES, "$.family.name",
+             f"must be one of {sorted(EXACT_FAMILIES)}")
+    declared = EXACT_FAMILIES[name]
+    for key, value in fam.items():
+        if key != "name":
+            _require(key in declared, f"$.family.{key}", "unknown key")
+            _number(value, f"$.family.{key}")
+    for key, default in declared.items():
+        _require(key in fam or default is not None, f"$.family.{key}", f"required by {name!r}")
+    return fam
+
+
+def _parse_mask(mask, n: int) -> dict:
+    """Check a solve-dirichlet mask: its kind, a center of n numbers, a positive radius."""
+    _require(isinstance(mask, dict), "$.mask", "must be an object")
+    for key in mask:
+        _require(key in ("kind", "center", "radius"), f"$.mask.{key}", "unknown key")
+    _require(mask.get("kind") in ("box", "ball"), "$.mask.kind", "must be 'box' or 'ball'")
+    if "center" in mask:
+        center = mask["center"]
+        _require(isinstance(center, list) and len(center) == n, "$.mask.center",
+                 f"must be a list of {n} numbers, one per axis")
+        for value in center:
+            _number(value, "$.mask.center")
+    if "radius" in mask:
+        _require(_number(mask["radius"], "$.mask.radius") > 0, "$.mask.radius", "must be positive")
+    return mask
 
 
 def _parse_boundary(spec, path: str) -> dict:
@@ -551,7 +577,7 @@ _RUNNERS = {
 }
 
 
-def run_scenario(cfg: RunConfig, out_dir: str = ".") -> DiagnosticsReport:
+def run_scenario(cfg: RunConfig, out_dir: str) -> DiagnosticsReport:
     """Execute one mode and write its artifacts; returns the diagnostics."""
     started = time.perf_counter()
     echo = {k: v for k, v in vars(cfg).items() if v is not None}
@@ -607,9 +633,6 @@ def main(argv=None) -> int:
 
     try:
         report = run_scenario(cfg, args.out_dir)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except SolverDivergence as exc:
         print(f"solver divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE

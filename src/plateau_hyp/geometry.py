@@ -102,21 +102,16 @@ class IdealSphere:
             raise ValueError(f"unknown ideal sphere kind {self.kind!r}")
 
 
-def _ambient_array(p) -> np.ndarray:
-    """Coordinates of one point, shape (d,), or of many, coordinate-first (d, ...)."""
-    c = np.atleast_1d(np.asarray(p, dtype=float))
-    if np.any(c[-1] <= 0):
-        raise ValueError(f"ambient point must have y > 0, got y = {np.min(c[-1])}")
-    return c
+def _point_array(p) -> np.ndarray:
+    """Coordinates of one point, shape (d,), or of many, coordinate-first (d, ...).
 
-
-def _chart_array(p) -> np.ndarray:
-    """Chart coordinates of one point, shape (d,), or of many, coordinate-first (d, ...)."""
+    Serves ambient and chart points alike; a :class:`ChartPoint` is unpacked.
+    """
     if isinstance(p, ChartPoint):
         return p.as_array()
     c = np.atleast_1d(np.asarray(p, dtype=float))
     if np.any(c[-1] <= 0):
-        raise ValueError(f"chart point must have y > 0, got y = {np.min(c[-1])}")
+        raise ValueError(f"point must have y > 0, got y = {np.min(c[-1])}")
     return c
 
 
@@ -134,7 +129,7 @@ def hyperbolic_distance(p, q) -> float:
 
     d(P, Q) = arccosh(1 + |P - Q|_E^2 / (2 y_P y_Q)).
     """
-    a, b = _ambient_array(p), _ambient_array(q)
+    a, b = _point_array(p), _point_array(q)
     diff = a - b
     arg = 1.0 + float(np.dot(diff, diff)) / (2.0 * a[-1] * b[-1])
     return float(np.arccosh(max(arg, 1.0)))
@@ -160,7 +155,7 @@ def fd_covariant_derivative(vector_field, p, h: float = 1e-5) -> np.ndarray:
     metric delta_ij / y^2 itself, so the result is independent of any analytic
     Christoffel formula; used as an oracle for drift fields.
     """
-    p = _ambient_array(p)
+    p = _point_array(p)
     d = p.shape[0]
     step = h * p[-1]
 
@@ -201,7 +196,7 @@ def hemisphere_chart_to_ambient(chart) -> np.ndarray:
     an involutive isometry carrying the plane {x_1 = 0} onto {|p| = 1}.
     Broadcasts over coordinate-first arrays (d, ...).
     """
-    z = _chart_array(chart)
+    z = _point_array(chart)
     rho2 = np.sum(z * z, axis=0)
     denom = 1.0 + rho2
     out = np.empty((z.shape[0] + 1,) + z.shape[1:])
@@ -215,7 +210,7 @@ def hemisphere_inversion_differential(p, v) -> np.ndarray:
 
     Broadcasts over coordinate-first arrays (d, ...) of points and vectors.
     """
-    p = _ambient_array(p)
+    p = _point_array(p)
     v = np.asarray(v, dtype=float)
     w = p.copy()
     w[0] += 1.0  # p minus the inversion center -e_1
@@ -244,7 +239,7 @@ class KillingStructure:
     kind: str
 
     def field(self, p) -> np.ndarray:
-        p = _ambient_array(p)
+        p = _point_array(p)
         if self.kind == PARABOLIC:
             v = np.zeros_like(p)
             v[0] = 1.0
@@ -252,7 +247,7 @@ class KillingStructure:
         return p.copy()
 
     def gamma(self, p) -> float:
-        p = _ambient_array(p)
+        p = _point_array(p)
         if self.kind == PARABOLIC:
             return p[-1] ** 2
         r2 = float(np.dot(p, p))
@@ -262,7 +257,7 @@ class KillingStructure:
 
     def drift(self, p) -> np.ndarray:
         """Ambient components of nabla_Z Z at p, or at each point of a (d, ...) array."""
-        p = _ambient_array(p)
+        p = _point_array(p)
         if self.kind == PARABOLIC:
             out = np.zeros_like(p)
             out[-1] = 1.0 / p[-1]
@@ -272,7 +267,7 @@ class KillingStructure:
         return out
 
     def flow(self, s: float, p) -> np.ndarray:
-        p = _ambient_array(p)
+        p = _point_array(p)
         if self.kind == PARABOLIC:
             out = p.copy()
             out[0] += s
@@ -287,7 +282,7 @@ class KillingStructure:
         For the dilation structure this is gamma at the hemisphere
         representative, where |p| = 1: (2 y / (1 + rho^2))^2.
         """
-        z = _chart_array(chart)
+        z = _point_array(chart)
         if self.kind == PARABOLIC:
             return z[-1] ** 2
         rho2 = np.sum(z * z, axis=0)
@@ -299,7 +294,7 @@ class KillingStructure:
         ``chart`` is one point (d,) or a coordinate-first array (d, ...) of
         points; the result has the same shape.
         """
-        z = _chart_array(chart)
+        z = _point_array(chart)
         if self.kind == PARABOLIC:
             out = np.zeros_like(z)
             out[-1] = 1.0 / z[-1]
@@ -310,7 +305,7 @@ class KillingStructure:
         return pulled[1:]
 
     def embed_graph_point(self, u_value: float, chart) -> np.ndarray:
-        z = _chart_array(chart)
+        z = _point_array(chart)
         if self.kind == PARABOLIC:
             return np.concatenate([[u_value], z])
         return math.exp(u_value) * hemisphere_chart_to_ambient(z)
@@ -390,7 +385,7 @@ class Isometry:
     primitives: tuple = field(default_factory=tuple)
 
     def apply(self, p) -> np.ndarray:
-        out = _ambient_array(p).copy()
+        out = _point_array(p).copy()
         for prim in self.primitives:
             out = prim.apply(out)
         return out
@@ -403,9 +398,6 @@ class Isometry:
 
     def inverse(self) -> "Isometry":
         return Isometry(tuple(prim.inverse() for prim in reversed(self.primitives)))
-
-    def then(self, other: "Isometry") -> "Isometry":
-        return Isometry(self.primitives + other.primitives)
 
 
 def _apply_primitive_ideal(prim, q: IdealPoint) -> IdealPoint:
@@ -458,29 +450,30 @@ def exact_solution(name: str, p, **params) -> float:
     t + sqrt(R^2 - |(x, y)|^2) on its open disk.
     """
     value, _, _ = exact_solution_callables(name, **params)
-    return float(value(_chart_array(p)))
+    return float(value(_point_array(p)))
+
+
+# Each catalog family's parameters and their defaults, None marking a
+# required one; the CLI's solve-dirichlet family keys are read from here.
+EXACT_FAMILIES = {"constant": {"c": None}, "tilted_plane": {"a": None, "b": 0.0},
+                  "hemisphere": {"t": 0.0, "R": None}}
 
 
 def exact_solution_callables(name: str, **params):
     """Return (value, gradient, hessian) callables on chart arrays z = (x, y)."""
+    if name not in EXACT_FAMILIES:
+        raise ValueError(f"unknown exact solution family {name!r}")
+    declared = EXACT_FAMILIES[name]
+    merged = {**declared, **params}
+    if merged.keys() != declared.keys() or None in merged.values():
+        raise ValueError(f"family {name!r} takes {declared} (None: required), got {params}")
+    params = merged
     if name == "constant":
-        c = float(params["c"])
-
-        def val(z):
-            return c
-
-        def grad(z):
-            return np.zeros_like(np.asarray(z, dtype=float))
-
-        def hess(z):
-            d = np.asarray(z).shape[0]
-            return np.zeros((d, d))
-
-        return val, grad, hess
+        return exact_solution_callables("tilted_plane", a=0.0, b=params["c"])
 
     if name == "tilted_plane":
         a = float(params["a"])
-        b = float(params.get("b", 0.0))
+        b = float(params["b"])
 
         def val(z):
             return a * float(np.asarray(z)[-1]) + b
@@ -497,7 +490,7 @@ def exact_solution_callables(name: str, **params):
         return val, grad, hess
 
     if name == "hemisphere":
-        t = float(params.get("t", 0.0))
+        t = float(params["t"])
         R = float(params["R"])
         if R <= 0:
             raise ValueError("hemisphere radius must be positive")
@@ -524,8 +517,6 @@ def exact_solution_callables(name: str, **params):
             return -(np.eye(d) / s + np.outer(z, z) / s**3)
 
         return val, grad, hess
-
-    raise ValueError(f"unknown exact solution family {name!r}")
 
 
 # ---------------------------------------------------------------------------

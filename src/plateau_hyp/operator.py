@@ -12,7 +12,7 @@ For the translation structure this reduces, in the (x, y) chart, to
     W_E = sqrt(1 + |Du|_E^2),
 
 where Du is the Euclidean chart gradient.  The sign s is not assumed: it is
-fixed once per session by :func:`fix_orientation_sign`, which measures the
+fixed once per session by :func:`orientation`, which measures the
 mean curvature of a unit-slope tilted plane with an independent
 finite-difference shape-operator oracle and requires the residual to vanish
 exactly on graphs whose measured curvature equals H.  With the conventions
@@ -48,7 +48,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import (PARABOLIC, HYPERBOLIC, _chart_array, _check_kind,
+from .geometry import (PARABOLIC, HYPERBOLIC, _point_array, _check_kind,
                        ambient_christoffel_term, exact_solution_callables,
                        killing_structure)
 
@@ -67,43 +67,21 @@ class OrientationError(RuntimeError):
 
 @dataclass
 class ScalarPatch:
-    """A C^2 graph function on the chart, with analytic or FD derivatives."""
+    """A C^2 graph function on the chart, with its analytic derivatives.
+
+    ``grad`` and ``hess`` call ``gradient`` and ``hessian``; a value-only
+    patch serves the oracle :func:`graph_mean_curvature`, which reads values.
+    """
 
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray] | None = None
     hessian: Callable[[np.ndarray], np.ndarray] | None = None
 
     def grad(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        if self.gradient is not None:
-            return np.asarray(self.gradient(z), dtype=float)
-        h = FD_STEP_FIRST * z[-1]
-        g = np.empty_like(z)
-        for i in range(z.shape[0]):
-            e = np.zeros_like(z)
-            e[i] = h
-            g[i] = (self.value(z + e) - self.value(z - e)) / (2 * h)
-        return g
+        return np.asarray(self.gradient(np.asarray(z, dtype=float)), dtype=float)
 
     def hess(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        if self.hessian is not None:
-            return np.asarray(self.hessian(z), dtype=float)
-        d = z.shape[0]
-        h = FD_STEP_SECOND * z[-1]
-        out = np.empty((d, d))
-        f0 = self.value(z)
-        for i in range(d):
-            ei = np.zeros_like(z)
-            ei[i] = h
-            out[i, i] = (self.value(z + ei) - 2 * f0 + self.value(z - ei)) / h**2
-            for j in range(i + 1, d):
-                ej = np.zeros_like(z)
-                ej[j] = h
-                out[i, j] = out[j, i] = (
-                    self.value(z + ei + ej) - self.value(z + ei - ej)
-                    - self.value(z - ei + ej) + self.value(z - ei - ej)) / (4 * h**2)
-        return out
+        return np.asarray(self.hessian(np.asarray(z, dtype=float)), dtype=float)
 
     def shifted(self, offset: float) -> "ScalarPatch":
         return ScalarPatch(lambda z, _v=self.value: _v(z) + offset, self.gradient, self.hessian)
@@ -275,7 +253,7 @@ def graph_patch_map(patch: ScalarPatch, kind: str):
 def graph_mean_curvature(patch: ScalarPatch, P, kind: str, n: int) -> float:
     """Oracle mean curvature of a Killing graph, normal opposing the flow."""
     struct = killing_structure(kind)
-    return numerical_mean_curvature(graph_patch_map(patch, kind), _chart_array(P), n,
+    return numerical_mean_curvature(graph_patch_map(patch, kind), _point_array(P), n,
                                     orientation_ref=struct.field)
 
 
@@ -305,7 +283,7 @@ class OrientationConvention:
 _ORIENTATION: OrientationConvention | None = None
 
 
-def fix_orientation_sign(force: bool = False) -> OrientationConvention:
+def orientation() -> OrientationConvention:
     """Fix the operator sign from the mean-curvature oracle, once per session.
 
     The unit-slope plane u = y is embedded as a graph and measured with the
@@ -314,10 +292,11 @@ def fix_orientation_sign(force: bool = False) -> OrientationConvention:
     are then asserted: the reduced chart form matches the structure-level
     expression at random points, and for H = 0.5 the residual-zero plane has
     nonnegative slope (the supersolution family consists of positive
-    functions).  Failure raises :class:`OrientationError`.
+    functions).  Failure raises :class:`OrientationError`.  Later calls
+    return the cached convention until :func:`reset_orientation`.
     """
     global _ORIENTATION
-    if _ORIENTATION is not None and not force:
+    if _ORIENTATION is not None:
         return _ORIENTATION
 
     n = 2
@@ -357,10 +336,6 @@ def fix_orientation_sign(force: bool = False) -> OrientationConvention:
 
     _ORIENTATION = conv
     return conv
-
-
-def orientation() -> OrientationConvention:
-    return fix_orientation_sign()
 
 
 def reset_orientation() -> None:
@@ -438,7 +413,7 @@ def verify_reduction(n: int, rng: np.random.Generator) -> float:
     return worst
 
 
-def qh_pointwise(patch: ScalarPatch, P, kind: str, H: float, n: int | None = None,
+def qh_pointwise(patch: ScalarPatch, P, kind: str, H: float, n: int,
                  convention: OrientationConvention | None = None) -> float:
     """Residual of the graph equation at a chart point: s * Q(u) - n H.
 
@@ -449,9 +424,7 @@ def qh_pointwise(patch: ScalarPatch, P, kind: str, H: float, n: int | None = Non
     """
     if abs(H) >= 1:
         raise ValueError(f"|H| must be < 1, got H = {H}")
-    z = _chart_array(P)
-    if n is None:
-        n = z.shape[0]
+    z = _point_array(P)
     conv = convention or orientation()
     if kind == PARABOLIC:
         raw = _reduced_parabolic_value(patch, z, n)
@@ -493,7 +466,7 @@ def _add_flux_divergence(div: np.ndarray, flux: np.ndarray, h, axis: int) -> Non
 
 
 def _face_flux_residual(values: np.ndarray, h, n: int, H: float, sign: int, scale, gamma,
-                        drift, faces, w_at: np.ndarray | None = None) -> np.ndarray:
+                        drift, faces, w_at: np.ndarray | None) -> np.ndarray:
     """The face-flux residual kernel; valid at full-stencil nodes only.
 
         sign * (scale * sum_a D_a(weight_a D_a u / W) - <Du, drift> / W) - n H,
@@ -508,7 +481,7 @@ def _face_flux_residual(values: np.ndarray, h, n: int, H: float, sign: int, scal
     ``values``; any leading axes stack independent grid functions, each
     evaluated with the same arithmetic as on its own.
 
-    With ``w_at`` the slopes inside every W are those of ``w_at``: the
+    Given a ``w_at`` array, the slopes inside every W are those of ``w_at``: the
     result is affine in ``values`` (the Picard linearization frozen at
     ``w_at``) and equals the full residual at ``values = w_at``.
     """

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import barriers, operator, solver
 from .geometry import PARABOLIC
-from .operator import GridFunction, make_grid
+from .operator import GridFunction
 from .solver import DirichletProblem, SolverConfig, SolverDivergence
 
 
@@ -124,6 +124,11 @@ def sinusoid_decay_datum(amplitude: float, period: float, decay: float,
 
 def table_datum(xs, values, c_max: float | None = None) -> BoundaryDatum:
     """Linear interpolation of ``values`` at increasing ``xs``; c_max defaults to max(values)."""
+    rising = np.diff(np.asarray(xs, dtype=float)) > 0
+    if not rising.all():
+        bad = int(np.argmin(rising)) + 1
+        raise ValueError(f"xs must be strictly increasing: xs[{bad}] = {xs[bad]} "
+                         f"follows xs[{bad - 1}] = {xs[bad - 1]}")
     params = {"xs": [float(x) for x in xs], "values": [float(v) for v in values]}
     return BoundaryDatum("table", params, float(c_max if c_max is not None else max(values)))
 
@@ -257,8 +262,7 @@ class PerronConfig:
 # Lifts and sweeps
 # ---------------------------------------------------------------------------
 
-def cmc_lift(u: GridFunction, ball: Ball, H: float,
-             cfg: PerronConfig | None = None) -> GridFunction:
+def cmc_lift(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig) -> GridFunction:
     """Replace u inside one ball by the local solution, combined by maximum.
 
     The ball solve takes its boundary values from the current iterate (and
@@ -271,12 +275,12 @@ def cmc_lift(u: GridFunction, ball: Ball, H: float,
     overshoot without disturbing the fixed point.
     """
     out = u.copy()
-    _lift_inplace(out, ball, H, cfg or PerronConfig())
+    _lift_inplace(out, ball, H, cfg)
     return out
 
 
 def _lift_inplace(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig,
-                  upper: np.ndarray | None = None) -> float:
+                  upper: np.ndarray | None = None) -> None:
     radius = ball.radius
     while True:
         try:
@@ -288,7 +292,7 @@ def _lift_inplace(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig,
 
 
 def _lift_once(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig,
-               upper: np.ndarray | None = None) -> float:
+               upper: np.ndarray | None) -> None:
     shape = u.values.shape
     d = len(shape)
     lo = [max(0, ball.center[k] - ball.radius - 1) for k in range(d)]
@@ -305,7 +309,7 @@ def _lift_once(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig,
     pinned = u.boundary[window]
     mask &= ~pinned
     if not mask.any():
-        return 0.0
+        return
     problem_mask = _dilate(mask)
     problem = DirichletProblem(grid=sub_grid, mask=problem_mask, data=sub_vals,
                                H=H, kind=PARABOLIC)
@@ -317,11 +321,7 @@ def _lift_once(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig,
     lifted = np.maximum(solved.values[interior], sub_vals[interior] - guard)
     if upper is not None:
         lifted = np.minimum(lifted, upper[window][interior])
-    delta = float(np.max(lifted - u.values[window][interior]))
-    patch = u.values[window]
-    patch[interior] = lifted
-    u.values[window] = patch
-    return delta
+    u.values[window][interior] = lifted
 
 
 def _dilate(mask: np.ndarray) -> np.ndarray:
@@ -329,8 +329,7 @@ def _dilate(mask: np.ndarray) -> np.ndarray:
 
 
 def perron_sweep(u: GridFunction, upper: np.ndarray, cover: list, H: float,
-                 cfg: PerronConfig | None = None,
-                 order: np.ndarray | None = None) -> float:
+                 cfg: PerronConfig, order: np.ndarray | None) -> float:
     """One pass of lifts over the cover, in place; returns the sweep increment.
 
     Every lift is clamped below the supersolution values ``upper``.  Raises
@@ -338,7 +337,6 @@ def perron_sweep(u: GridFunction, upper: np.ndarray, cover: list, H: float,
     iterate leaves the sandwich [0, upper] by more than ten times it (a
     discretization inconsistency).
     """
-    cfg = cfg or PerronConfig()
     before = u.values.copy()
     balls = cover if order is None else [cover[i] for i in order]
     for ball in balls:
@@ -374,8 +372,6 @@ class PerronReport:
     min_u: float = math.nan
     max_above_upper: float = math.nan
     converged: bool = False
-    barrier_count: int = 0
-    supersolution_slope: float = 0.0
 
 
 def _face_data(grid: GridFunction, phi, plane: barriers.SupersolutionPlane,
@@ -400,13 +396,10 @@ def _face_data(grid: GridFunction, phi, plane: barriers.SupersolutionPlane,
     y_min = float(grid.axes[-1][0])
     data = np.zeros(shape)
     mask = operator.outer_face_mask(shape)
-    count = int(np.count_nonzero(mask))
-    xs_all = np.stack([m[mask] for m in mesh[:-1]], axis=-1) if len(mesh) > 1 \
-        else np.zeros((count, 0))
     ys_all = mesh[-1][mask]
     bottom = np.isclose(ys_all, y_min)
 
-    first_coord = xs_all[:, 0] if xs_all.shape[1] else np.zeros_like(ys_all)
+    first_coord = mesh[0][mask] if len(mesh) > 1 else np.zeros_like(ys_all)
     vals = np.empty_like(ys_all)
     vals[bottom] = np.asarray(phi(first_coord[bottom]), dtype=float)
     rest = ~bottom
@@ -421,9 +414,8 @@ def _face_data(grid: GridFunction, phi, plane: barriers.SupersolutionPlane,
     return data
 
 
-def run_asymptotic_solve(phi: BoundaryDatum, H: float, grid: GridFunction | None = None,
-                         cfg: PerronConfig | None = None):
-    """Drive the truncated asymptotic problem to the solver tolerance.
+def run_asymptotic_solve(phi: BoundaryDatum, H: float, grid: GridFunction, cfg: PerronConfig):
+    """Drive the truncated asymptotic problem on the box ``grid`` to the solver tolerance.
 
     Returns (GridFunction, PerronReport).  The iterate starts at the zero
     subsolution inside the box and sweeps lifts over ball covers whose
@@ -440,13 +432,10 @@ def run_asymptotic_solve(phi: BoundaryDatum, H: float, grid: GridFunction | None
     which names the sweep, the residual and where it peaks, and the
     increment.
     """
-    cfg = cfg or PerronConfig()
     if abs(H) >= 1:
         raise ValueError(f"|H| must be < 1, got H = {H}")
     if cfg.max_sweeps < 1:
         raise ValueError(f"max_sweeps must be at least 1, got {cfg.max_sweeps}")
-    if grid is None:
-        grid = make_grid(2, 2.0, 0.05, 0.8, 65)
 
     plane = barriers.make_supersolution(phi.c_max, H)
     y_min = float(grid.axes[-1][0])
@@ -474,7 +463,7 @@ def run_asymptotic_solve(phi: BoundaryDatum, H: float, grid: GridFunction | None
     u.values = face.copy()
     u.values[~u.boundary] = 0.0
     upper = plane.c + plane.slope * (grid.meshgrid()[-1] - y_min)
-    report = PerronReport(supersolution_slope=plane.slope, barrier_count=len(stacks))
+    report = PerronReport()
 
     rng = np.random.default_rng(cfg.shuffle_seed) if cfg.shuffle_seed is not None else None
     radius = INITIAL_RADIUS

@@ -282,7 +282,7 @@ class TestUpperCap:
 class TestSubsolutionRecord:
     def test_sign_of_discrete_subsolution_inequality(self):
         stack = ba.build_stack(1.0, 0.9)
-        report = ba.stack_subsolution_report(stack, [0.4, 0.0, -0.4], nodes=49)
+        report = ba.stack_subsolution_report(stack, [0.4, 0.0, -0.4])
         assert report[0.4]["holds"]
         assert report[0.0]["holds"]
         assert not report[-0.4]["holds"]

@@ -296,6 +296,36 @@ class TestEndToEnd:
         err = capsys.readouterr().err
         assert "$." + ".".join(path) + ":" in err, err
 
+    DIRICHLET_MALFORMED = {
+        "radius-not-a-number": ({"mask": {"kind": "ball", "radius": "a"}}, "$.mask.radius"),
+        "center-too-short": ({"mask": {"kind": "ball", "center": [0.0]}}, "$.mask.center"),
+        "radius-negative": ({"mask": {"kind": "ball", "radius": -1}}, "$.mask.radius"),
+        "mask-unknown-key": ({"mask": {"kind": "box", "colour": 1}}, "$.mask.colour"),
+        "family-missing-key": ({"family": {"name": "hemisphere"}}, "$.family.R"),
+        "family-unknown-key": ({"family": {"name": "constant", "c": 0.5, "colour": 1}},
+                               "$.family.colour"),
+    }
+
+    @pytest.mark.parametrize("extra, path", DIRICHLET_MALFORMED.values(),
+                             ids=DIRICHLET_MALFORMED.keys())
+    def test_malformed_dirichlet_spec_is_config_error_naming_its_key(self, tmp_path, capsys,
+                                                                     extra, path):
+        doc = {"mode": "solve-dirichlet", "grid": 17, **extra}
+        config = write_config(tmp_path, doc)
+        assert cli.main(["solve-dirichlet", "--config", config,
+                         "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert path + ":" in err, err
+
+    def test_table_with_decreasing_xs_is_config_error(self, tmp_path, capsys):
+        doc = self.asymptotic_doc()
+        doc["grid"] = 17
+        doc["boundary"] = {"kind": "table", "xs": [1.0, 0.0, -1.0], "values": [0.1, 0.5, 0.3]}
+        config = write_config(tmp_path, doc)
+        assert cli.main(["solve-asymptotic", "--config", config,
+                         "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert "$.boundary: xs must be strictly increasing" in capsys.readouterr().err
+
     def test_non_finite_datum_is_config_error(self, tmp_path, capsys):
         doc = self.asymptotic_doc()
         doc["boundary"] = {"kind": "smooth_step", "lo": 0.2, "hi": 0.8, "width": 0.0}

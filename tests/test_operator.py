@@ -21,11 +21,13 @@ def random_chart_points(rng, count, n=2, x_span=0.5, y_range=(0.3, 1.0)):
 
 class TestOrientation:
     def test_sign_fixed_and_cached(self):
-        conv = op.fix_orientation_sign()
+        conv = op.orientation()
         assert conv.sign in (-1, 1)
-        assert conv is op.fix_orientation_sign()
-        forced = op.fix_orientation_sign(force=True)
-        assert forced.sign == conv.sign
+        assert conv is op.orientation()
+        op.reset_orientation()
+        recomputed = op.orientation()
+        assert recomputed is not conv
+        assert recomputed.sign == conv.sign
 
     def test_plane_measurement(self):
         conv = op.orientation()
@@ -278,12 +280,3 @@ class TestFrozenResidual:
         # away from the freeze point it is not the full residual
         full = op.residual_field(u + w, grid, kind, 0.3, conv)
         assert np.max(np.abs(frozen(u + w) - full)) > 1e-3
-
-
-class TestScalarPatch:
-    def test_fd_fallback_matches_analytic(self):
-        analytic = op.exact_patch("hemisphere", t=0.1, R=1.7)
-        bare = op.ScalarPatch(analytic.value)
-        z = np.array([0.3, 0.8])
-        assert np.allclose(bare.grad(z), analytic.grad(z), atol=1e-9)
-        assert np.allclose(bare.hess(z), analytic.hess(z), atol=1e-6)

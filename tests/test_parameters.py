@@ -1,13 +1,17 @@
-"""Unset-parameter guard: every defaulted parameter of a package function has a caller that sets it.
+"""Default guards: every defaulted parameter of a package function is set by some call and left by another.
 
 A parameter no call ever passes is a knob that does nothing: its default is
 the only value the code runs with, so it belongs in the body or in a module
-constant.  Calls are matched by function name across the package, the tests
-and the benchmark; ``functools.partial(fn, ...)`` counts as a call of ``fn``.
+constant.  A parameter every call passes has a default no call relies on,
+so it is a required parameter.  Calls are matched by function name across
+the package, the tests and the benchmark; ``functools.partial(fn, ...)``
+counts as a call of ``fn``.
 """
 
 import ast
 import pathlib
+
+from plateau_hyp.perron import DATUM_KINDS
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "plateau_hyp"
@@ -82,3 +86,18 @@ def test_every_defaulted_parameter_is_set_by_some_caller():
                    for count, keywords, unpacks in calls):
             unset.append(f"{where}({param})")
     assert not unset, f"{len(unset)} defaulted parameters no caller sets: {', '.join(unset)}"
+
+
+def test_every_defaulted_parameter_is_left_to_its_default_by_some_caller():
+    # the datum constructors' defaults are the CLI's boundary-config defaults
+    exempt = {constructor.__name__ for constructor in DATUM_KINDS.values()}
+    sites = call_sites(_trees(CALLER_DIRS))
+    always = []
+    for where, name, param, index in defaulted_parameters(_trees((PACKAGE,))):
+        calls = sites.get(name, [])
+        if name in exempt or not calls:
+            continue
+        if all(not unpacks and (param in keywords or (index is not None and count > index))
+               for count, keywords, unpacks in calls):
+            always.append(f"{where}({param})")
+    assert not always, f"{len(always)} defaulted parameters every call passes: {', '.join(always)}"

@@ -61,6 +61,12 @@ class TestBoundaryData:
         assert phi.c_max == 0.5 and abs(phi(0.5) - 0.4) < 1e-14
         assert pe.table_datum([-1.0, 1.0], [0.1, 0.3], c_max=2.0).c_max == 2.0
 
+    @pytest.mark.parametrize("xs, bad", [([1.0, 0.0, -1.0], 1), ([-1.0, 0.0, 0.0], 2)])
+    def test_table_datum_rejects_xs_not_increasing(self, xs, bad):
+        # np.interp assumes increasing abscissae: [1, 0, -1] read 0.3 at x = 0, not 0.5
+        with pytest.raises(ValueError, match=rf"strictly increasing: xs\[{bad}\]"):
+            pe.table_datum(xs, [0.1, 0.5, 0.3])
+
     def test_non_finite_datum_rejected_at_its_x(self):
         # a zero-width step is 0/0 at its center: NaN there, which no window check catches
         with pytest.raises(ValueError, match=r"not finite at x = 0\.0"):
