@@ -208,7 +208,8 @@ def _parse_boundary(spec, path: str) -> dict:
     _require(isinstance(spec, dict), path, "must be an object")
     kinds = perron.DATUM_KINDS
     kind = spec.get("kind")
-    _require(kind in kinds, f"{path}.kind", f"must be one of {sorted(kinds)}")
+    _require(isinstance(kind, str) and kind in kinds, f"{path}.kind",
+             f"must be one of {sorted(kinds)}")
     allowed = {"kind", *inspect.signature(kinds[kind]).parameters}
     for key, value in spec.items():
         _require(key in allowed, f"{path}.{key}", "unknown key")
@@ -371,7 +372,8 @@ def _perron_cfg(cfg: RunConfig) -> PerronConfig:
 def _run_solve_asymptotic(cfg: RunConfig, report: DiagnosticsReport, out_dir: str) -> None:
     phi = build_datum(cfg.boundary)
     u, prun = perron.run_asymptotic_solve(phi, cfg.H, _grid_from_cfg(cfg), _perron_cfg(cfg))
-    report.add("perron.converged", prun.converged, prun.final_residual, cfg.solver["tol"],
+    report.add("perron.converged", prun.final_residual <= cfg.solver["tol"],
+               prun.final_residual, cfg.solver["tol"],
                "monotone lift iteration between the zero subsolution and the plane")
     low, high = prun.min_u, prun.max_above_upper
     slack = 10 * cfg.solver["tol"]

@@ -234,6 +234,23 @@ class TestEndToEnd:
         check = next(c for c in report["checks"] if c["name"] == "perron.sandwich")
         assert check["status"] == "FAIL" and check["value"][0] == -1.0
 
+    def test_residual_above_tolerance_fails_the_converged_check(self, tmp_path, monkeypatch):
+        solve = cli.perron.run_asymptotic_solve
+        tol = self.asymptotic_doc()["solver"]["tol"]
+
+        def unconverged(*args, **kwargs):
+            u, rep = solve(*args, **kwargs)
+            rep.final_residual = 10 * tol
+            return u, rep
+
+        monkeypatch.setattr(cli.perron, "run_asymptotic_solve", unconverged)
+        config = write_config(tmp_path, self.asymptotic_doc())
+        assert cli.main(["solve-asymptotic", "--config", config,
+                         "--out-dir", str(tmp_path)]) == cli.EXIT_CHECK
+        report = json.loads((tmp_path / "report.json").read_text())
+        check = next(c for c in report["checks"] if c["name"] == "perron.converged")
+        assert check["status"] == "FAIL" and check["value"] == 10 * tol
+
     def test_constant_data_match_plane_through_datum(self, tmp_path):
         # for H != 0 the solution is the equidistant plane through the datum
         # on the bottom face, c + slope * (y - y_min)
@@ -276,6 +293,10 @@ class TestEndToEnd:
         ("solve-asymptotic", ("solver", "max_sweeps"), 0),
         ("solve-asymptotic", ("outputs", "csv"), 3),
         ("solve-asymptotic", ("boundary", "c"), "0.4"),
+        ("solve-asymptotic", ("boundary", "kind"), [1]),
+        ("solve-asymptotic", ("boundary", "kind"), {"name": "constant"}),
+        ("compare", ("boundary_2", "kind"), [1]),
+        ("compare", ("boundary_2", "kind"), {"name": "constant"}),
         ("solve-dirichlet", ("mask",), "ball"),
         ("barrier", ("l",), "1"),
     ]

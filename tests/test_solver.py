@@ -183,6 +183,25 @@ class TestFactorization:
         assert rep.iterations > newton_assemblies >= 1  # some Jacobians served several steps
         assert counts["factorizations"] == counts["assemblies"]
 
+    def test_sparse_factors_order_for_the_symmetric_stencil_pattern(self):
+        # 63^2 unknowns take the sparse branch; minimum degree on A + A^T
+        # fills at most 3/4 of what SuperLU's default COLAMD ordering does
+        # (about 2/3 measured), with the same step
+        problem = hemisphere_problem(65)
+        interior = problem.interior_mask()
+        values = sv.linearized_start(problem)
+        resid = sv._residual_fn(problem)
+        F = resid(values)
+        J = sv._cached_builder(values.shape, interior).assemble(values, resid, F)
+        assert sv.sp.issparse(J)
+        solve = sv._factorize(J)
+        lu = solve.__self__
+        colamd = sv.spla.splu(J.tocsc(), permc_spec="COLAMD")
+        assert lu.L.nnz + lu.U.nnz <= 0.75 * (colamd.L.nnz + colamd.U.nnz)
+        rhs = -F[interior]
+        reference = colamd.solve(rhs)
+        assert np.max(np.abs(solve(rhs) - reference)) <= 1e-12 * np.max(np.abs(reference))
+
 
 def one_node_jacobian(values, interior, resid, eps):
     """FD Jacobian perturbing one interior node per residual evaluation."""
