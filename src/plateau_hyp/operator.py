@@ -26,25 +26,33 @@ discretizes the residual for every structure:
     W^2 = g + |Du|^2,
 
 with normal differences and averaged tangential slopes on the cell faces and
-centered gradients at the nodes.  A structure supplies only coefficient
-data: g, the node scale and the drift at the nodes, g and the flux weight on
-the faces.  The translation structure passes the constants g = 1, weight 1,
-drift n on the height axis and the scale y (:func:`residual_field_parabolic`,
-exact on constants and tilted planes); the dilation structure passes
-gamma / y^2, the height powers y^{1-n} and y^n and its drift, with gamma
-and the drift read from ``KillingStructure.chart_gamma`` and
-``chart_drift``, the one source of Killing data
-(:func:`residual_field_chart`).  Given ``w_at``, the kernel takes the slopes
-inside W from that grid function: the Picard linearization, affine in u, for
-either structure.  :func:`residual_field` is the one dispatch on the
-structure.
+centered differences at the nodes.  It evaluates the inner block, the nodes
+with a full 3^d stencil, and every other node reads 0.  Its index tuples
+come from a plan built once per number of axes (:func:`_slice_plan`), and
+its floating-point operations run in one fixed order, so its outputs are
+reproducible bit for bit.  A structure supplies only coefficient data
+(:class:`FluxCoefficients`), restricted to the inner block and the face
+blocks: g, the node scale and the drift at the nodes, g and the flux weight
+on the faces.  The translation structure passes the constants g = 1,
+weight 1, drift n on the height axis and the scale y
+(:func:`parabolic_coefficients`, exact on constants and tilted planes); the
+dilation structure passes gamma / y^2, the height powers y^{1-n} and y^n
+and its drift, with gamma and the drift read from
+``KillingStructure.chart_gamma`` and ``chart_drift``, the one source of
+Killing data (:func:`chart_coefficients`).  :func:`residual_field_parabolic`
+and :func:`residual_field_chart` are the two entry points.  Given ``w_at``,
+the kernel takes the slopes inside W from that grid function: the Picard
+linearization, affine in u, for either structure.
+:func:`residual_evaluator` is the one dispatch on the structure; it forms
+the coefficients once for all evaluations on a grid.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -437,101 +445,93 @@ def qh_pointwise(patch: ScalarPatch, P, kind: str, H: float, n: int,
 # Grid residual
 # ---------------------------------------------------------------------------
 
-def _axis_slice(d: int, axis: int, sl: slice) -> tuple:
-    """Index taking ``sl`` along grid ``axis`` of the trailing ``d`` axes."""
-    idx = [slice(None)] * d
-    idx[axis] = sl
-    return (Ellipsis, *idx)
+def _index(d: int, fill: slice, at: dict) -> tuple:
+    """Index of the trailing ``d`` axes: ``at[axis]`` on the listed axes, ``fill`` elsewhere."""
+    return (Ellipsis, *(at.get(axis, fill) for axis in range(d)))
+
+
+class _SlicePlan(NamedTuple):
+    """The kernel's index tuples for ``d`` grid axes (see :func:`_slice_plan`)."""
+
+    inner: tuple           # the inner block: the full-stencil nodes
+    centered: tuple        # per axis b, (hi, lo) of the centered difference, all rows of the others
+    inner_centered: tuple  # per axis b, (hi, lo) of the centered difference on the inner block
+    along: tuple           # per axis a, all rows of a and inner rows of the others
+    normal: tuple          # per axis a, (hi, lo) of the normal difference on the faces of a
+    tangential: tuple      # per axis a, (b, lo, hi) of each centered difference at the face ends
+    flux: tuple            # per axis a, (hi, lo) of the difference of face values along a
+
+
+@functools.lru_cache(maxsize=None)
+def _slice_plan(d: int) -> _SlicePlan:
+    """Index tuples of the face-flux kernel on ``d`` grid axes, built once per ``d``.
+
+    The faces of axis a that the kernel evaluates are those between inner
+    rows of every other axis (the face block of a).  ``along[a]`` restricts
+    an array to that block when its axis a already holds only the needed
+    rows: a centered difference along a to the inner block, or a face array
+    of a to the face block.
+    """
+    full, mid = slice(None), slice(1, -1)
+    head, tail, upper, lower = slice(1, None), slice(None, -1), slice(2, None), slice(None, -2)
+    axes = range(d)
+    return _SlicePlan(
+        inner=_index(d, mid, {}),
+        centered=tuple((_index(d, full, {b: upper}), _index(d, full, {b: lower})) for b in axes),
+        inner_centered=tuple((_index(d, mid, {b: upper}), _index(d, mid, {b: lower}))
+                             for b in axes),
+        along=tuple(_index(d, mid, {a: full}) for a in axes),
+        normal=tuple((_index(d, mid, {a: head}), _index(d, mid, {a: tail})) for a in axes),
+        tangential=tuple(tuple((b, _index(d, mid, {a: tail, b: full}),
+                                _index(d, mid, {a: head, b: full}))
+                               for b in axes if b != a) for a in axes),
+        flux=tuple((_index(d, full, {a: head}), _index(d, full, {a: tail})) for a in axes),
+    )
 
 
 def _centered_gradients(values: np.ndarray, h) -> list[np.ndarray]:
-    """Centered differences per grid axis (trailing ``len(h)`` axes), zero on the edges."""
-    d = len(h)
-    grads = []
-    for b in range(d):
-        cb = np.zeros_like(values)
-        cb[_axis_slice(d, b, slice(1, -1))] = (
-            values[_axis_slice(d, b, slice(2, None))]
-            - values[_axis_slice(d, b, slice(None, -2))]) / (2 * h[b])
-        grads.append(cb)
-    return grads
+    """Centered differences per grid axis (trailing ``len(h)`` axes) on the inner block."""
+    return [(values[hi] - values[lo]) / (2 * h[b])
+            for b, (hi, lo) in enumerate(_slice_plan(len(h)).inner_centered)]
 
 
-def _add_flux_divergence(div: np.ndarray, flux: np.ndarray, h, axis: int) -> None:
-    """Accumulate the face-flux difference along ``axis`` at the inner nodes."""
-    d = len(h)
-    div[_axis_slice(d, axis, slice(1, -1))] += (
-        flux[_axis_slice(d, axis, slice(1, None))]
-        - flux[_axis_slice(d, axis, slice(None, -1))]) / h[axis]
+@dataclass(frozen=True)
+class FluxCoefficients:
+    """A structure's coefficient data for :func:`_face_flux_residual`.
 
-
-def _face_flux_residual(values: np.ndarray, h, n: int, H: float, sign: int, scale, gamma,
-                        drift, faces, w_at: np.ndarray | None) -> np.ndarray:
-    """The face-flux residual kernel; valid at full-stencil nodes only.
-
-        sign * (scale * sum_a D_a(weight_a D_a u / W) - <Du, drift> / W) - n H,
-        W^2 = g + |Du|^2.
-
-    On the faces of axis a, D_a u is the normal difference, the tangential
-    slopes are averaged from the centered node gradients, and g and the flux
-    weight are the pair ``faces[a]`` (weight ``None`` for 1).  At the nodes
-    the slopes are the centered gradients, g is ``gamma`` and ``drift``
-    lists (axis, coefficient) pairs, at least one.  Coefficients broadcast
-    against the grid, which occupies the trailing ``len(h)`` axes of
-    ``values``; any leading axes stack independent grid functions, each
-    evaluated with the same arithmetic as on its own.
-
-    Given a ``w_at`` array, the slopes inside every W are those of ``w_at``: the
-    result is affine in ``values`` (the Picard linearization frozen at
-    ``w_at``) and equals the full residual at ``values = w_at``.
+    ``scale``, ``gamma`` and the drift coefficients (``drift`` lists
+    (axis, coefficient) pairs, at least one) hold their values on the inner
+    block; ``faces[a]`` is the pair (g, flux weight) on the face block of
+    axis a, weight ``None`` for 1.  Arrays broadcast against those blocks;
+    scalars stand for constants.
     """
-    d = len(h)
-    grads = _centered_gradients(values, h)
-    w_at, w_grads = (values, grads) if w_at is None else (w_at, _centered_gradients(w_at, h))
-    div = np.zeros_like(values)
-    for a, (face_gamma, weight) in enumerate(faces):
-        lo = _axis_slice(d, a, slice(None, -1))
-        hi = _axis_slice(d, a, slice(1, None))
-        wn = np.diff(w_at, axis=a - d) / h[a]
-        dn = wn if w_at is values else np.diff(values, axis=a - d) / h[a]
-        t2 = 0.0
-        for b in range(d):
-            if b != a:
-                t2 = t2 + (0.5 * (w_grads[b][lo] + w_grads[b][hi])) ** 2
-        w = np.sqrt(face_gamma + wn**2 + t2)
-        _add_flux_divergence(div, (dn if weight is None else weight * dn) / w, h, a)
-    w_c = np.sqrt(gamma + sum(g**2 for g in w_grads))
-    (b, c), *rest = drift
-    pairing = grads[b] * c
-    for b, c in rest:
-        pairing = pairing + grads[b] * c
-    return sign * (scale * div - pairing / w_c) - n * H
+
+    scale: np.ndarray | float
+    gamma: np.ndarray | float
+    drift: tuple
+    faces: tuple
 
 
-def residual_field_parabolic(values: np.ndarray, y_grid: np.ndarray, h, n: int,
-                             H: float, sign: int, w_at: np.ndarray | None = None) -> np.ndarray:
-    """Translation-structure residual y div_E(Du/W) - n u_y/W on the grid.
+def parabolic_coefficients(y_grid: np.ndarray, n: int) -> FluxCoefficients:
+    """Translation structure: g = 1, weight 1, the drift n on the height axis, scale y.
 
-    The kernel with g = 1, weight 1, the drift n on the height axis and the
-    scale y; ``y_grid`` broadcasts against the grid axes.
+    ``y_grid`` is the height column shaped to broadcast against the grid
+    (:meth:`GridFunction.y_grid`).
     """
-    return _face_flux_residual(values, h, n, H, sign, y_grid, 1.0, ((len(h) - 1, n),),
-                               ((1.0, None),) * len(h), w_at)
+    d = y_grid.ndim
+    return FluxCoefficients(scale=y_grid[..., 1:-1], gamma=1.0, drift=((d - 1, n),),
+                            faces=((1.0, None),) * d)
 
 
-def residual_field_chart(values: np.ndarray, axes, h, n: int, H: float, sign: int,
-                         w_at: np.ndarray | None = None) -> np.ndarray:
-    """Dilation-structure residual on the grid.
+def chart_coefficients(axes, n: int) -> FluxCoefficients:
+    """Dilation structure: g = gamma / y^2, weight y^{1-n}, scale y^n, drift (gamma / y) * drift.
 
-    Conservative form y^n d_j(y^{2-n} u_j / Wtil) - (gamma / Wtil) <Du, drift>
-    with Wtil^2 = gamma + y^2 |Du|^2, where gamma and the drift are the
-    dilation structure's ``chart_gamma`` and ``chart_drift``, pulled back
-    from the hemisphere slice.  With W = Wtil / y this is the kernel with
-    g = gamma / y^2, the face weight y^{1-n}, the scale y^n and the drift
-    gamma / y times the chart drift, evaluated once on the stacked node and
-    face meshes and broadcast over any batch axes.
+    gamma and the drift are ``KillingStructure.chart_gamma`` and
+    ``chart_drift``, evaluated once on the stacked node mesh and once per
+    axis on the face mesh, then restricted to the blocks the kernel reads.
     """
-    d = len(h)
+    d = len(axes)
+    plan = _slice_plan(d)
     struct = killing_structure(HYPERBOLIC)
     nodes = np.stack(np.meshgrid(*axes, indexing="ij"))  # coordinate-first, (d, ...)
     y = nodes[-1]
@@ -539,27 +539,134 @@ def residual_field_chart(values: np.ndarray, axes, h, n: int, H: float, sign: in
     drift = struct.chart_drift(nodes)
     faces = []
     for a in range(d):
-        face = 0.5 * (nodes[_axis_slice(d, a, slice(None, -1))]
-                      + nodes[_axis_slice(d, a, slice(1, None))])
-        faces.append((struct.chart_gamma(face) / face[-1] ** 2, face[-1] ** (1 - n)))
-    return _face_flux_residual(values, h, n, H, sign, y**n, gamma_y / y,
-                               [(b, gamma_y * drift[b]) for b in range(d)], faces, w_at)
+        hi, lo = plan.flux[a]
+        face = 0.5 * (nodes[lo] + nodes[hi])
+        block = plan.along[a]
+        faces.append(((struct.chart_gamma(face) / face[-1] ** 2)[block],
+                      (face[-1] ** (1 - n))[block]))
+    inner = plan.inner
+    return FluxCoefficients(scale=(y**n)[inner], gamma=(gamma_y / y)[inner],
+                            drift=tuple((b, (gamma_y * drift[b])[inner]) for b in range(d)),
+                            faces=tuple(faces))
 
 
-def residual_field(values: np.ndarray, grid: GridFunction, kind: str, H: float,
-                   conv: OrientationConvention, w_at: np.ndarray | None = None) -> np.ndarray:
-    """Residual of ``values`` on the grid for the ``kind`` structure.
+def _face_flux_residual(values: np.ndarray, h, n: int, H: float, sign: int,
+                        coefficients: FluxCoefficients, w_at: np.ndarray | None) -> np.ndarray:
+    """The face-flux residual kernel, evaluated on the inner block; 0 at every other node.
 
+        sign * (scale * sum_a D_a(weight_a D_a u / W) - <Du, drift> / W) - n H,
+        W^2 = g + |Du|^2.
+
+    The inner block is the full-stencil nodes.  On the faces of axis a
+    between inner rows of the other axes, D_a u is the normal difference,
+    the tangential slopes are averaged from the centered node differences,
+    and g and the flux weight are ``coefficients.faces[a]``.  At the nodes
+    the slopes are the centered differences.  The grid occupies the trailing
+    ``len(h)`` axes of ``values``; any leading axes stack independent grid
+    functions, each evaluated with the same arithmetic as on its own.
+
+    The float operations run in a fixed order, so that every output is
+    bitwise reproducible: on a face, the tangential sum t^2 is formed in
+    axis order and then added to g + (D_a u)^2; the divergence accumulates
+    axis 0, then 1, then 2; at a node, W = sqrt(g + ((u_0^2 + u_1^2) + u_2^2)).
+
+    Given a ``w_at`` array, the slopes inside every W are those of ``w_at``: the
+    result is affine in ``values`` (the Picard linearization frozen at
+    ``w_at``) and equals the full residual at ``values = w_at``.
+    """
+    plan = _slice_plan(len(h))
+    w = values if w_at is None else w_at
+    slopes = [(w[hi] - w[lo]) / (2 * h[b]) for b, (hi, lo) in enumerate(plan.centered)]
+    div = None
+    for a, (face_gamma, weight) in enumerate(coefficients.faces):
+        hi, lo = plan.normal[a]
+        wn = (w[hi] - w[lo]) / h[a]
+        dn = wn if w_at is None else (values[hi] - values[lo]) / h[a]
+        t2 = [(0.5 * (slopes[b][lo_b] + slopes[b][hi_b])) ** 2
+              for b, lo_b, hi_b in plan.tangential[a]] or [0.0]  # 0.0: one axis
+        # one expression, so that numpy reuses its temporaries' buffers
+        flux = (dn if weight is None else weight * dn) / np.sqrt(
+            face_gamma + wn**2 + sum(t2[1:], t2[0]))
+        hi, lo = plan.flux[a]
+        term = (flux[hi] - flux[lo]) / h[a]
+        div = term if div is None else div + term
+    node = [s[block] for s, block in zip(slopes, plan.along)]
+    w_c = np.sqrt(coefficients.gamma + sum((g**2 for g in node[1:]), node[0] ** 2))
+    grads = node if w_at is None else _centered_gradients(values, h)
+    (b, c), *rest = coefficients.drift
+    pairing = grads[b] * c
+    for b, c in rest:
+        pairing = pairing + grads[b] * c
+    del slopes, node, grads  # free the slopes before the output is allocated
+    out = np.zeros(values.shape)
+    out[plan.inner] = sign * (coefficients.scale * div - pairing / w_c) - n * H
+    return out
+
+
+def residual_field_parabolic(values: np.ndarray, y_grid: np.ndarray, h, n: int,
+                             H: float, sign: int, w_at: np.ndarray | None = None,
+                             coefficients: FluxCoefficients | None = None) -> np.ndarray:
+    """Translation-structure residual y div_E(Du/W) - n u_y/W on the grid.
+
+    The kernel with :func:`parabolic_coefficients`; ``y_grid`` broadcasts
+    against the grid axes.  A caller evaluating many times on one grid
+    passes those coefficients, formed once, as ``coefficients``.
+    """
+    if coefficients is None:
+        coefficients = parabolic_coefficients(y_grid, n)
+    return _face_flux_residual(values, h, n, H, sign, coefficients, w_at)
+
+
+def residual_field_chart(values: np.ndarray, axes, h, n: int, H: float, sign: int,
+                         w_at: np.ndarray | None = None,
+                         coefficients: FluxCoefficients | None = None) -> np.ndarray:
+    """Dilation-structure residual on the grid.
+
+    Conservative form y^n d_j(y^{2-n} u_j / Wtil) - (gamma / Wtil) <Du, drift>
+    with Wtil^2 = gamma + y^2 |Du|^2, where gamma and the drift are the
+    dilation structure's ``chart_gamma`` and ``chart_drift``, pulled back
+    from the hemisphere slice.  With W = Wtil / y this is the kernel with
+    :func:`chart_coefficients`, broadcast over any batch axes.  A caller
+    evaluating many times on one grid passes those coefficients, formed
+    once, as ``coefficients``.
+    """
+    if coefficients is None:
+        coefficients = chart_coefficients(axes, n)
+    return _face_flux_residual(values, h, n, H, sign, coefficients, w_at)
+
+
+def residual_evaluator(grid: GridFunction, kind: str, H: float, conv: OrientationConvention):
+    """``resid(values, w_at=None)``: the residual on ``grid`` for the ``kind`` structure.
+
+    The one dispatch on the structure.  The spacing and the structure's
+    coefficients are formed here, once, and every evaluation reuses them.
     Leading axes of ``values`` beyond the grid's are a batch; ``w_at``
     freezes the W factors there (see :func:`_face_flux_residual`).  Calls go
     through the module attributes ``residual_field_parabolic`` and
     ``residual_field_chart``, so wrapping those sees every evaluation.
     """
-    h = grid.spacing
-    n = grid.ndim
+    h, n, sign, axes = grid.spacing, grid.ndim, conv.sign, grid.axes
     if kind == PARABOLIC:
-        return residual_field_parabolic(values, grid.y_grid(), h, n, H, conv.sign, w_at)
-    return residual_field_chart(values, grid.axes, h, n, H, conv.sign, w_at)
+        y_grid = grid.y_grid()
+        coefficients = parabolic_coefficients(y_grid, n)
+
+        def resid(values, w_at=None):
+            return residual_field_parabolic(values, y_grid, h, n, H, sign, w_at, coefficients)
+    else:
+        coefficients = chart_coefficients(axes, n)
+
+        def resid(values, w_at=None):
+            return residual_field_chart(values, axes, h, n, H, sign, w_at, coefficients)
+    return resid
+
+
+def residual_field(values: np.ndarray, grid: GridFunction, kind: str, H: float,
+                   conv: OrientationConvention, w_at: np.ndarray | None = None) -> np.ndarray:
+    """Residual of ``values`` on the grid for the ``kind`` structure, one evaluation.
+
+    See :func:`residual_evaluator`, which repeated evaluations should use.
+    """
+    return residual_evaluator(grid, kind, H, conv)(values, w_at)
 
 
 def qh_residual_grid(u: GridFunction, kind: str, H: float,
@@ -576,8 +683,6 @@ def qh_residual_grid(u: GridFunction, kind: str, H: float,
     res = residual_field(u.values, u, kind, H, convention or orientation())
     out = u.copy()
     out.values = np.where(u.boundary, 0.0, res)
-    # nodes missing a full stencil are treated as boundary for the residual
-    edge = outer_face_mask(u.values.shape)
-    out.values[edge] = 0.0
-    out.boundary = u.boundary | edge
+    # nodes missing a full stencil (where the kernel reads 0) are boundary
+    out.boundary = u.boundary | outer_face_mask(u.values.shape)
     return out

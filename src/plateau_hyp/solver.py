@@ -108,7 +108,7 @@ def stencil_reduce(mask: np.ndarray, op) -> np.ndarray:
     out = np.zeros(tuple(s + 2 for s in mask.shape), dtype=bool)
     out[(slice(1, -1),) * d] = mask
     for a in range(d):
-        lo, mid, hi = (operator._axis_slice(d, a, sl)
+        lo, mid, hi = (operator._index(d, slice(None), {a: sl})
                        for sl in (slice(None, -2), slice(1, -1), slice(2, None)))
         out = op(op(out[lo], out[mid]), out[hi])
     return out
@@ -236,15 +236,18 @@ def _factorize(J):
 
 
 def _residual_fn(problem: DirichletProblem):
-    """``resid(v, w_at=None)``: the problem's residual field under the orientation."""
-    conv = operator.orientation()
+    """``resid(v, w_at=None)``: the problem's residual field under the orientation.
 
-    def resid(v, w_at=None):
-        return operator.residual_field(v, problem.grid, problem.kind, problem.H, conv, w_at)
-    return resid
+    The spacing and the structure's coefficients are formed here, once per
+    solve (:func:`solve_dirichlet` hands its ``resid`` to
+    :func:`linearized_start`).  Nothing is kept past the solve, so repeated
+    solves of one problem each pay the same set-up.
+    """
+    return operator.residual_evaluator(problem.grid, problem.kind, problem.H,
+                                       operator.orientation())
 
 
-def linearized_start(problem: DirichletProblem) -> np.ndarray:
+def linearized_start(problem: DirichletProblem, resid=None) -> np.ndarray:
     """Warm start: the solution of the problem's own operator linearized about a plane.
 
     W is frozen at the slopes of the equidistant plane a y, with
@@ -254,14 +257,15 @@ def linearized_start(problem: DirichletProblem) -> np.ndarray:
     factors refines away the rounding of the first.  Data sampled from an
     equidistant plane are reproduced exactly.  The matrix is assembled by
     the cached builder that Newton then reuses; a singular one leaves the
-    interior at zero.
+    interior at zero.  ``resid`` is the solve's :func:`_residual_fn`, when
+    it has one already.
     """
     interior = problem.interior_mask()
     values = problem.data.copy()
     values[interior] = 0.0
     slope = operator.orientation().solution_slope(problem.H)
     plane = slope * problem.grid.meshgrid()[-1]
-    frozen = functools.partial(_residual_fn(problem), w_at=plane)
+    frozen = functools.partial(resid or _residual_fn(problem), w_at=plane)
     F = frozen(values)
     solve = _factorize_frozen(_cached_builder(values.shape, interior), values, frozen, F)
     step = solve(-F[interior])
@@ -299,13 +303,13 @@ def solve_dirichlet(problem: DirichletProblem, cfg: SolverConfig | None = None,
     interior = problem.interior_mask()
     boundary = problem.boundary_mask()
 
+    resid = _residual_fn(problem)
     if initial is None:
-        values = linearized_start(problem)
+        values = linearized_start(problem, resid)
     else:
         values = np.asarray(initial, dtype=float).copy()
         values[boundary] = problem.data[boundary]
     values[~problem.mask] = 0.0
-    resid = _residual_fn(problem)
 
     report = SolveReport()
     F = resid(values)
@@ -446,8 +450,10 @@ def gradient_diagnostic(u: GridFunction, problem: DirichletProblem) -> list:
         arg = 1.0 + diff2 / (2.0 * pp[:, None, -1] * bpts[None, :, -1])
         dmin[start:start + chunk] = np.arccosh(np.maximum(arg, 1.0)).min(axis=1)
 
+    # interior nodes have a full stencil, so they all lie in the inner block
     grads = operator._centered_gradients(u.values, u.spacing)
-    gnorm = np.sqrt(sum(g**2 for g in grads))[interior]
+    inner = operator._slice_plan(u.ndim).inner
+    gnorm = np.sqrt(sum(g**2 for g in grads))[interior[inner]]
 
     rmax = float(np.max(dmin))
     out = []

@@ -251,6 +251,27 @@ class TestEndToEnd:
         check = next(c for c in report["checks"] if c["name"] == "perron.converged")
         assert check["status"] == "FAIL" and check["value"] == 10 * tol
 
+    def test_dirichlet_residual_above_tolerance_fails_the_converged_check(self, tmp_path,
+                                                                           monkeypatch):
+        doc = {"mode": "solve-dirichlet", "H": 0.0, "grid": 17,
+               "domain": {"L": 0.5, "y_min": 0.2, "y_max": 1.0},
+               "family": {"name": "hemisphere", "t": 0.0, "R": 1.2}}
+        solve = cli.solver.solve_dirichlet
+        tol = cli.parse_config(doc).solver["tol"]
+
+        def unconverged(*args, **kwargs):
+            u, rep = solve(*args, **kwargs)
+            rep.final_residual = 10 * tol
+            return u, rep
+
+        monkeypatch.setattr(cli.solver, "solve_dirichlet", unconverged)
+        config = write_config(tmp_path, doc)
+        assert cli.main(["solve-dirichlet", "--config", config,
+                         "--out-dir", str(tmp_path)]) == cli.EXIT_CHECK
+        report = json.loads((tmp_path / "report.json").read_text())
+        check = next(c for c in report["checks"] if c["name"] == "dirichlet.converged")
+        assert check["status"] == "FAIL" and check["value"] == 10 * tol
+
     def test_constant_data_match_plane_through_datum(self, tmp_path):
         # for H != 0 the solution is the equidistant plane through the datum
         # on the bottom face, c + slope * (y - y_min)

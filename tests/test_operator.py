@@ -1,5 +1,6 @@
 """Operator residual against the independent shape-operator oracle."""
 
+import itertools
 import math
 
 import numpy as np
@@ -280,3 +281,87 @@ class TestFrozenResidual:
         # away from the freeze point it is not the full residual
         full = op.residual_field(u + w, grid, kind, 0.3, conv)
         assert np.max(np.abs(frozen(u + w) - full)) > 1e-3
+
+
+def _loop_face_flux_residual(u, w, axes, kind, n, H, sign):
+    """The face-flux formula node by node, with coefficients read pointwise.
+
+    At each full-stencil node p: sign * (scale * sum_a (F_a(p) - F_a(p - e_a)) / h_a
+    - <Du, drift> / W) - n H, where F_a(q) = weight (u(q + e_a) - u(q)) / h_a / W_f
+    on the face between q and q + e_a, whose W_f^2 is g + the squared normal
+    difference of w + the squares of w's tangential slopes, each the mean
+    of the centered slopes at q and q + e_a.  Every other node is 0.
+    """
+    d = u.ndim
+    h = [float(a[1] - a[0]) for a in axes]
+    struct = ge.killing_structure(kind)
+    unit = np.eye(d, dtype=int)
+
+    def point(q):
+        return np.array([axes[k][q[k]] for k in range(d)])
+
+    def slope(f, q, b):
+        return (f[tuple(q + unit[b])] - f[tuple(q - unit[b])]) / (2 * h[b])
+
+    def node_coefficients(z):
+        # scale, g and the drift coefficients at a node
+        if kind == PARABOLIC:
+            drift = np.zeros(d)
+            drift[-1] = n
+            return z[-1], 1.0, drift
+        gamma = struct.chart_gamma(z)
+        return z[-1] ** n, gamma / z[-1] ** 2, gamma / z[-1] * struct.chart_drift(z)
+
+    def face_coefficients(z):
+        # g and the flux weight on a face
+        if kind == PARABOLIC:
+            return 1.0, 1.0
+        return struct.chart_gamma(z) / z[-1] ** 2, z[-1] ** (1 - n)
+
+    def flux(q, a):
+        g, weight = face_coefficients(0.5 * (point(q) + point(q + unit[a])))
+        normal = (w[tuple(q + unit[a])] - w[tuple(q)]) / h[a]
+        tangential = sum((0.5 * (slope(w, q, b) + slope(w, q + unit[a], b))) ** 2
+                         for b in range(d) if b != a)
+        W = math.sqrt(g + normal**2 + tangential)
+        return weight * (u[tuple(q + unit[a])] - u[tuple(q)]) / h[a] / W
+
+    out = np.zeros(u.shape)
+    for p in itertools.product(*(range(1, s - 1) for s in u.shape)):
+        p = np.array(p)
+        scale, g, drift = node_coefficients(point(p))
+        div = sum((flux(p, a) - flux(p - unit[a], a)) / h[a] for a in range(d))
+        W = math.sqrt(g + sum(slope(w, p, b) ** 2 for b in range(d)))
+        pairing = sum(slope(u, p, b) * drift[b] for b in range(d))
+        out[tuple(p)] = sign * (scale * div - pairing / W) - n * H
+    return out
+
+
+class TestKernelOracle:
+    """The kernel against a per-node loop of its formula, on a 4-stack batch."""
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("kind", [PARABOLIC, HYPERBOLIC])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_per_node_loop(self, n, kind, frozen):
+        # unequal node counts and spacings per axis catch an axis mix-up
+        grid = op.make_grid(n, 0.5, 0.3, 1.1, [9, 11] if n == 2 else [6, 7, 8])
+        rng = np.random.default_rng(17)
+        mesh = grid.meshgrid()
+        base = 0.4 + 0.3 * np.sin(2.0 * mesh[0]) * mesh[-1] + 0.2 * mesh[-1] ** 2
+        stack = base + 0.05 * rng.standard_normal((4,) + base.shape)
+        w_at = base + 0.05 * rng.standard_normal(base.shape) if frozen else None
+        h = grid.spacing
+        sign = op.orientation().sign
+        if kind == PARABOLIC:
+            got = op.residual_field_parabolic(stack, grid.y_grid(), h, n, 0.3, sign, w_at)
+        else:
+            got = op.residual_field_chart(stack, grid.axes, h, n, 0.3, sign, w_at)
+        inner = np.zeros(base.shape, dtype=bool)
+        inner[(slice(1, -1),) * n] = True
+        for k in range(stack.shape[0]):
+            w = stack[k] if w_at is None else w_at
+            want = _loop_face_flux_residual(stack[k], w, grid.axes, kind, n, 0.3, sign)
+            scale = np.max(np.abs(want[inner]))
+            assert np.max(np.abs(got[k][inner] - want[inner])) <= 1e-13 * scale
+            assert np.all(got[k][~inner] == 0.0)

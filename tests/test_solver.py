@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from plateau_hyp import geometry as ge
 from plateau_hyp import operator as op
 from plateau_hyp import solver as sv
 from plateau_hyp.geometry import PARABOLIC
@@ -463,6 +464,31 @@ class TestResidualEntryPoints:
         assert calls[used] > 0
         assert calls["kernel"] == calls[names[0]] + calls[names[1]]
         assert calls["kernel_outside"] == 0
+
+
+class TestCoefficientsPerSolve:
+    """A solve forms the structure's coefficient data once, not once per evaluation."""
+
+    def test_dilation_solve_reads_the_drift_once(self, monkeypatch):
+        op.orientation()  # fixed once per session; its oracle reads drifts of its own
+        counts = {"drift": 0, "residual": 0}
+        real_drift = ge.KillingStructure.chart_drift
+        real_chart = op.residual_field_chart
+
+        def drift(self, chart):
+            counts["drift"] += 1
+            return real_drift(self, chart)
+
+        def chart(*args, **kwargs):
+            counts["residual"] += 1
+            return real_chart(*args, **kwargs)
+
+        monkeypatch.setattr(ge.KillingStructure, "chart_drift", drift)
+        monkeypatch.setattr(op, "residual_field_chart", chart)
+        _, rep = sv.solve_dirichlet(dilation_problem(17), sv.SolverConfig(tol=1e-9))
+        assert rep.converged and rep.iterations > 0
+        assert counts["residual"] > 2
+        assert counts["drift"] == 1
 
 
 class TestStencilReduce:
