@@ -5,7 +5,8 @@ Configs are single JSON documents; unknown keys are rejected.  Artifacts
 (solution CSV, OBJ mesh for planar runs, JSON diagnostics report) are
 written atomically, and runs are deterministic for a fixed config and
 seed up to the recorded runtime.  Exit codes: 0 all checks passed, 2 config
-error, 3 solver divergence or Perron stall, 4 check failure.
+error, 3 solver divergence or Perron failure (stall, sweep limit, decrease or
+sandwich violation), 4 check failure.
 """
 
 from __future__ import annotations
@@ -639,8 +640,8 @@ def main(argv=None) -> int:
     except SolverDivergence as exc:
         print(f"solver divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except perron.PerronStall as exc:
-        print(f"perron stall: {exc}", file=sys.stderr)
+    except perron.PerronFailure as exc:
+        print(f"perron {exc.kind}: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)

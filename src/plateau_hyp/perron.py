@@ -32,8 +32,34 @@ from .operator import GridFunction
 from .solver import DirichletProblem, SolverConfig, SolverDivergence
 
 
-class PerronStall(RuntimeError):
+class PerronFailure(RuntimeError):
+    """The Perron iteration failed; ``kind`` names how, the message where and by how much."""
+
+    kind = "failure"
+
+
+class PerronStall(PerronFailure):
     """The iteration stopped moving while the residual stayed above tolerance."""
+
+    kind = "stall"
+
+
+class PerronSweepLimit(PerronFailure):
+    """``max_sweeps`` sweeps ran without reaching the tolerance."""
+
+    kind = "sweep limit"
+
+
+class PerronDecrease(PerronFailure):
+    """A sweep lowered the iterate by more than the tolerance; lifts must not."""
+
+    kind = "decrease"
+
+
+class SandwichViolation(PerronFailure):
+    """The iterate left the barrier sandwich [0, upper] by more than ten tolerances."""
+
+    kind = "sandwich violation"
 
 
 # ---------------------------------------------------------------------------
@@ -280,15 +306,19 @@ def cmc_lift(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig) -> GridFu
 
 
 def _lift_inplace(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig,
-                  upper: np.ndarray | None = None) -> None:
+                  upper: np.ndarray | None = None) -> int:
+    """Lift in place; returns how many times a diverging solve halved the radius."""
     radius = ball.radius
+    halvings = 0
     while True:
         try:
-            return _lift_once(u, Ball(ball.center, radius), H, cfg, upper)
+            _lift_once(u, Ball(ball.center, radius), H, cfg, upper)
+            return halvings
         except SolverDivergence:
             if radius <= MIN_RADIUS:
                 raise
             radius = max(MIN_RADIUS, radius // 2)
+            halvings += 1
 
 
 def _lift_once(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig,
@@ -329,28 +359,40 @@ def _dilate(mask: np.ndarray) -> np.ndarray:
 
 
 def perron_sweep(u: GridFunction, upper: np.ndarray, cover: list, H: float,
-                 cfg: PerronConfig, order: np.ndarray | None) -> float:
-    """One pass of lifts over the cover, in place; returns the sweep increment.
+                 cfg: PerronConfig, order: np.ndarray | None) -> tuple:
+    """One pass of lifts over the cover, in place; returns (increment, radius halvings).
 
-    Every lift is clamped below the supersolution values ``upper``.  Raises
-    if a lift lowered the iterate beyond the sweep tolerance, or if the
-    iterate leaves the sandwich [0, upper] by more than ten times it (a
-    discretization inconsistency).
+    Every lift is clamped below the supersolution values ``upper``; the
+    halvings count the retries of lifts whose solve diverged.  Raises
+    :class:`PerronDecrease` if a lift lowered the iterate beyond the sweep
+    tolerance, and :class:`SandwichViolation` if the iterate leaves the
+    sandwich [0, upper] by more than ten times it (a discretization
+    inconsistency); both name the worst node.
     """
     before = u.values.copy()
     balls = cover if order is None else [cover[i] for i in order]
-    for ball in balls:
-        _lift_inplace(u, ball, H, cfg, upper)
-    increment = float(np.max(u.values - before))
-    drop = float(np.min(u.values - before))
+    halvings = sum(_lift_inplace(u, ball, H, cfg, upper) for ball in balls)
+    change = u.values - before
+    increment = float(np.max(change))
+    drop = float(np.min(change))
     if drop < -cfg.tol:
-        raise RuntimeError(f"lift decreased the iterate by {drop:.3e}")
+        raise PerronDecrease(f"lift decreased the iterate by {drop:.3e} at "
+                             f"{_node_text(u, np.argmin(change))} (tolerance {cfg.tol:.1e})")
     low, high = _sandwich_margins(u, upper)
     if low < -10 * cfg.tol or high > 10 * cfg.tol:
-        raise RuntimeError(
-            f"sandwich violated: min(u) = {low:.3e}, max(u - upper) = {high:.3e}, "
-            f"tolerance {10 * cfg.tol:.1e}")
-    return increment
+        excess = np.maximum(-u.values, u.values - upper)
+        side = "below 0" if -low >= high else "above the supersolution"
+        raise SandwichViolation(
+            f"sandwich violated by {float(np.max(excess)):.3e} {side} at "
+            f"{_node_text(u, np.argmax(excess))}: min(u) = {low:.3e}, "
+            f"max(u - upper) = {high:.3e}, tolerance {10 * cfg.tol:.1e}")
+    return increment, halvings
+
+
+def _node_text(u: GridFunction, flat_index) -> str:
+    """'x = ..., y = ...' of a node given by its flat index: the first and the height axis."""
+    at = np.unravel_index(int(flat_index), u.values.shape)
+    return f"x = {float(u.axes[0][at[0]]):.4g}, y = {float(u.axes[-1][at[-1]]):.4g}"
 
 
 def _sandwich_margins(u: GridFunction, upper: np.ndarray) -> tuple:
@@ -368,6 +410,7 @@ class PerronReport:
     increments: list = field(default_factory=list)
     residuals: list = field(default_factory=list)
     radii: list = field(default_factory=list)
+    radius_halvings: list = field(default_factory=list)
     final_residual: float = math.inf
     min_u: float = math.nan
     max_above_upper: float = math.nan
@@ -474,12 +517,13 @@ def run_asymptotic_solve(phi: BoundaryDatum, H: float, grid: GridFunction, cfg: 
     for sweep in range(1, cfg.max_sweeps + 1):
         cover = build_ball_cover(u.boundary, radius)
         order = rng.permutation(len(cover)) if rng is not None else None
-        increment = perron_sweep(u, upper, cover, H, cfg, order=order)
+        increment, halvings = perron_sweep(u, upper, cover, H, cfg, order=order)
         res = solver.residual_norm(u, problem_all)
         report.sweeps = sweep
         report.increments.append(increment)
         report.residuals.append(res)
         report.radii.append(radius)
+        report.radius_halvings.append(halvings)
         if increment <= cfg.tol and res <= cfg.tol:
             report.converged = True
             break
@@ -487,17 +531,16 @@ def run_asymptotic_solve(phi: BoundaryDatum, H: float, grid: GridFunction, cfg: 
             field = np.abs(operator.residual_field(u.values, grid, PARABOLIC, H,
                                                    operator.orientation()))
             field[~problem_all.interior_mask()] = -np.inf
-            at = np.unravel_index(int(np.argmax(field)), field.shape)
-            x, y = float(grid.axes[0][at[0]]), float(grid.axes[-1][at[-1]])
             raise PerronStall(
                 f"perron iteration stalled at sweep {sweep}: residual {res:.4e} "
-                f"(max at x = {x:.4g}, y = {y:.4g}) with increment {increment:.3e} "
+                f"(max at {_node_text(u, np.argmax(field))}) with increment {increment:.3e} "
                 f"from a whole-box lift (tolerance {cfg.tol:.1e})")
         radius = min(radius * 4, max_radius)
     else:
-        raise RuntimeError(
+        raise PerronSweepLimit(
             f"perron iteration did not converge within {cfg.max_sweeps} sweeps "
-            f"(last increment {report.increments[-1]:.3e}, residual {report.residuals[-1]:.3e})")
+            f"(last increment {report.increments[-1]:.3e}, residual {report.residuals[-1]:.3e}, "
+            f"tolerance {cfg.tol:.1e})")
 
     report.final_residual = report.residuals[-1]
     report.min_u, report.max_above_upper = _sandwich_margins(u, upper)

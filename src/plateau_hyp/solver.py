@@ -3,13 +3,21 @@
 Damped Newton iteration on the conservative residual, with the Jacobian
 assembled by stencil-colored finite differences.  The residual kernel with
 its W factors frozen serves twice more: frozen at the equidistant plane, it
-is the operator's linearization whose solution is the default warm start;
-frozen at the iterate, it is the Picard fallback when a Newton step cannot
-reduce the residual.  Newton and Picard take their steps through one
-backtracking line search.  Boundary nodes are constrained, never solved, so
-prescribed data is attained exactly.  Failure to drive the residual down is
-reported as divergence, the numerical stand-in for boundary geometry that
-admits no graph solution.
+is the operator's linearization, whose solution starts Newton on small,
+masked or even-sized problems; frozen at the iterate, it is the Picard
+fallback when a Newton step cannot reduce the residual.  Newton and Picard
+take their steps through one backtracking line search.  Boundary nodes are
+constrained, never solved, so prescribed data is attained exactly.  Failure
+to drive the residual down is reported as divergence, the numerical
+stand-in for boundary geometry that admits no graph solution.
+
+A whole box with an odd node count on every axis starts from nested
+iteration (Brandt, Math. Comp. 31, 1977): the same problem on every other
+node is solved first, by the same recursion, and its solution is prolonged
+cubically to the fine grid, where Newton then needs two or three steps and
+one factorization.  The hierarchy ends at the last level whose half still
+has more interior unknowns than ``DENSE_CUTOFF``; that coarsest level starts
+from the linearization.
 
 Sparse Jacobians are factored by SuperLU with a minimum-degree ordering on
 the pattern of A + A^T, which suits the structurally symmetric 3^d-stencil
@@ -34,11 +42,18 @@ from .operator import GridFunction
 
 
 class SolverDivergence(RuntimeError):
-    """No graph solution detected: the residual failed to decrease."""
+    """No graph solution detected: the residual failed to decrease.
+
+    The message names the grid shape of the level that diverged, which is a
+    coarse level when the nested-iteration start fails.
+    """
 
 
 # Smallest backtracking step, the most frozen-W (Picard) sweeps of one
-# fallback phase, and the largest interior a Jacobian is assembled dense for.
+# fallback phase, and the largest interior a Jacobian is assembled dense
+# for.  A level whose half-resolution problem would be that small also ends
+# the nested-iteration hierarchy: dense levels are cheap to start from the
+# linearization, and the sparse factorizations are what the hierarchy saves.
 MIN_STEP = 2.0**-20
 PICARD_SWEEPS = 50
 DENSE_CUTOFF = 400
@@ -50,14 +65,30 @@ class SolverConfig:
     max_iters: int = 40
 
 
+@dataclass(frozen=True)
+class LevelRecord:
+    """One coarse level of the nested-iteration start."""
+
+    shape: tuple
+    iterations: int
+    final_residual: float
+
+
 @dataclass
 class SolveReport:
+    """How a solve went; every field but ``levels`` describes the finest level.
+
+    ``levels`` holds the coarse levels of the nested-iteration start,
+    coarsest first, and is empty when the start was the linearization.
+    """
+
     iterations: int = 0
     picard_iterations: int = 0
     final_residual: float = math.inf
     converged: bool = False
     damping_history: list = field(default_factory=list)
     gradient_bands: list = field(default_factory=list)
+    levels: list = field(default_factory=list)
 
 
 @dataclass
@@ -248,7 +279,10 @@ def _residual_fn(problem: DirichletProblem):
 
 
 def linearized_start(problem: DirichletProblem, resid=None) -> np.ndarray:
-    """Warm start: the solution of the problem's own operator linearized about a plane.
+    """Start values: the solution of the problem's own operator linearized about a plane.
+
+    This starts Newton on masked and even-sized problems and on the
+    coarsest level of the nested-iteration start.
 
     W is frozen at the slopes of the equidistant plane a y, with
     a = ``solution_slope(H)``; the frozen residual is affine (for H = 0 and
@@ -275,6 +309,64 @@ def linearized_start(problem: DirichletProblem, resid=None) -> np.ndarray:
     return values
 
 
+def _coarse_problem(problem: DirichletProblem) -> DirichletProblem | None:
+    """The problem on every other node, or None where the hierarchy ends.
+
+    Only a whole box with an odd node count on every axis coarsens, and only
+    while the coarse interior keeps more than ``DENSE_CUTOFF`` unknowns.  The
+    coarse data are the fine data injected, so the coarse boundary values
+    are data, not averages.
+    """
+    shape = problem.mask.shape
+    if not problem.mask.all() or any(s % 2 == 0 for s in shape):
+        return None
+    if math.prod((s + 1) // 2 - 2 for s in shape) <= DENSE_CUTOFF:
+        return None
+    data = problem.data[(slice(None, None, 2),) * len(shape)]
+    grid = GridFunction(tuple(a[::2] for a in problem.grid.axes), np.zeros(data.shape))
+    return DirichletProblem(grid=grid, mask=np.ones(data.shape, dtype=bool), data=data,
+                            H=problem.H, kind=problem.kind)
+
+
+def prolong(coarse: np.ndarray) -> np.ndarray:
+    """Values on the grid with twice the intervals per axis, interpolated axis by axis.
+
+    Coarse nodes keep their values.  A midpoint takes the 4-point cubic
+    (-v0 + 9 v1 + 9 v2 - v3) / 16 of its neighbors along the axis, exact on
+    cubics; the two midpoints next to an axis end take the quadratic
+    (3 v0 + 6 v1 - v2) / 8 through the end node and the next two, exact on
+    quadratics.  Each axis needs at least 3 coarse nodes.
+    """
+    out = coarse
+    for a in range(coarse.ndim):
+        v = np.moveaxis(out, a, 0)
+        fine = np.empty((2 * v.shape[0] - 1,) + v.shape[1:])
+        fine[::2] = v
+        fine[3:-3:2] = (9.0 * (v[1:-2] + v[2:-1]) - (v[:-3] + v[3:])) / 16.0
+        fine[1] = (3.0 * v[0] + 6.0 * v[1] - v[2]) / 8.0
+        fine[-2] = (3.0 * v[-1] + 6.0 * v[-2] - v[-3]) / 8.0
+        out = np.moveaxis(fine, 0, a)
+    return np.ascontiguousarray(out)
+
+
+def _nested_start(problem: DirichletProblem, cfg: SolverConfig, resid,
+                  report: SolveReport) -> np.ndarray:
+    """Default start values: the coarse solution prolonged, or :func:`linearized_start`.
+
+    The coarse problem (:func:`_coarse_problem`) is solved by
+    :func:`solve_dirichlet` with the same configuration, so its own start
+    recurses in turn; its levels and its own record go to ``report.levels``.
+    A coarse divergence propagates: the fine level does not fall back.
+    """
+    coarse = _coarse_problem(problem)
+    if coarse is None:
+        return linearized_start(problem, resid)
+    solved, sub = solve_dirichlet(coarse, cfg)
+    report.levels = sub.levels + [LevelRecord(coarse.mask.shape, sub.iterations,
+                                              sub.final_residual)]
+    return prolong(solved.values)
+
+
 # ---------------------------------------------------------------------------
 # Newton driver
 # ---------------------------------------------------------------------------
@@ -290,12 +382,17 @@ def solve_dirichlet(problem: DirichletProblem, cfg: SolverConfig | None = None,
                     initial: np.ndarray | None = None, compute_bands: bool = False):
     """Solve the masked Dirichlet problem; returns (GridFunction, SolveReport).
 
-    The iteration starts from ``initial``, whose boundary values are replaced
-    by the data, or by default from :func:`linearized_start`.  Newton
-    directions come from the colored-FD Jacobian with backtracking halving on
-    the residual max-norm (:func:`_backtrack`); if no Newton step makes
-    progress the solver falls back to frozen-W sweeps (either Killing
-    structure) before declaring divergence.  ``compute_bands`` adds the
+    The iteration starts from ``initial``, or by default from nested
+    iteration (:func:`_nested_start`): a whole box with odd node counts
+    solves its half-resolution problem first, down to the last level with
+    more than ``DENSE_CUTOFF`` coarse unknowns, and starts from that
+    solution prolonged; any other problem, and the coarsest level, starts
+    from :func:`linearized_start`.  The start's boundary values are replaced
+    by the data.  Newton directions come from the colored-FD Jacobian with
+    backtracking halving on the residual max-norm (:func:`_backtrack`); if
+    no Newton step makes progress the solver falls back to frozen-W sweeps
+    (either Killing structure) before declaring divergence, whose message
+    names the grid shape.  ``compute_bands`` adds the
     :func:`gradient_diagnostic` table to the report.
     """
     cfg = cfg or SolverConfig()
@@ -303,15 +400,15 @@ def solve_dirichlet(problem: DirichletProblem, cfg: SolverConfig | None = None,
     interior = problem.interior_mask()
     boundary = problem.boundary_mask()
 
+    report = SolveReport()
     resid = _residual_fn(problem)
     if initial is None:
-        values = linearized_start(problem, resid)
+        values = _nested_start(problem, cfg, resid, report)
     else:
         values = np.asarray(initial, dtype=float).copy()
-        values[boundary] = problem.data[boundary]
+    values[boundary] = problem.data[boundary]
     values[~problem.mask] = 0.0
 
-    report = SolveReport()
     F = resid(values)
     nrm = float(np.max(np.abs(F[interior])))
     builder = None
@@ -348,13 +445,14 @@ def solve_dirichlet(problem: DirichletProblem, cfg: SolverConfig | None = None,
             report.picard_iterations += picard_used
             if nrm > cfg.tol:
                 raise SolverDivergence(
-                    f"no graph solution detected: residual stalled at {nrm:.3e} "
-                    f"(tolerance {cfg.tol:.1e})")
+                    f"no graph solution detected on the {_shape_text(values.shape)} grid: "
+                    f"residual stalled at {nrm:.3e} (tolerance {cfg.tol:.1e})")
             break
     if nrm > cfg.tol:  # checked after the last step too: it may have converged
         raise SolverDivergence(
-            f"no graph solution detected: residual {nrm:.3e} after {cfg.max_iters} "
-            f"Newton iterations (tolerance {cfg.tol:.1e})")
+            f"no graph solution detected on the {_shape_text(values.shape)} grid: "
+            f"residual {nrm:.3e} after {cfg.max_iters} Newton iterations "
+            f"(tolerance {cfg.tol:.1e})")
 
     solve = None  # release the factors before the diagnostic's workspace
     report.converged = True
@@ -363,6 +461,10 @@ def solve_dirichlet(problem: DirichletProblem, cfg: SolverConfig | None = None,
     if compute_bands:
         report.gradient_bands = gradient_diagnostic(out, problem)
     return out, report
+
+
+def _shape_text(shape) -> str:
+    return "x".join(str(s) for s in shape)
 
 
 def _backtrack(values, step, nrm, interior, resid, tol):

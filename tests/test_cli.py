@@ -408,6 +408,17 @@ class TestEndToEnd:
                          "--out-dir", str(tmp_path)]) == cli.EXIT_DIVERGENCE
         assert "perron stall: " in capsys.readouterr().err
 
+    def test_perron_sweep_limit_exit_code(self, tmp_path, capsys):
+        doc = {"mode": "solve-asymptotic", "grid": 17,
+               "boundary": {"kind": "smooth_step", "lo": 0.2, "hi": 0.8, "width": 0.5},
+               "solver": {"max_sweeps": 1}}
+        config = write_config(tmp_path, doc)
+        assert cli.main(["solve-asymptotic", "--config", config,
+                         "--out-dir", str(tmp_path)]) == cli.EXIT_DIVERGENCE
+        err = capsys.readouterr().err
+        assert err.startswith("perron sweep limit: perron iteration did not converge within 1")
+        assert err.count("\n") == 1
+
     def test_check_failure_exit_code(self, tmp_path, monkeypatch):
         def failing(cfg, report, out_dir):
             report.add("synthetic", False, 1.0, 0.5, "forced failure")

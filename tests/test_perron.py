@@ -216,6 +216,63 @@ class TestLift:
 
 
 class TestSweep:
+    def test_radius_halvings_are_counted_per_sweep(self, monkeypatch):
+        # the first three radius-4 lifts of sweep 1 diverge and are retried
+        # at radius 2; the report counts them against that sweep
+        grid = small_grid()
+        phi = pe.constant_datum(0.4)
+        cfg = pe.PerronConfig(tol=1e-8)
+        _, plain = pe.run_asymptotic_solve(phi, 0.0, grid, cfg)
+        forced = {"n": 0}
+        real_solve = sv.solve_dirichlet
+
+        def diverging_first_radius_4(problem, *args, **kwargs):
+            if problem.grid.values.shape == (2 * 4 + 3,) * 2 and forced["n"] < 3:
+                forced["n"] += 1
+                raise sv.SolverDivergence("forced divergence")
+            return real_solve(problem, *args, **kwargs)
+
+        monkeypatch.setattr(sv, "solve_dirichlet", diverging_first_radius_4)
+        _, rep = pe.run_asymptotic_solve(phi, 0.0, grid, cfg)
+        assert plain.radius_halvings == [0] * plain.sweeps
+        assert rep.converged and forced["n"] == 3
+        assert rep.radius_halvings == [3] + [0] * (rep.sweeps - 1)
+
+    def test_decrease_names_the_node(self, monkeypatch):
+        grid = small_grid()
+        u = grid.copy()
+        u.values[:] = 0.3
+
+        def lowering(u, ball, H, cfg, upper):
+            u.values[5, 7] -= 1e-3
+            return 0
+
+        monkeypatch.setattr(pe, "_lift_inplace", lowering)
+        with pytest.raises(pe.PerronDecrease) as info:
+            pe.perron_sweep(u, np.ones_like(u.values), [pe.Ball((5, 7), 4)], 0.0,
+                            pe.PerronConfig(tol=1e-8), None)
+        x, y = grid.axes[0][5], grid.axes[1][7]
+        assert f"by -1.000e-03 at x = {x:.4g}, y = {y:.4g}" in str(info.value)
+
+    def test_sandwich_violation_names_the_worst_node(self):
+        grid = small_grid()
+        u = grid.copy()
+        u.values[:] = 0.3
+        upper = np.full(u.values.shape, 0.5)
+        upper[20, 3] = 0.3 - 2e-3
+        u.values[4, 9] = -1e-3
+        with pytest.raises(pe.SandwichViolation) as info:
+            pe.perron_sweep(u, upper, [], 0.0, pe.PerronConfig(tol=1e-8), None)
+        x, y = grid.axes[0][20], grid.axes[1][3]
+        message = str(info.value)
+        assert f"by 2.000e-03 above the supersolution at x = {x:.4g}, y = {y:.4g}" in message
+        assert "min(u) = -1.000e-03" in message and "\n" not in message
+
+    def test_sweep_limit_is_named(self):
+        phi = pe.smooth_step_datum(0.2, 0.8, width=0.5)
+        with pytest.raises(pe.PerronSweepLimit, match="within 1 sweeps"):
+            pe.run_asymptotic_solve(phi, 0.0, small_grid(), pe.PerronConfig(max_sweeps=1))
+
     def test_sweep_is_monotone_and_bounded(self):
         grid = small_grid()
         phi = pe.constant_datum(0.4)

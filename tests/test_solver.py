@@ -514,3 +514,111 @@ class TestStencilReduce:
                 assert interior.any() and not interior.all()
             else:
                 assert dilated.any() and not dilated.all()
+
+
+def hemisphere_box(n, nodes):
+    grid = op.make_grid(n, 0.45, 0.25, 0.95, nodes)
+    return full_problem(grid, lambda z: 0.1 + math.sqrt(1.5**2 - float(np.dot(z, z))), 0.0)[0]
+
+
+class TestNestedIteration:
+    """Whole odd-sized boxes start Newton from the half-resolution solution, prolonged."""
+
+    @pytest.mark.parametrize("problem_of, levels, tol", [
+        (lambda: hemisphere_box(2, 65), [(33, 33)], 1e-10),
+        (lambda: hemisphere_box(2, 129), [(33, 33), (65, 65)], 1e-10),
+        (lambda: dilation_problem(65), [(33, 33)], 1e-9),
+        (lambda: hemisphere_box(3, 25), [(13, 13, 13)], 1e-10),
+    ], ids=["hemisphere_65", "hemisphere_129", "dilation_65", "hemisphere_25^3"])
+    def test_agrees_with_the_linearized_start(self, problem_of, levels, tol):
+        problem = problem_of()
+        cfg = sv.SolverConfig(tol=tol)
+        nested, rep = sv.solve_dirichlet(problem, cfg)
+        direct, _ = sv.solve_dirichlet(problem, cfg, initial=sv.linearized_start(problem))
+        assert rep.converged and rep.final_residual <= tol
+        assert [level.shape for level in rep.levels] == levels
+        assert np.max(np.abs(nested.values - direct.values)) <= 1e-12
+
+    def test_finest_level_factors_once(self, monkeypatch):
+        # the prolonged start leaves Newton two or three full steps on the
+        # 127^2 unknowns, all served by one factorization
+        problem = hemisphere_box(2, 129)
+        sizes = []
+        real_splu = sv.spla.splu
+
+        def counting_splu(A, *args, **kwargs):
+            sizes.append(A.shape[0])
+            return real_splu(A, *args, **kwargs)
+
+        monkeypatch.setattr(sv.spla, "splu", counting_splu)
+        _, rep = sv.solve_dirichlet(problem, sv.SolverConfig(tol=1e-10))
+        assert rep.converged and rep.iterations <= 3
+        assert sizes.count(127**2) == 1
+
+    def test_level_records_are_the_coarse_reports(self):
+        problem = hemisphere_box(2, 65)
+        cfg = sv.SolverConfig(tol=1e-10)
+        _, rep = sv.solve_dirichlet(problem, cfg)
+        coarse = sv._coarse_problem(problem)
+        solved, coarse_rep = sv.solve_dirichlet(coarse, cfg)
+        assert coarse_rep.levels == []  # 15^2 unknowns below: the hierarchy ends at 33^2
+        assert rep.levels == [sv.LevelRecord((33, 33), coarse_rep.iterations,
+                                             coarse_rep.final_residual)]
+        assert coarse_rep.iterations > 0 and coarse_rep.final_residual <= 1e-10
+        # the coarse data are the fine data injected, boundary values included
+        assert np.array_equal(coarse.data, problem.data[::2, ::2])
+        assert np.array_equal(solved.axes[0], problem.grid.axes[0][::2])
+
+    @pytest.mark.parametrize("case", ["whole_33", "ball_mask", "even_nodes"])
+    def test_other_problems_keep_the_linearized_start(self, case):
+        if case == "whole_33":
+            problem = hemisphere_box(2, 33)  # its half would have 15^2 unknowns
+        elif case == "even_nodes":
+            problem = hemisphere_box(2, 64)
+        else:
+            problem = hemisphere_box(2, 65)
+            problem = sv.DirichletProblem(grid=problem.grid,
+                                          mask=sv.ball_mask(problem.grid, [0.0, 0.6], 0.3),
+                                          data=problem.data, H=0.0)
+        cfg = sv.SolverConfig(tol=1e-10)
+        u, rep = sv.solve_dirichlet(problem, cfg)
+        ref, ref_rep = sv.solve_dirichlet(problem, cfg, initial=sv.linearized_start(problem))
+        assert rep.levels == []
+        assert np.array_equal(u.values, ref.values)
+        assert (rep.iterations, rep.damping_history, rep.final_residual) == \
+            (ref_rep.iterations, ref_rep.damping_history, ref_rep.final_residual)
+
+    def test_diverging_coarse_level_is_named(self):
+        grid = op.make_grid(2, 0.5, 0.2, 1.0, 65)
+        mesh = grid.meshgrid()
+        data = 500.0 * np.sign(np.sin(40.0 * mesh[0]) + 0.3 * np.cos(37.0 * mesh[1]))
+        problem = sv.DirichletProblem(grid=grid, mask=np.ones(grid.values.shape, dtype=bool),
+                                      data=data, H=0.5)
+        with pytest.raises(sv.SolverDivergence, match="on the 33x33 grid"):
+            sv.solve_dirichlet(problem, sv.SolverConfig(tol=1e-10, max_iters=8))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_prolongation_exact_on_cubics_inside_and_quadratics_at_the_ends(self, d):
+        coarse_axes = [np.linspace(-0.7, 0.9, 7), np.linspace(0.2, 1.0, 6),
+                       np.linspace(-1.0, 0.5, 5)][:d]
+        fine_axes = [np.linspace(a[0], a[-1], 2 * len(a) - 1) for a in coarse_axes]
+
+        def cubic(mesh):
+            return sum((1.0 + k) * z**3 - 0.5 * z**2 + 0.3 * z for k, z in enumerate(mesh)) \
+                + math.prod(mesh) ** 3
+
+        def quadratic(mesh):
+            return sum((0.7 - k) * z**2 + z for k, z in enumerate(mesh)) + math.prod(mesh) ** 2
+
+        for fn, exact_at in ((quadratic, None), (cubic, slice(2, -2))):
+            coarse = fn(np.meshgrid(*coarse_axes, indexing="ij"))
+            fine = fn(np.meshgrid(*fine_axes, indexing="ij"))
+            got = sv.prolong(coarse)
+            assert got.shape == fine.shape and got.flags.c_contiguous
+            assert np.array_equal(got[(slice(None, None, 2),) * d], coarse)
+            # interior midpoints read four coarse nodes per axis; the two
+            # midpoints beside an axis end read three
+            region = (exact_at or slice(None),) * d
+            assert np.max(np.abs(got[region] - fine[region])) <= 1e-13
+            if exact_at is not None:
+                assert np.max(np.abs(got - fine)) > 1e-6  # the ends are only quadratic
