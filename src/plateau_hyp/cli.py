@@ -252,9 +252,18 @@ class CheckRecord:
 
 @dataclass
 class DiagnosticsReport:
+    """What report.json holds.
+
+    ``solve`` is the solve's own account, copied from its report: for
+    solve-dirichlet the Newton iterations, the damping history and the
+    nested-iteration levels; for solve-asymptotic the per-sweep lists of
+    the Perron report.  Other modes leave it empty.
+    """
+
     config: dict
     checks: list = field(default_factory=list)
     outputs: dict = field(default_factory=dict)
+    solve: dict = field(default_factory=dict)
     runtime_seconds: float = 0.0
 
     def add(self, name: str, passed: bool, value, tolerance: float, anchor: str) -> None:
@@ -270,6 +279,7 @@ class DiagnosticsReport:
             "config": self.config,
             "checks": [vars(c) for c in self.checks],
             "outputs": self.outputs,
+            "solve": self.solve,
             "runtime_seconds": self.runtime_seconds,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
@@ -373,6 +383,8 @@ def _perron_cfg(cfg: RunConfig) -> PerronConfig:
 def _run_solve_asymptotic(cfg: RunConfig, report: DiagnosticsReport, out_dir: str) -> None:
     phi = build_datum(cfg.boundary)
     u, prun = perron.run_asymptotic_solve(phi, cfg.H, _grid_from_cfg(cfg), _perron_cfg(cfg))
+    report.solve = {key: getattr(prun, key) for key in (
+        "sweeps", "radii", "radius_halvings", "increments", "residuals", "newton_iterations")}
     report.add("perron.converged", prun.final_residual <= cfg.solver["tol"],
                prun.final_residual, cfg.solver["tol"],
                "monotone lift iteration between the zero subsolution and the plane")
@@ -562,6 +574,8 @@ def _run_solve_dirichlet(cfg: RunConfig, report: DiagnosticsReport, out_dir: str
     problem = DirichletProblem(grid=grid, mask=mask, data=data, H=cfg.H, kind=cfg.structure)
     scfg = SolverConfig(tol=cfg.solver["tol"], max_iters=cfg.solver["max_iters"])
     u, srep = solver.solve_dirichlet(problem, scfg)
+    report.solve = {"iterations": srep.iterations, "damping_history": srep.damping_history,
+                    "levels": [vars(level) for level in srep.levels]}
     err = float(np.max(np.abs(u.values[problem.mask] - data[problem.mask])))
     report.add("dirichlet.converged", srep.final_residual <= cfg.solver["tol"],
                srep.final_residual, cfg.solver["tol"],

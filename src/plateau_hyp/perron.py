@@ -306,14 +306,17 @@ def cmc_lift(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig) -> GridFu
 
 
 def _lift_inplace(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig,
-                  upper: np.ndarray | None = None) -> int:
-    """Lift in place; returns how many times a diverging solve halved the radius."""
+                  upper: np.ndarray | None = None) -> tuple:
+    """Lift in place; returns (radius halvings, Newton iterations).
+
+    The halvings count how often a diverging solve halved the radius; the
+    iterations are those of the solve that succeeded.
+    """
     radius = ball.radius
     halvings = 0
     while True:
         try:
-            _lift_once(u, Ball(ball.center, radius), H, cfg, upper)
-            return halvings
+            return halvings, _lift_once(u, Ball(ball.center, radius), H, cfg, upper)
         except SolverDivergence:
             if radius <= MIN_RADIUS:
                 raise
@@ -322,7 +325,8 @@ def _lift_inplace(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig,
 
 
 def _lift_once(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig,
-               upper: np.ndarray | None) -> None:
+               upper: np.ndarray | None) -> int:
+    """One ball solve combined into u in place; returns its Newton iterations."""
     shape = u.values.shape
     d = len(shape)
     lo = [max(0, ball.center[k] - ball.radius - 1) for k in range(d)]
@@ -339,11 +343,11 @@ def _lift_once(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig,
     pinned = u.boundary[window]
     mask &= ~pinned
     if not mask.any():
-        return
+        return 0
     problem_mask = _dilate(mask)
     problem = DirichletProblem(grid=sub_grid, mask=problem_mask, data=sub_vals,
                                H=H, kind=PARABOLIC)
-    solved, _ = solver.solve_dirichlet(problem, cfg.solver_cfg(), initial=sub_vals)
+    solved, report = solver.solve_dirichlet(problem, cfg.solver_cfg(), initial=sub_vals)
     interior = problem.interior_mask()
     # maximum with the old values up to a noise guard: genuine increases are
     # kept, decreases beyond solver noise are rejected (monotone sweeps)
@@ -352,6 +356,7 @@ def _lift_once(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig,
     if upper is not None:
         lifted = np.minimum(lifted, upper[window][interior])
     u.values[window][interior] = lifted
+    return report.iterations
 
 
 def _dilate(mask: np.ndarray) -> np.ndarray:
@@ -360,10 +365,12 @@ def _dilate(mask: np.ndarray) -> np.ndarray:
 
 def perron_sweep(u: GridFunction, upper: np.ndarray, cover: list, H: float,
                  cfg: PerronConfig, order: np.ndarray | None) -> tuple:
-    """One pass of lifts over the cover, in place; returns (increment, radius halvings).
+    """One pass of lifts over the cover, in place.
 
-    Every lift is clamped below the supersolution values ``upper``; the
-    halvings count the retries of lifts whose solve diverged.  Raises
+    Returns (increment, radius halvings, Newton iterations).  Every lift is
+    clamped below the supersolution values ``upper``; the halvings count the
+    retries of lifts whose solve diverged, and the iterations are those of
+    the lift solves that succeeded.  Raises
     :class:`PerronDecrease` if a lift lowered the iterate beyond the sweep
     tolerance, and :class:`SandwichViolation` if the iterate leaves the
     sandwich [0, upper] by more than ten times it (a discretization
@@ -371,7 +378,11 @@ def perron_sweep(u: GridFunction, upper: np.ndarray, cover: list, H: float,
     """
     before = u.values.copy()
     balls = cover if order is None else [cover[i] for i in order]
-    halvings = sum(_lift_inplace(u, ball, H, cfg, upper) for ball in balls)
+    halvings = iterations = 0
+    for ball in balls:
+        halved, iters = _lift_inplace(u, ball, H, cfg, upper)
+        halvings += halved
+        iterations += iters
     change = u.values - before
     increment = float(np.max(change))
     drop = float(np.min(change))
@@ -386,7 +397,7 @@ def perron_sweep(u: GridFunction, upper: np.ndarray, cover: list, H: float,
             f"sandwich violated by {float(np.max(excess)):.3e} {side} at "
             f"{_node_text(u, np.argmax(excess))}: min(u) = {low:.3e}, "
             f"max(u - upper) = {high:.3e}, tolerance {10 * cfg.tol:.1e}")
-    return increment, halvings
+    return increment, halvings, iterations
 
 
 def _node_text(u: GridFunction, flat_index) -> str:
@@ -406,11 +417,19 @@ def _sandwich_margins(u: GridFunction, upper: np.ndarray) -> tuple:
 
 @dataclass
 class PerronReport:
+    """How a Perron solve went; each list holds one entry per sweep.
+
+    ``newton_iterations`` sums the Newton iterations of the sweep's lift
+    solves that succeeded; ``radius_halvings`` counts the retries of those
+    that diverged.
+    """
+
     sweeps: int = 0
     increments: list = field(default_factory=list)
     residuals: list = field(default_factory=list)
     radii: list = field(default_factory=list)
     radius_halvings: list = field(default_factory=list)
+    newton_iterations: list = field(default_factory=list)
     final_residual: float = math.inf
     min_u: float = math.nan
     max_above_upper: float = math.nan
@@ -517,13 +536,14 @@ def run_asymptotic_solve(phi: BoundaryDatum, H: float, grid: GridFunction, cfg: 
     for sweep in range(1, cfg.max_sweeps + 1):
         cover = build_ball_cover(u.boundary, radius)
         order = rng.permutation(len(cover)) if rng is not None else None
-        increment, halvings = perron_sweep(u, upper, cover, H, cfg, order=order)
+        increment, halvings, iterations = perron_sweep(u, upper, cover, H, cfg, order=order)
         res = solver.residual_norm(u, problem_all)
         report.sweeps = sweep
         report.increments.append(increment)
         report.residuals.append(res)
         report.radii.append(radius)
         report.radius_halvings.append(halvings)
+        report.newton_iterations.append(iterations)
         if increment <= cfg.tol and res <= cfg.tol:
             report.converged = True
             break

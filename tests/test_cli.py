@@ -141,6 +141,65 @@ class TestVerificationModes:
         assert report.all_passed()
 
 
+class TestSolveSection:
+    """report.json carries the solve's own account next to the checks."""
+
+    def test_solve_asymptotic_records_the_perron_report(self, tmp_path, monkeypatch):
+        doc = {"mode": "solve-asymptotic", "n": 2, "H": 0.0,
+               "boundary": {"kind": "constant", "c": 0.5},
+               "domain": {"L": 1.0, "y_min": 0.05, "y_max": 0.65},
+               "grid": 25, "solver": {"tol": 1e-7, "max_iters": 40, "max_sweeps": 100}}
+        run, lift_solve = cli.perron.run_asymptotic_solve, cli.perron.solver.solve_dirichlet
+        reports, newton = [], []
+
+        def keeping_report(*args, **kwargs):
+            u, rep = run(*args, **kwargs)
+            reports.append(rep)
+            return u, rep
+
+        def counting_solve(*args, **kwargs):
+            u, rep = lift_solve(*args, **kwargs)
+            newton.append(rep.iterations)
+            return u, rep
+
+        monkeypatch.setattr(cli.perron, "run_asymptotic_solve", keeping_report)
+        monkeypatch.setattr(cli.perron.solver, "solve_dirichlet", counting_solve)
+        config = write_config(tmp_path, doc)
+        assert cli.main(["solve-asymptotic", "--config", config, "--out-dir", str(tmp_path)]) == 0
+        solve = json.loads((tmp_path / "report.json").read_text())["solve"]
+        (rep,) = reports
+        keys = ("sweeps", "radii", "radius_halvings", "increments", "residuals",
+                "newton_iterations")
+        assert solve == {key: getattr(rep, key) for key in keys}
+        assert all(len(solve[key]) == solve["sweeps"] for key in keys[1:])
+        # every Newton iteration of every lift is counted against its sweep
+        assert sum(solve["newton_iterations"]) == sum(newton) > 0
+
+    def test_solve_dirichlet_records_the_solve_report(self, tmp_path, monkeypatch):
+        doc = {"mode": "solve-dirichlet", "H": 0.0, "grid": 65,
+               "domain": {"L": 0.5, "y_min": 0.2, "y_max": 1.0},
+               "family": {"name": "hemisphere", "t": 0.0, "R": 1.2},
+               "solver": {"tol": 1e-10}}
+        solve_fn = cli.solver.solve_dirichlet
+        reports = []
+
+        def keeping_report(*args, **kwargs):
+            u, rep = solve_fn(*args, **kwargs)
+            reports.append(rep)
+            return u, rep
+
+        monkeypatch.setattr(cli.solver, "solve_dirichlet", keeping_report)
+        config = write_config(tmp_path, doc)
+        assert cli.main(["solve-dirichlet", "--config", config, "--out-dir", str(tmp_path)]) == 0
+        solve = json.loads((tmp_path / "report.json").read_text())["solve"]
+        rep = reports[-1]  # the 65^2 solve returns after its coarse level
+        (level,) = rep.levels
+        assert solve == {"iterations": rep.iterations, "damping_history": rep.damping_history,
+                         "levels": [{"shape": [33, 33], "iterations": level.iterations,
+                                     "final_residual": level.final_residual}]}
+        assert solve["iterations"] >= 1 and level.iterations >= 1
+
+
 class TestEmission:
     def make_small_grid(self):
         grid = op.make_grid(2, 1.0, 0.5, 1.5, 3)

@@ -245,7 +245,7 @@ class TestSweep:
 
         def lowering(u, ball, H, cfg, upper):
             u.values[5, 7] -= 1e-3
-            return 0
+            return 0, 0  # radius halvings, Newton iterations
 
         monkeypatch.setattr(pe, "_lift_inplace", lowering)
         with pytest.raises(pe.PerronDecrease) as info:
