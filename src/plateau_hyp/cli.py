@@ -255,7 +255,8 @@ class DiagnosticsReport:
     """What report.json holds.
 
     ``solve`` is the solve's own account, copied from its report: for
-    solve-dirichlet the Newton iterations, the damping history and the
+    solve-dirichlet the Newton iterations, the damping history, the GMRES
+    iterations of each Newton step (0 for a direct solve) and the
     nested-iteration levels; for solve-asymptotic the per-sweep lists of
     the Perron report.  Other modes leave it empty.
     """
@@ -575,6 +576,7 @@ def _run_solve_dirichlet(cfg: RunConfig, report: DiagnosticsReport, out_dir: str
     scfg = SolverConfig(tol=cfg.solver["tol"], max_iters=cfg.solver["max_iters"])
     u, srep = solver.solve_dirichlet(problem, scfg)
     report.solve = {"iterations": srep.iterations, "damping_history": srep.damping_history,
+                    "krylov_iterations": srep.krylov_iterations,
                     "levels": [vars(level) for level in srep.levels]}
     err = float(np.max(np.abs(u.values[problem.mask] - data[problem.mask])))
     report.add("dirichlet.converged", srep.final_residual <= cfg.solver["tol"],

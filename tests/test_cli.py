@@ -195,9 +195,16 @@ class TestSolveSection:
         rep = reports[-1]  # the 65^2 solve returns after its coarse level
         (level,) = rep.levels
         assert solve == {"iterations": rep.iterations, "damping_history": rep.damping_history,
+                         "krylov_iterations": rep.krylov_iterations,
                          "levels": [{"shape": [33, 33], "iterations": level.iterations,
-                                     "final_residual": level.final_residual}]}
+                                     "final_residual": level.final_residual,
+                                     "krylov_iterations": list(level.krylov_iterations)}]}
         assert solve["iterations"] >= 1 and level.iterations >= 1
+        # the 65^2 level takes its steps by GMRES on the 33^2 level's factors,
+        # which took its own steps directly
+        assert len(solve["krylov_iterations"]) == solve["iterations"]
+        assert all(k >= 1 for k in solve["krylov_iterations"])
+        assert solve["levels"][0]["krylov_iterations"] == [0] * level.iterations
 
 
 class TestEmission:

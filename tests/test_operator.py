@@ -132,6 +132,26 @@ class TestPointwiseResidual:
         with pytest.raises(ValueError):
             op.qh_pointwise(patch, np.array([0.9, 0.9]), PARABOLIC, 0.0, n=2)
 
+    def test_dilation_residual_is_stable_under_a_last_bit_change_of_gamma(self, monkeypatch):
+        # the structure-level divergence is a difference quotient of the flux;
+        # multiplying gamma by (1 + 2^-52) must move it by no more than 1e-12
+        # at 20 points of the box |x| <= 0.5, y in [0.3, 1.3]
+        patches = [op.exact_patch("tilted_plane", a=0.8, b=-0.1),
+                   op.exact_patch("hemisphere", t=0.2, R=2.0)]
+        cases = [(n, patch, z) for n in (2, 3) for patch in patches
+                 for z in random_chart_points(np.random.default_rng(20), 20, n=n,
+                                              y_range=(0.3, 1.3))]
+
+        def values():
+            return np.array([op.qh_pointwise(patch, z, HYPERBOLIC, 0.0, n=n)
+                             for n, patch, z in cases])
+
+        before = values()
+        real_gamma = ge.KillingStructure.chart_gamma
+        monkeypatch.setattr(ge.KillingStructure, "chart_gamma",
+                            lambda self, chart: real_gamma(self, chart) * (1.0 + 2.0**-52))
+        assert np.max(np.abs(values() - before)) <= 1e-12
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_dimension_generic_residuals(self, n):
         patch = op.exact_patch("hemisphere", t=0.1, R=1.5)

@@ -606,9 +606,11 @@ class TestNestedIteration:
         assert [level.shape for level in rep.levels] == levels
         assert np.max(np.abs(nested.values - direct.values)) <= 1e-12
 
-    def test_finest_level_factors_once(self, monkeypatch):
-        # the prolonged start leaves Newton two or three full steps on the
-        # 127^2 unknowns, all served by one factorization
+    def test_finest_level_is_not_factored(self, monkeypatch):
+        # only the 33^2 level is LU-factored; the 65^2 and 129^2 levels take
+        # their Newton steps by GMRES, preconditioned through those factors,
+        # and the prolonged start still leaves the 127^2 unknowns two or
+        # three steps (12 GMRES iterations over 3 steps measured)
         problem = hemisphere_box(2, 129)
         sizes = []
         real_splu = sv.spla.splu
@@ -620,7 +622,13 @@ class TestNestedIteration:
         monkeypatch.setattr(sv.spla, "splu", counting_splu)
         _, rep = sv.solve_dirichlet(problem, sv.SolverConfig(tol=1e-10))
         assert rep.converged and rep.iterations <= 3
-        assert sizes.count(127**2) == 1
+        assert sizes.count(127**2) == 0 and sizes.count(63**2) == 0
+        assert set(sizes) == {31**2}
+        assert len(rep.krylov_iterations) == rep.iterations
+        assert min(rep.krylov_iterations) >= 1 and sum(rep.krylov_iterations) <= 20
+        coarsest, middle = rep.levels
+        assert set(coarsest.krylov_iterations) == {0}
+        assert min(middle.krylov_iterations) >= 1
 
     def test_level_records_are_the_coarse_reports(self):
         problem = hemisphere_box(2, 65)
@@ -630,7 +638,8 @@ class TestNestedIteration:
         solved, coarse_rep = sv.solve_dirichlet(coarse, cfg)
         assert coarse_rep.levels == []  # 15^2 unknowns below: the hierarchy ends at 33^2
         assert rep.levels == [sv.LevelRecord((33, 33), coarse_rep.iterations,
-                                             coarse_rep.final_residual)]
+                                             coarse_rep.final_residual,
+                                             tuple(coarse_rep.krylov_iterations))]
         assert coarse_rep.iterations > 0 and coarse_rep.final_residual <= 1e-10
         # the coarse data are the fine data injected, boundary values included
         assert np.array_equal(coarse.data, problem.data[::2, ::2])
@@ -689,3 +698,78 @@ class TestNestedIteration:
             assert np.max(np.abs(got[region] - fine[region])) <= 1e-13
             if exact_at is not None:
                 assert np.max(np.abs(got - fine)) > 1e-6  # the ends are only quadratic
+
+
+class TestPreconditionedSteps:
+    """Levels above the coarsest take GMRES steps preconditioned by a V-cycle."""
+
+    @pytest.mark.parametrize("shape", [(9,), (9, 7), (7, 9, 5)])
+    def test_restriction_is_the_scaled_adjoint_of_prolongation(self, shape):
+        d = len(shape)
+        P, R = sv._transfer(shape)
+        coarse_shape = tuple((s + 1) // 2 for s in shape)
+        inside = (slice(1, -1),) * d
+        rng = np.random.default_rng(7)
+        e = rng.standard_normal(math.prod(s - 2 for s in coarse_shape))
+        r = rng.standard_normal(math.prod(s - 2 for s in shape))
+        # P is solver.prolong applied to the correction extended by zeros,
+        # which stays zero on the fine faces
+        padded = np.zeros(coarse_shape)
+        padded[inside] = e.reshape(tuple(s - 2 for s in coarse_shape))
+        fine = sv.prolong(padded)
+        assert np.max(np.abs(P @ e - fine[inside].ravel())) <= 1e-15 * np.max(np.abs(e))
+        faces = np.ones(fine.shape, dtype=bool)
+        faces[inside] = False
+        assert not fine[faces].any()
+        assert np.array_equal(R.toarray(), P.T.toarray() * 2.0**-d)
+        assert abs((R @ r) @ e - 2.0**-d * (r @ (P @ e))) <= 1e-14 * np.linalg.norm(r) \
+            * np.linalg.norm(P @ e)
+
+    @pytest.mark.parametrize("n, nodes", [(2, 65), (3, 25)])
+    def test_preconditioned_step_agrees_with_the_lu_step(self, n, nodes):
+        problem = hemisphere_box(n, nodes)
+        values, coarse = sv._nested_start(problem, sv.SolverConfig(tol=1e-10),
+                                          sv._residual_fn(problem), sv.SolveReport())
+        assert coarse is not None
+        interior = problem.interior_mask()
+        resid = sv._residual_fn(problem)
+        F = resid(values)
+        builder = sv._cached_builder(values.shape, interior)
+        J = builder.assemble(values, resid, F)
+        lu_step = sv._factorize(J.copy(), builder)(-F[interior])
+        counts = [0]
+        solve, cycle = sv._krylov_solver(J, builder, coarse, counts)
+        in_c_order = J[builder.position][:, builder.position]
+        # GMRES with the cycle as preconditioner, run to 1e-12, reproduces the LU step
+        step, _ = sv._gmres(in_c_order, cycle, -F[interior], 1e-12, [0])
+        assert np.max(np.abs(step - lu_step)) <= 1e-10 * np.max(np.abs(lu_step))
+        # the Newton loop's first step stops at its forcing term min(1/2, max |F|)
+        first = solve(-F[interior])
+        eta = min(0.5, float(np.max(np.abs(F[interior]))))
+        assert np.linalg.norm(in_c_order @ first + F[interior]) \
+            <= eta * np.linalg.norm(F[interior]) * (1 + 1e-8)
+        assert 1 <= counts[0] <= 5
+
+    def test_failed_coarse_correction_never_gives_a_wrong_answer(self, monkeypatch):
+        # a coarse correction that returns NaN spoils every GMRES solve, so
+        # every Newton step has no direction: the solve must end in the
+        # LU-based Picard fallback, converged, or in a named divergence
+        problem = hemisphere_box(2, 65)
+        cfg = sv.SolverConfig(tol=1e-10)
+        reference, _ = sv.solve_dirichlet(problem, cfg)
+        real = sv._krylov_solver
+
+        def nan_coarse(J, builder, coarse, counts):
+            return real(J, builder, lambda rhs: np.full_like(rhs, np.nan), counts)
+
+        monkeypatch.setattr(sv, "_krylov_solver", nan_coarse)
+        try:
+            u, rep = sv.solve_dirichlet(problem, cfg)
+        except sv.SolverDivergence as exc:
+            assert "on the 65x65 grid" in str(exc)
+            return
+        assert rep.converged and rep.picard_iterations > 0
+        assert rep.krylov_iterations[0] >= 1  # GMRES ran before the fallback
+        assert rep.linear_solver is None  # nothing of the failed steps is handed up
+        assert sv.residual_norm(u, problem) <= cfg.tol
+        assert np.max(np.abs(u.values - reference.values)) <= 1e-10
