@@ -5,8 +5,8 @@ Configs are single JSON documents; unknown keys are rejected.  Artifacts
 (solution CSV, OBJ mesh for planar runs, JSON diagnostics report) are
 written atomically, and runs are deterministic for a fixed config and
 seed up to the recorded runtime.  Exit codes: 0 all checks passed, 2 config
-error, 3 solver divergence or Perron failure (stall, sweep limit, decrease or
-sandwich violation), 4 check failure.
+error, 3 solver divergence or Perron failure (stall, sweep limit, decrease,
+sandwich violation or divergence), 4 check failure.
 """
 
 from __future__ import annotations
@@ -385,7 +385,8 @@ def _run_solve_asymptotic(cfg: RunConfig, report: DiagnosticsReport, out_dir: st
     phi = build_datum(cfg.boundary)
     u, prun = perron.run_asymptotic_solve(phi, cfg.H, _grid_from_cfg(cfg), _perron_cfg(cfg))
     report.solve = {key: getattr(prun, key) for key in (
-        "sweeps", "radii", "radius_halvings", "increments", "residuals", "newton_iterations")}
+        "sweeps", "radii", "radius_halvings", "smallest_radii", "increments", "residuals",
+        "newton_iterations")}
     report.add("perron.converged", prun.final_residual <= cfg.solver["tol"],
                prun.final_residual, cfg.solver["tol"],
                "monotone lift iteration between the zero subsolution and the plane")

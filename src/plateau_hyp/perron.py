@@ -14,8 +14,11 @@ Starting from the zero subsolution the iterate is repeatedly replaced,
 ball by ball, by the local Dirichlet solution combined with a pointwise
 maximum, so sweeps are nondecreasing by construction and the iterate stays
 within the barrier sandwich.  Ball radii grow fourfold after every sweep,
-from small balls that see the bottom data to whole-domain lifts, so the
-fixed point satisfies the solver's residual tolerance.
+from balls of ``INITIAL_RADIUS`` nodes to whole-domain lifts, so the fixed
+point satisfies the solver's residual tolerance.  A lift whose solve
+diverges, from the iterate and from the solver's own start, is replaced by
+a cover of its ball with balls of half the radius, so every sweep still
+lifts every free node of every ball.
 """
 
 from __future__ import annotations
@@ -54,6 +57,16 @@ class PerronDecrease(PerronFailure):
     """A sweep lowered the iterate by more than the tolerance; lifts must not."""
 
     kind = "decrease"
+
+
+class PerronDivergence(PerronFailure):
+    """A ball lift diverged where no sub-cover may replace it.
+
+    Raised for a lift that diverges at ``MIN_RADIUS`` and for a whole-box
+    lift that needed a sub-cover, whose sweep then lifts smaller balls only.
+    """
+
+    kind = "divergence"
 
 
 class SandwichViolation(PerronFailure):
@@ -221,11 +234,12 @@ class Ball:
     radius: int
 
 
-def build_ball_cover(boundary: np.ndarray, radius: int) -> list:
+def build_ball_cover(boundary: np.ndarray, radius: int, within: Ball | None = None) -> list:
     """Lattice of index balls (a list of :class:`Ball`) covering the free nodes.
 
-    Stride is half the radius so that ball interiors (which shrink by a
-    stencil layer) still tile the grid.
+    Stride is the radius less two so that ball interiors (which shrink by a
+    stencil layer) still tile the grid.  With ``within`` the lattice spans
+    that ball's bounding box only, the sub-cover of a lift that diverged.
     """
     shape = boundary.shape
     d = len(shape)
@@ -235,8 +249,11 @@ def build_ball_cover(boundary: np.ndarray, radius: int) -> list:
     stride = max(radius - 2, 1)
     centers_per_axis = []
     for k in range(d):
-        top = shape[k] - 1
-        cs = list(range(0, shape[k], stride))
+        low, top = 0, shape[k] - 1
+        if within is not None:
+            low = max(low, within.center[k] - within.radius)
+            top = min(top, within.center[k] + within.radius)
+        cs = list(range(low, top + 1, stride))
         if cs[-1] != top:
             cs.append(top)
         centers_per_axis.append(cs)
@@ -264,10 +281,21 @@ def _index_ball_interior(shape, center, radius: int) -> np.ndarray:
     return solver.stencil_reduce(_index_ball_mask(shape, center, radius), np.logical_and)
 
 
-# Ball radius of the first sweep; the smallest radius a diverging lift
-# halves down to; the boundary points under which lower barrier stacks are
-# built, and the stacks' height as a fraction of the datum there.
-INITIAL_RADIUS = 4
+# Ball radius of the first sweep; the smallest radius a sub-cover of a
+# diverging lift goes down to; the boundary points under which lower barrier
+# stacks are built, and the stacks' height as a fraction of the datum there.
+#
+# INITIAL_RADIUS was measured on the eight smooth-step rows of the
+# benchmark's asymptotic workload (H = 0, tol 1e-8; 2-CPU machine, BLAS at
+# 1 thread).  Mean Perron solve per row, the best of two runs per row; the
+# ranges span two passes (129^2: two rows, one run each):
+#   radius        4            8            16           32
+#   33^2     0.37-0.44 s  0.15-0.16 s  0.15 s       0.15-0.16 s
+#   65^2     1.5-1.8 s    0.7-1.3 s    0.6-0.9 s    0.5-0.6 s
+#   129^2    8.3 s        4.2 s        3.1 s        2.8 s
+# No lift needed a sub-cover.  A 33^2 solve makes about 140 Newton steps at
+# radius 16 where it made 3,200 at radius 4; 16 is the fastest on 33^2.
+INITIAL_RADIUS = 16
 MIN_RADIUS = 2
 BARRIER_POINTS = 3
 BARRIER_GAP = 0.5
@@ -292,13 +320,17 @@ def cmc_lift(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig) -> GridFu
     """Replace u inside one ball by the local solution, combined by maximum.
 
     The ball solve takes its boundary values from the current iterate (and
-    from the pinned truncation faces where the ball meets them); divergence
-    halves the radius down to ``MIN_RADIUS`` before giving up.  The
-    pointwise maximum guards discretization noise, so the lift never lowers
-    the iterate.  The lift is returned on a copy and is not clamped from
-    above; the sweeps of :func:`perron_sweep` lift in place and combine each
-    lift with the supersolution from above, absorbing the scheme's transient
-    overshoot without disturbing the fixed point.
+    from the pinned truncation faces where the ball meets them).  Newton
+    starts from the iterate, and from the solver's own start if that
+    diverges.  If both diverge, a cover of the ball with balls of half the
+    radius is lifted in its place, each restricted to the ball, recursively
+    down to ``MIN_RADIUS``; so the lift still reaches every free node of the
+    ball and changes nothing outside it.  The pointwise maximum guards
+    discretization noise, so the lift never lowers the iterate.  The lift
+    is returned on a copy and is not clamped from above; the sweeps of
+    :func:`perron_sweep` lift in place and combine each lift with the
+    supersolution from above, absorbing the scheme's transient overshoot
+    without disturbing the fixed point.
     """
     out = u.copy()
     _lift_inplace(out, ball, H, cfg)
@@ -306,27 +338,46 @@ def cmc_lift(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig) -> GridFu
 
 
 def _lift_inplace(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig,
-                  upper: np.ndarray | None = None) -> tuple:
-    """Lift in place; returns (radius halvings, Newton iterations).
+                  upper: np.ndarray | None = None, region: np.ndarray | None = None) -> tuple:
+    """Lift in place; returns (sub-covers, Newton iterations, smallest radius).
 
-    The halvings count how often a diverging solve halved the radius; the
-    iterations are those of the solve that succeeded.
+    ``region`` (full grid shape) holds the nodes the lift may change, the
+    ball of the lift it replaces; None leaves the whole grid.  A solve that
+    diverges from both starts of :func:`_lift_once` is replaced by a
+    sub-cover of radius r/2 restricted to the ball.  The sub-covers count
+    the lifts so replaced, the iterations are those of the solves that
+    succeeded, and the smallest radius is that of the smallest ball that
+    ran.  A solve that diverges at ``MIN_RADIUS`` raises
+    :class:`PerronDivergence` naming the ball's centre.
     """
-    radius = ball.radius
-    halvings = 0
-    while True:
-        try:
-            return halvings, _lift_once(u, Ball(ball.center, radius), H, cfg, upper)
-        except SolverDivergence:
-            if radius <= MIN_RADIUS:
-                raise
-            radius = max(MIN_RADIUS, radius // 2)
-            halvings += 1
+    try:
+        return 0, _lift_once(u, ball, H, cfg, upper, region), ball.radius
+    except SolverDivergence as exc:
+        if ball.radius <= MIN_RADIUS:
+            at = np.ravel_multi_index(ball.center, u.values.shape)
+            raise PerronDivergence(f"ball lift of radius {ball.radius} centred at "
+                                   f"{_node_text(u, at)} diverged: {exc}") from exc
+    inside = _index_ball_mask(u.values.shape, ball.center, ball.radius)
+    if region is not None:
+        inside &= region
+    radius = max(MIN_RADIUS, ball.radius // 2)
+    covers, iterations, smallest = 1, 0, radius
+    for sub in build_ball_cover(u.boundary | ~inside, radius, within=ball):
+        sub_covers, iters, ran_at = _lift_inplace(u, sub, H, cfg, upper, inside)
+        covers += sub_covers
+        iterations += iters
+        smallest = min(smallest, ran_at)
+    return covers, iterations, smallest
 
 
 def _lift_once(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig,
-               upper: np.ndarray | None) -> int:
-    """One ball solve combined into u in place; returns its Newton iterations."""
+               upper: np.ndarray | None, region: np.ndarray | None) -> int:
+    """One ball solve combined into u in place; returns its Newton iterations.
+
+    The ball's nodes outside ``region``, when it is given, keep their values
+    as boundary data.  Raises :class:`SolverDivergence` if the solve
+    diverges from both starts.
+    """
     shape = u.values.shape
     d = len(shape)
     lo = [max(0, ball.center[k] - ball.radius - 1) for k in range(d)]
@@ -342,12 +393,21 @@ def _lift_once(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig,
     # truncation faces stay pinned: they are never interior to a ball solve
     pinned = u.boundary[window]
     mask &= ~pinned
+    if region is not None:
+        mask &= region[window]
     if not mask.any():
         return 0
     problem_mask = _dilate(mask)
     problem = DirichletProblem(grid=sub_grid, mask=problem_mask, data=sub_vals,
                                H=H, kind=PARABOLIC)
-    solved, report = solver.solve_dirichlet(problem, cfg.solver_cfg(), initial=sub_vals)
+    try:
+        solved, report = solver.solve_dirichlet(problem, cfg.solver_cfg(), initial=sub_vals)
+    except SolverDivergence:
+        # where no lift has reached yet, the iterate is zero next to the
+        # ball's boundary values: a start from which Newton can diverge
+        # although the ball's solution exists, so retry from the solver's
+        # own start
+        solved, report = solver.solve_dirichlet(problem, cfg.solver_cfg())
     interior = problem.interior_mask()
     # maximum with the old values up to a noise guard: genuine increases are
     # kept, decreases beyond solver noise are rejected (monotone sweeps)
@@ -367,22 +427,27 @@ def perron_sweep(u: GridFunction, upper: np.ndarray, cover: list, H: float,
                  cfg: PerronConfig, order: np.ndarray | None) -> tuple:
     """One pass of lifts over the cover, in place.
 
-    Returns (increment, radius halvings, Newton iterations).  Every lift is
-    clamped below the supersolution values ``upper``; the halvings count the
-    retries of lifts whose solve diverged, and the iterations are those of
-    the lift solves that succeeded.  Raises
-    :class:`PerronDecrease` if a lift lowered the iterate beyond the sweep
-    tolerance, and :class:`SandwichViolation` if the iterate leaves the
-    sandwich [0, upper] by more than ten times it (a discretization
-    inconsistency); both name the worst node.
+    Returns (increment, sub-covers, Newton iterations, smallest radius).
+    Every lift is clamped below the supersolution values ``upper``; the
+    sub-covers count the lifts whose solve diverged and were replaced by a
+    cover of their ball with balls of half the radius, the iterations are
+    those of the lift solves that succeeded, and the smallest radius is that
+    of the smallest ball any lift ran at.  Raises :class:`PerronDecrease` if
+    a lift lowered the iterate beyond the sweep tolerance, and
+    :class:`SandwichViolation` if the iterate leaves the sandwich [0, upper]
+    by more than ten times it (a discretization inconsistency); both name
+    the worst node.  A lift that diverges at ``MIN_RADIUS`` raises
+    :class:`PerronDivergence`.
     """
     before = u.values.copy()
     balls = cover if order is None else [cover[i] for i in order]
-    halvings = iterations = 0
+    covers = iterations = 0
+    smallest = max(u.values.shape)
     for ball in balls:
-        halved, iters = _lift_inplace(u, ball, H, cfg, upper)
-        halvings += halved
+        sub_covers, iters, ran_at = _lift_inplace(u, ball, H, cfg, upper)
+        covers += sub_covers
         iterations += iters
+        smallest = min(smallest, ran_at)
     change = u.values - before
     increment = float(np.max(change))
     drop = float(np.min(change))
@@ -397,7 +462,7 @@ def perron_sweep(u: GridFunction, upper: np.ndarray, cover: list, H: float,
             f"sandwich violated by {float(np.max(excess)):.3e} {side} at "
             f"{_node_text(u, np.argmax(excess))}: min(u) = {low:.3e}, "
             f"max(u - upper) = {high:.3e}, tolerance {10 * cfg.tol:.1e}")
-    return increment, halvings, iterations
+    return increment, covers, iterations, smallest
 
 
 def _node_text(u: GridFunction, flat_index) -> str:
@@ -419,9 +484,11 @@ def _sandwich_margins(u: GridFunction, upper: np.ndarray) -> tuple:
 class PerronReport:
     """How a Perron solve went; each list holds one entry per sweep.
 
-    ``newton_iterations`` sums the Newton iterations of the sweep's lift
-    solves that succeeded; ``radius_halvings`` counts the retries of those
-    that diverged.
+    ``radii`` holds the radius of the sweep's cover.  ``newton_iterations``
+    sums the Newton iterations of the sweep's lift solves that succeeded;
+    ``radius_halvings`` counts the lifts that diverged and were replaced by
+    a sub-cover of half their radius, and ``smallest_radii`` the radius of
+    the smallest ball any of the sweep's lifts ran at.
     """
 
     sweeps: int = 0
@@ -429,6 +496,7 @@ class PerronReport:
     residuals: list = field(default_factory=list)
     radii: list = field(default_factory=list)
     radius_halvings: list = field(default_factory=list)
+    smallest_radii: list = field(default_factory=list)
     newton_iterations: list = field(default_factory=list)
     final_residual: float = math.inf
     min_u: float = math.nan
@@ -492,7 +560,10 @@ def run_asymptotic_solve(phi: BoundaryDatum, H: float, grid: GridFunction, cfg: 
     map of the iterate, so a sweep that ends with increment <= tol and
     residual > tol will repeat itself: that raises :class:`PerronStall`,
     which names the sweep, the residual and where it peaks, and the
-    increment.
+    increment.  The stall test reads the radius the lifts ran at: a
+    whole-box lift that diverged and needed a sub-cover raises
+    :class:`PerronDivergence` instead, with the sweep, the radius the
+    sub-cover reached and the residual, unless that sweep converged.
     """
     if abs(H) >= 1:
         raise ValueError(f"|H| must be < 1, got H = {H}")
@@ -536,18 +607,28 @@ def run_asymptotic_solve(phi: BoundaryDatum, H: float, grid: GridFunction, cfg: 
     for sweep in range(1, cfg.max_sweeps + 1):
         cover = build_ball_cover(u.boundary, radius)
         order = rng.permutation(len(cover)) if rng is not None else None
-        increment, halvings, iterations = perron_sweep(u, upper, cover, H, cfg, order=order)
+        try:
+            increment, covers, iterations, smallest = perron_sweep(u, upper, cover, H, cfg,
+                                                                   order=order)
+        except PerronDivergence as exc:
+            raise PerronDivergence(f"perron iteration diverged at sweep {sweep}: {exc}") from exc
         res = solver.residual_norm(u, problem_all)
         report.sweeps = sweep
         report.increments.append(increment)
         report.residuals.append(res)
         report.radii.append(radius)
-        report.radius_halvings.append(halvings)
+        report.radius_halvings.append(covers)
+        report.smallest_radii.append(smallest)
         report.newton_iterations.append(iterations)
         if increment <= cfg.tol and res <= cfg.tol:
             report.converged = True
             break
-        if increment <= cfg.tol and radius >= max_radius:  # one whole-box ball
+        if radius >= max_radius and smallest < max_radius:
+            raise PerronDivergence(
+                f"perron iteration diverged at sweep {sweep}: the whole-box lift needed a "
+                f"sub-cover down to radius {smallest}, residual {res:.4e} with increment "
+                f"{increment:.3e} (tolerance {cfg.tol:.1e})")
+        if increment <= cfg.tol and smallest >= max_radius:  # one whole-box ball ran
             field = np.abs(operator.residual_field(u.values, grid, PARABOLIC, H,
                                                    operator.orientation()))
             field[~problem_all.interior_mask()] = -np.inf

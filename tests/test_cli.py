@@ -168,8 +168,8 @@ class TestSolveSection:
         assert cli.main(["solve-asymptotic", "--config", config, "--out-dir", str(tmp_path)]) == 0
         solve = json.loads((tmp_path / "report.json").read_text())["solve"]
         (rep,) = reports
-        keys = ("sweeps", "radii", "radius_halvings", "increments", "residuals",
-                "newton_iterations")
+        keys = ("sweeps", "radii", "radius_halvings", "smallest_radii", "increments",
+                "residuals", "newton_iterations")
         assert solve == {key: getattr(rep, key) for key in keys}
         assert all(len(solve[key]) == solve["sweeps"] for key in keys[1:])
         # every Newton iteration of every lift is counted against its sweep
@@ -473,6 +473,21 @@ class TestEndToEnd:
         assert cli.main(["solve-asymptotic", "--config", config,
                          "--out-dir", str(tmp_path)]) == cli.EXIT_DIVERGENCE
         assert "perron stall: " in capsys.readouterr().err
+
+    def test_perron_divergence_exit_code(self, tmp_path, monkeypatch, capsys):
+        # every lift solve diverges: the sub-covers reach the smallest radius,
+        # and the one-line failure names the sweep and the ball's centre
+        def diverging(*args, **kwargs):
+            raise cli.solver.SolverDivergence("forced divergence")
+
+        monkeypatch.setattr(cli.perron.solver, "solve_dirichlet", diverging)
+        config = write_config(tmp_path, self.asymptotic_doc())
+        assert cli.main(["solve-asymptotic", "--config", config,
+                         "--out-dir", str(tmp_path)]) == cli.EXIT_DIVERGENCE
+        err = capsys.readouterr().err
+        assert err.startswith(f"perron divergence: perron iteration diverged at sweep 1: ball "
+                              f"lift of radius {pe.MIN_RADIUS} centred at x = ")
+        assert err.count("\n") == 1
 
     def test_perron_sweep_limit_exit_code(self, tmp_path, capsys):
         doc = {"mode": "solve-asymptotic", "grid": 17,

@@ -1,5 +1,6 @@
 """Monotone lift iteration: lifts, sweeps, asymptotic solves, comparison."""
 
+import itertools
 import math
 
 import numpy as np
@@ -189,9 +190,11 @@ class TestLift:
         hi = pe.cmc_lift(raised, ball, 0.0, cfg)
         assert np.min(hi.values - lo.values) >= -1e-9
 
-    def test_divergence_halves_radius(self, monkeypatch):
-        # a radius-6 lift whose solve diverges is retried at radius 3, and
-        # that lift raises the iterate from zero toward the bottom data
+    def test_divergence_lifts_a_sub_cover_of_the_ball(self, monkeypatch):
+        # a radius-6 lift whose solve diverges is replaced by radius-3 lifts
+        # restricted to its ball: every free node of the ball rises from zero
+        # toward the bottom data, the annulus outside radius 3 included, and
+        # nothing outside the ball moves
         grid = small_grid()
         u = grid.copy()
         u.values[:] = 0.0
@@ -208,35 +211,90 @@ class TestLift:
 
         monkeypatch.setattr(sv, "solve_dirichlet", diverging_above_radius_3)
         lifted = pe.cmc_lift(u, ball, 0.0, pe.PerronConfig(tol=1e-9))
-        assert windows == [2 * 6 + 3, 2 * 3 + 3]
+        # the radius-6 solve diverges from the iterate and from the solver's own start
+        assert windows[:2] == [2 * 6 + 3] * 2 and len(windows) > 2
+        assert max(windows[2:]) <= 2 * 3 + 3
         raised = lifted.values - u.values
-        assert np.max(raised) > 1e-4 and np.min(raised) >= -1e-12
-        changed = np.argwhere(raised != 0.0)
-        assert np.all(np.sum((changed - np.array([16, 4])) ** 2, axis=1) <= 3**2)
+        offsets = np.indices(raised.shape) - np.array([16, 4])[:, None, None]
+        d2 = np.sum(offsets**2, axis=0)
+        in_ball = (d2 <= 6**2) & ~u.boundary
+        annulus = in_ball & (d2 > 3**2)
+        assert annulus.sum() > in_ball.sum() // 2
+        # a node left out stays at 0; the undiverged lift raises each by 7.2e-3 or more
+        assert np.min(raised[in_ball]) > 1e-3
+        assert np.all(raised[d2 > 6**2] == 0.0)
+
+    def test_divergence_at_min_radius_names_the_ball(self, monkeypatch):
+        # every solve diverges: the sub-covers halve the radius down to
+        # MIN_RADIUS, where the first ball's failure is named with its centre
+        def diverging(problem, *args, **kwargs):
+            raise sv.SolverDivergence("forced divergence")
+
+        monkeypatch.setattr(sv, "solve_dirichlet", diverging)
+        grid = small_grid()
+        nodes = np.indices(grid.values.shape)
+
+        def disc(center, radius):
+            return np.sum((nodes - np.array(center)[:, None, None]) ** 2, axis=0) <= radius**2
+
+        free = disc((16, 4), 4) & ~grid.boundary
+        # radius 2 has lattice stride 1: the first ball is the first node of the
+        # bounding box whose radius-2 ball meets a free node of the radius-4 ball
+        first = next(c for c in itertools.product(range(12, 21), range(0, 9))
+                     if np.any(free & disc(c, 2)))
+        with pytest.raises(pe.PerronDivergence) as info:
+            pe.cmc_lift(grid, pe.Ball((16, 4), 4), 0.0, pe.PerronConfig(tol=1e-9))
+        x, y = grid.axes[0][first[0]], grid.axes[1][first[1]]
+        assert info.value.kind == "divergence"
+        assert f"radius {pe.MIN_RADIUS} centred at x = {x:.4g}, y = {y:.4g}" in str(info.value)
 
 
 class TestSweep:
     def test_radius_halvings_are_counted_per_sweep(self, monkeypatch):
-        # the first three radius-4 lifts of sweep 1 diverge and are retried
-        # at radius 2; the report counts them against that sweep
+        # the first three radius-16 lifts of sweep 1 diverge and are replaced
+        # by sub-covers of radius 8; the report counts them against that
+        # sweep, whose smallest lift ran at radius 8
         grid = small_grid()
         phi = pe.constant_datum(0.4)
         cfg = pe.PerronConfig(tol=1e-8)
         _, plain = pe.run_asymptotic_solve(phi, 0.0, grid, cfg)
         forced = {"n": 0}
-        real_solve = sv.solve_dirichlet
+        real_lift = pe._lift_once
 
-        def diverging_first_radius_4(problem, *args, **kwargs):
-            if problem.grid.values.shape == (2 * 4 + 3,) * 2 and forced["n"] < 3:
+        def diverging_first_radius_16(u, ball, *args):
+            if ball.radius == 16 and forced["n"] < 3:
                 forced["n"] += 1
                 raise sv.SolverDivergence("forced divergence")
-            return real_solve(problem, *args, **kwargs)
+            return real_lift(u, ball, *args)
 
-        monkeypatch.setattr(sv, "solve_dirichlet", diverging_first_radius_4)
+        monkeypatch.setattr(pe, "_lift_once", diverging_first_radius_16)
         _, rep = pe.run_asymptotic_solve(phi, 0.0, grid, cfg)
         assert plain.radius_halvings == [0] * plain.sweeps
-        assert rep.converged and forced["n"] == 3
+        assert plain.smallest_radii == plain.radii
+        assert rep.converged and forced["n"] == 3 and rep.radii[0] == 16
         assert rep.radius_halvings == [3] + [0] * (rep.sweeps - 1)
+        assert rep.smallest_radii == [8] + rep.radii[1:]
+
+    def test_whole_box_divergence_is_named(self, monkeypatch):
+        # the whole-box lift diverges and its sub-cover lifts radius-16 balls:
+        # a divergence with the sweep, that radius and the residual, not a
+        # stall from a whole-box lift
+        grid = small_grid()
+        real_lift = pe._lift_once
+
+        def diverging_whole_box(u, ball, *args):
+            if ball.radius >= max(u.values.shape):
+                raise sv.SolverDivergence("forced divergence")
+            return real_lift(u, ball, *args)
+
+        monkeypatch.setattr(pe, "_lift_once", diverging_whole_box)
+        phi = pe.smooth_step_datum(0.2, 0.8, width=0.5)
+        with pytest.raises(pe.PerronDivergence) as info:
+            pe.run_asymptotic_solve(phi, 0.0, grid, pe.PerronConfig(tol=1e-8))
+        message = str(info.value)
+        assert info.value.kind == "divergence"
+        assert "sweep 2: the whole-box lift needed a sub-cover down to radius 16" in message
+        assert "residual " in message and "\n" not in message
 
     def test_decrease_names_the_node(self, monkeypatch):
         grid = small_grid()
@@ -245,7 +303,7 @@ class TestSweep:
 
         def lowering(u, ball, H, cfg, upper):
             u.values[5, 7] -= 1e-3
-            return 0, 0  # radius halvings, Newton iterations
+            return 0, 0, ball.radius  # sub-covers, Newton iterations, smallest radius
 
         monkeypatch.setattr(pe, "_lift_inplace", lowering)
         with pytest.raises(pe.PerronDecrease) as info:
@@ -348,9 +406,9 @@ class TestStall:
 
     @pytest.mark.parametrize("y_min, H, residual", [
         # the iterate overshoots near y_min and cannot come down
-        pytest.param(1e-4, 0.0, 8.6046e-3, id="small_y_min"),
+        pytest.param(1e-4, 0.0, 1.4642e-4, id="small_y_min"),
         # zero is no lower barrier for H < 0
-        pytest.param(0.05, -0.5, 1.2387, id="negative_H"),
+        pytest.param(0.05, -0.5, 2.4385, id="negative_H"),
     ])
     def test_step_data_stall_is_named(self, y_min, H, residual):
         grid = op.make_grid(2, 2.0, y_min, 0.8, 33)
@@ -358,7 +416,7 @@ class TestStall:
         with pytest.raises(pe.PerronStall) as info:
             pe.run_asymptotic_solve(phi, H, grid, pe.PerronConfig(tol=1e-8, max_sweeps=12))
         message = str(info.value)
-        assert "sweep 4" in message and "increment" in message and "max at x = " in message
+        assert "sweep 3" in message and "increment" in message and "max at x = " in message
         reported = float(message.split("residual ")[1].split()[0])
         assert reported == pytest.approx(residual, rel=1e-3)
 
