@@ -308,13 +308,9 @@ def grid_to_csv(u: GridFunction) -> str:
     """Row-major CSV of the grid: x1..x_{n-1}, y, u at 17 significant digits."""
     n = u.ndim
     header = ",".join([f"x{i+1}" for i in range(n - 1)] + ["y", "u"])
-    mesh = u.meshgrid()
-    lines = [header]
-    for idx in np.ndindex(u.values.shape):
-        coords = [mesh[d][idx] for d in range(n)]
-        row = coords + [u.values[idx]]
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    return "\n".join(lines) + "\n"
+    columns = [m.ravel().tolist() for m in u.meshgrid()] + [u.values.ravel().tolist()]
+    row = ",".join(["{:.17g}"] * (n + 1)).format
+    return "\n".join([header] + [row(*values) for values in zip(*columns)]) + "\n"
 
 
 def csv_to_grid(text: str) -> GridFunction:
@@ -340,11 +336,10 @@ def grid_to_obj(u: GridFunction) -> str:
     if u.ndim != 2:
         raise ValueError("OBJ emission is defined for planar (n = 2) grids")
     nx, ny = u.values.shape
-    xs, ys = u.axes
-    lines = []
-    for i in range(nx):
-        for j in range(ny):
-            lines.append(f"v {u.values[i, j]:.17g} {xs[i]:.17g} {ys[j]:.17g}")
+    xs = [f"{x:.17g}" for x in u.axes[0].tolist()]
+    ys = [f"{y:.17g}" for y in u.axes[1].tolist()]
+    lines = [f"v {v:.17g} {x} {y}"
+             for x, column in zip(xs, u.values.tolist()) for v, y in zip(column, ys)]
     for i in range(nx - 1):
         for j in range(ny - 1):
             a = i * ny + j + 1
@@ -385,8 +380,8 @@ def _run_solve_asymptotic(cfg: RunConfig, report: DiagnosticsReport, out_dir: st
     phi = build_datum(cfg.boundary)
     u, prun = perron.run_asymptotic_solve(phi, cfg.H, _grid_from_cfg(cfg), _perron_cfg(cfg))
     report.solve = {key: getattr(prun, key) for key in (
-        "sweeps", "radii", "radius_halvings", "smallest_radii", "increments", "residuals",
-        "newton_iterations")}
+        "sweeps", "radii", "radius_halvings", "smallest_radii", "lift_retries", "increments",
+        "residuals", "newton_iterations")}
     report.add("perron.converged", prun.final_residual <= cfg.solver["tol"],
                prun.final_residual, cfg.solver["tol"],
                "monotone lift iteration between the zero subsolution and the plane")

@@ -10,15 +10,16 @@ half-space above y_min and approaches the kernel of the y = 0 boundary as
 y_min -> 0, so the face data track the far field of the untruncated
 solution and the core barely moves when the box grows.
 
-Starting from the zero subsolution the iterate is repeatedly replaced,
-ball by ball, by the local Dirichlet solution combined with a pointwise
-maximum, so sweeps are nondecreasing by construction and the iterate stays
-within the barrier sandwich.  Ball radii grow fourfold after every sweep,
-from balls of ``INITIAL_RADIUS`` nodes to whole-domain lifts, so the fixed
+Starting from the zero subsolution the iterate is repeatedly replaced by
+the Dirichlet solution on one ball that covers the whole box, combined with
+a pointwise maximum, so sweeps are nondecreasing by construction and the
+iterate stays within the barrier sandwich.  The first sweep's solve starts
+from the solver's own start, every later one from the iterate; the fixed
 point satisfies the solver's residual tolerance.  A lift whose solve
-diverges, from the iterate and from the solver's own start, is replaced by
-a cover of its ball with balls of half the radius, so every sweep still
-lifts every free node of every ball.
+diverges from both starts is replaced by a cover of its ball with balls of
+half the radius, recursively, so the sweep still lifts every free node of
+the box; a sweep after the first that needs such a cover raises
+:class:`PerronDivergence`.
 """
 
 from __future__ import annotations
@@ -281,21 +282,9 @@ def _index_ball_interior(shape, center, radius: int) -> np.ndarray:
     return solver.stencil_reduce(_index_ball_mask(shape, center, radius), np.logical_and)
 
 
-# Ball radius of the first sweep; the smallest radius a sub-cover of a
-# diverging lift goes down to; the boundary points under which lower barrier
-# stacks are built, and the stacks' height as a fraction of the datum there.
-#
-# INITIAL_RADIUS was measured on the eight smooth-step rows of the
-# benchmark's asymptotic workload (H = 0, tol 1e-8; 2-CPU machine, BLAS at
-# 1 thread).  Mean Perron solve per row, the best of two runs per row; the
-# ranges span two passes (129^2: two rows, one run each):
-#   radius        4            8            16           32
-#   33^2     0.37-0.44 s  0.15-0.16 s  0.15 s       0.15-0.16 s
-#   65^2     1.5-1.8 s    0.7-1.3 s    0.6-0.9 s    0.5-0.6 s
-#   129^2    8.3 s        4.2 s        3.1 s        2.8 s
-# No lift needed a sub-cover.  A 33^2 solve makes about 140 Newton steps at
-# radius 16 where it made 3,200 at radius 4; 16 is the fastest on 33^2.
-INITIAL_RADIUS = 16
+# The smallest radius a sub-cover of a diverging lift goes down to; the
+# boundary points under which lower barrier stacks are built, and the
+# stacks' height as a fraction of the datum there.
 MIN_RADIUS = 2
 BARRIER_POINTS = 3
 BARRIER_GAP = 0.5
@@ -328,30 +317,35 @@ def cmc_lift(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig) -> GridFu
     ball and changes nothing outside it.  The pointwise maximum guards
     discretization noise, so the lift never lowers the iterate.  The lift
     is returned on a copy and is not clamped from above; the sweeps of
-    :func:`perron_sweep` lift in place and combine each lift with the
-    supersolution from above, absorbing the scheme's transient overshoot
-    without disturbing the fixed point.
+    :func:`perron_sweep` lift in place, start the first sweep's solves from
+    the solver's own start, and combine each lift with the supersolution
+    from above, absorbing the scheme's transient overshoot without
+    disturbing the fixed point.
     """
     out = u.copy()
-    _lift_inplace(out, ball, H, cfg)
+    _lift_inplace(out, ball, H, cfg, upper=None, region=None, rng=None, own_start_first=False)
     return out
 
 
 def _lift_inplace(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig,
-                  upper: np.ndarray | None = None, region: np.ndarray | None = None) -> tuple:
-    """Lift in place; returns (sub-covers, Newton iterations, smallest radius).
+                  upper: np.ndarray | None, region: np.ndarray | None,
+                  rng: np.random.Generator | None, own_start_first: bool) -> tuple:
+    """Lift in place; returns (sub-covers, Newton iterations, smallest radius, retries).
 
     ``region`` (full grid shape) holds the nodes the lift may change, the
     ball of the lift it replaces; None leaves the whole grid.  A solve that
     diverges from both starts of :func:`_lift_once` is replaced by a
-    sub-cover of radius r/2 restricted to the ball.  The sub-covers count
-    the lifts so replaced, the iterations are those of the solves that
-    succeeded, and the smallest radius is that of the smallest ball that
-    ran.  A solve that diverges at ``MIN_RADIUS`` raises
-    :class:`PerronDivergence` naming the ball's centre.
+    sub-cover of radius r/2 restricted to the ball, lifted in the order
+    ``rng`` permutes it to (lattice order without one).  The sub-covers
+    count the lifts so replaced, the iterations are those of the solves that
+    succeeded, the smallest radius is that of the smallest ball that ran,
+    and the retries count the solves that diverged from their first start
+    and converged from the other.  A solve that diverges at ``MIN_RADIUS``
+    raises :class:`PerronDivergence` naming the ball's centre.
     """
     try:
-        return 0, _lift_once(u, ball, H, cfg, upper, region), ball.radius
+        iterations, retries = _lift_once(u, ball, H, cfg, upper, region, own_start_first)
+        return 0, iterations, ball.radius, retries
     except SolverDivergence as exc:
         if ball.radius <= MIN_RADIUS:
             at = np.ravel_multi_index(ball.center, u.values.shape)
@@ -361,22 +355,32 @@ def _lift_inplace(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig,
     if region is not None:
         inside &= region
     radius = max(MIN_RADIUS, ball.radius // 2)
-    covers, iterations, smallest = 1, 0, radius
-    for sub in build_ball_cover(u.boundary | ~inside, radius, within=ball):
-        sub_covers, iters, ran_at = _lift_inplace(u, sub, H, cfg, upper, inside)
+    covers, iterations, smallest, retries = 1, 0, radius, 0
+    for sub in _ordered(build_ball_cover(u.boundary | ~inside, radius, within=ball), rng):
+        sub_covers, iters, ran_at, sub_retries = _lift_inplace(u, sub, H, cfg, upper, inside,
+                                                               rng, own_start_first)
         covers += sub_covers
         iterations += iters
         smallest = min(smallest, ran_at)
-    return covers, iterations, smallest
+        retries += sub_retries
+    return covers, iterations, smallest, retries
+
+
+def _ordered(cover: list, rng: np.random.Generator | None) -> list:
+    """The cover in lattice order, or permuted by ``rng``."""
+    return cover if rng is None else [cover[i] for i in rng.permutation(len(cover))]
 
 
 def _lift_once(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig,
-               upper: np.ndarray | None, region: np.ndarray | None) -> int:
-    """One ball solve combined into u in place; returns its Newton iterations.
+               upper: np.ndarray | None, region: np.ndarray | None,
+               own_start_first: bool) -> tuple:
+    """One ball solve combined into u in place; returns (Newton iterations, retries).
 
     The ball's nodes outside ``region``, when it is given, keep their values
-    as boundary data.  Raises :class:`SolverDivergence` if the solve
-    diverges from both starts.
+    as boundary data.  Newton starts from the iterate and retries from the
+    solver's own start, or the other way round with ``own_start_first``;
+    retries is 1 if the first start diverged and the second converged.
+    Raises :class:`SolverDivergence` if the solve diverges from both starts.
     """
     shape = u.values.shape
     d = len(shape)
@@ -396,18 +400,22 @@ def _lift_once(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig,
     if region is not None:
         mask &= region[window]
     if not mask.any():
-        return 0
+        return 0, 0
     problem_mask = _dilate(mask)
     problem = DirichletProblem(grid=sub_grid, mask=problem_mask, data=sub_vals,
                                H=H, kind=PARABOLIC)
+    # None is the solver's own start: nested iteration on an odd whole box,
+    # the linearization otherwise.  Where no lift has reached yet the iterate
+    # is zero next to the ball's boundary values, a start from which Newton
+    # can diverge although the ball's solution exists; elsewhere the iterate
+    # is the closer start
+    first, second = (None, sub_vals) if own_start_first else (sub_vals, None)
+    retries = 0
     try:
-        solved, report = solver.solve_dirichlet(problem, cfg.solver_cfg(), initial=sub_vals)
+        solved, report = solver.solve_dirichlet(problem, cfg.solver_cfg(), initial=first)
     except SolverDivergence:
-        # where no lift has reached yet, the iterate is zero next to the
-        # ball's boundary values: a start from which Newton can diverge
-        # although the ball's solution exists, so retry from the solver's
-        # own start
-        solved, report = solver.solve_dirichlet(problem, cfg.solver_cfg())
+        solved, report = solver.solve_dirichlet(problem, cfg.solver_cfg(), initial=second)
+        retries = 1
     interior = problem.interior_mask()
     # maximum with the old values up to a noise guard: genuine increases are
     # kept, decreases beyond solver noise are rejected (monotone sweeps)
@@ -416,7 +424,7 @@ def _lift_once(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig,
     if upper is not None:
         lifted = np.minimum(lifted, upper[window][interior])
     u.values[window][interior] = lifted
-    return report.iterations
+    return report.iterations, retries
 
 
 def _dilate(mask: np.ndarray) -> np.ndarray:
@@ -424,30 +432,38 @@ def _dilate(mask: np.ndarray) -> np.ndarray:
 
 
 def perron_sweep(u: GridFunction, upper: np.ndarray, cover: list, H: float,
-                 cfg: PerronConfig, order: np.ndarray | None) -> tuple:
+                 cfg: PerronConfig, rng: np.random.Generator | None) -> tuple:
     """One pass of lifts over the cover, in place.
 
-    Returns (increment, sub-covers, Newton iterations, smallest radius).
+    Returns (increment, sub-covers, Newton iterations, smallest radius,
+    retries).  The cover and every sub-cover are lifted in lattice order, or
+    in the order ``rng`` permutes them to.  A sweep that starts from the
+    zero subsolution, the first, starts its solves from the solver's own
+    start and retries from the iterate; any other sweep starts from the
+    iterate and retries from the solver's own start (:func:`_lift_once`).
     Every lift is clamped below the supersolution values ``upper``; the
-    sub-covers count the lifts whose solve diverged and were replaced by a
-    cover of their ball with balls of half the radius, the iterations are
-    those of the lift solves that succeeded, and the smallest radius is that
-    of the smallest ball any lift ran at.  Raises :class:`PerronDecrease` if
-    a lift lowered the iterate beyond the sweep tolerance, and
-    :class:`SandwichViolation` if the iterate leaves the sandwich [0, upper]
-    by more than ten times it (a discretization inconsistency); both name
-    the worst node.  A lift that diverges at ``MIN_RADIUS`` raises
-    :class:`PerronDivergence`.
+    sub-covers count the lifts whose solve diverged from both starts and
+    were replaced by a cover of their ball with balls of half the radius,
+    the iterations are those of the lift solves that succeeded, the smallest
+    radius is that of the smallest ball any lift ran at, and the retries
+    count the solves that converged from their second start.  Raises
+    :class:`PerronDecrease` if a lift lowered the iterate beyond the sweep
+    tolerance, and :class:`SandwichViolation` if the iterate leaves the
+    sandwich [0, upper] by more than ten times it (a discretization
+    inconsistency); both name the worst node.  A lift that diverges at
+    ``MIN_RADIUS`` raises :class:`PerronDivergence`.
     """
     before = u.values.copy()
-    balls = cover if order is None else [cover[i] for i in order]
-    covers = iterations = 0
+    own_start_first = not np.any(u.values[~u.boundary])
+    covers = iterations = retries = 0
     smallest = max(u.values.shape)
-    for ball in balls:
-        sub_covers, iters, ran_at = _lift_inplace(u, ball, H, cfg, upper)
+    for ball in _ordered(cover, rng):
+        sub_covers, iters, ran_at, ball_retries = _lift_inplace(u, ball, H, cfg, upper, None,
+                                                                rng, own_start_first)
         covers += sub_covers
         iterations += iters
         smallest = min(smallest, ran_at)
+        retries += ball_retries
     change = u.values - before
     increment = float(np.max(change))
     drop = float(np.min(change))
@@ -462,7 +478,7 @@ def perron_sweep(u: GridFunction, upper: np.ndarray, cover: list, H: float,
             f"sandwich violated by {float(np.max(excess)):.3e} {side} at "
             f"{_node_text(u, np.argmax(excess))}: min(u) = {low:.3e}, "
             f"max(u - upper) = {high:.3e}, tolerance {10 * cfg.tol:.1e}")
-    return increment, covers, iterations, smallest
+    return increment, covers, iterations, smallest, retries
 
 
 def _node_text(u: GridFunction, flat_index) -> str:
@@ -484,11 +500,13 @@ def _sandwich_margins(u: GridFunction, upper: np.ndarray) -> tuple:
 class PerronReport:
     """How a Perron solve went; each list holds one entry per sweep.
 
-    ``radii`` holds the radius of the sweep's cover.  ``newton_iterations``
-    sums the Newton iterations of the sweep's lift solves that succeeded;
-    ``radius_halvings`` counts the lifts that diverged and were replaced by
-    a sub-cover of half their radius, and ``smallest_radii`` the radius of
-    the smallest ball any of the sweep's lifts ran at.
+    ``radii`` holds the radius of the sweep's cover, the whole-box ball's
+    max(shape).  ``newton_iterations`` sums the Newton iterations of the
+    sweep's lift solves that succeeded; ``radius_halvings`` counts the lifts
+    that diverged from both starts and were replaced by a sub-cover of half
+    their radius, ``smallest_radii`` the radius of the smallest ball any of
+    the sweep's lifts ran at, and ``lift_retries`` the lift solves that
+    diverged from their first start and converged from the other.
     """
 
     sweeps: int = 0
@@ -497,6 +515,7 @@ class PerronReport:
     radii: list = field(default_factory=list)
     radius_halvings: list = field(default_factory=list)
     smallest_radii: list = field(default_factory=list)
+    lift_retries: list = field(default_factory=list)
     newton_iterations: list = field(default_factory=list)
     final_residual: float = math.inf
     min_u: float = math.nan
@@ -548,22 +567,22 @@ def run_asymptotic_solve(phi: BoundaryDatum, H: float, grid: GridFunction, cfg: 
     """Drive the truncated asymptotic problem on the box ``grid`` to the solver tolerance.
 
     Returns (GridFunction, PerronReport).  The iterate starts at the zero
-    subsolution inside the box and sweeps lifts over ball covers whose
-    radius starts at ``INITIAL_RADIUS`` and grows fourfold after every
-    sweep until one ball covers the box.  It stops when both the sweep
+    subsolution inside the box, and every sweep lifts one ball that covers
+    the whole box (:func:`perron_sweep`).  It stops when both the sweep
     increment and the interior residual are below tolerance.  The sandwich
     between zero and the supersolution plane through ``phi.c_max`` is
     checked after every sweep; the report keeps the final iterate's margins
     ``min_u`` = min(u) and ``max_above_upper`` = max(u - upper).
 
-    Once the cover is the single whole-box ball a sweep is a deterministic
-    map of the iterate, so a sweep that ends with increment <= tol and
-    residual > tol will repeat itself: that raises :class:`PerronStall`,
-    which names the sweep, the residual and where it peaks, and the
-    increment.  The stall test reads the radius the lifts ran at: a
-    whole-box lift that diverged and needed a sub-cover raises
-    :class:`PerronDivergence` instead, with the sweep, the radius the
-    sub-cover reached and the residual, unless that sweep converged.
+    A sweep whose whole-box lift ran is a deterministic map of the iterate,
+    so a sweep that ends with increment <= tol and residual > tol will
+    repeat itself: that raises :class:`PerronStall`, which names the sweep,
+    the residual and where it peaks, and the increment.  The stall test
+    reads the radius the lifts ran at.  The first sweep's whole-box lift may
+    diverge from both starts and be replaced by its sub-cover; a later
+    sweep's raises :class:`PerronDivergence` instead, with the sweep, the
+    radius the sub-cover reached and the residual, unless that sweep
+    converged.  ``cfg.shuffle_seed`` permutes the sub-covers.
     """
     if abs(H) >= 1:
         raise ValueError(f"|H| must be < 1, got H = {H}")
@@ -599,36 +618,35 @@ def run_asymptotic_solve(phi: BoundaryDatum, H: float, grid: GridFunction, cfg: 
     report = PerronReport()
 
     rng = np.random.default_rng(cfg.shuffle_seed) if cfg.shuffle_seed is not None else None
-    radius = INITIAL_RADIUS
-    max_radius = max(grid.values.shape)
+    whole_box = max(grid.values.shape)
+    cover = build_ball_cover(u.boundary, whole_box)
     problem_all = DirichletProblem(grid=grid, mask=np.ones(u.values.shape, dtype=bool),
                                    data=face, H=H, kind=PARABOLIC)
 
     for sweep in range(1, cfg.max_sweeps + 1):
-        cover = build_ball_cover(u.boundary, radius)
-        order = rng.permutation(len(cover)) if rng is not None else None
         try:
-            increment, covers, iterations, smallest = perron_sweep(u, upper, cover, H, cfg,
-                                                                   order=order)
+            increment, covers, iterations, smallest, retries = perron_sweep(
+                u, upper, cover, H, cfg, rng)
         except PerronDivergence as exc:
             raise PerronDivergence(f"perron iteration diverged at sweep {sweep}: {exc}") from exc
         res = solver.residual_norm(u, problem_all)
         report.sweeps = sweep
         report.increments.append(increment)
         report.residuals.append(res)
-        report.radii.append(radius)
+        report.radii.append(whole_box)
         report.radius_halvings.append(covers)
         report.smallest_radii.append(smallest)
+        report.lift_retries.append(retries)
         report.newton_iterations.append(iterations)
         if increment <= cfg.tol and res <= cfg.tol:
             report.converged = True
             break
-        if radius >= max_radius and smallest < max_radius:
+        if sweep > 1 and smallest < whole_box:
             raise PerronDivergence(
                 f"perron iteration diverged at sweep {sweep}: the whole-box lift needed a "
                 f"sub-cover down to radius {smallest}, residual {res:.4e} with increment "
                 f"{increment:.3e} (tolerance {cfg.tol:.1e})")
-        if increment <= cfg.tol and smallest >= max_radius:  # one whole-box ball ran
+        if increment <= cfg.tol and smallest >= whole_box:  # the whole-box lift ran
             field = np.abs(operator.residual_field(u.values, grid, PARABOLIC, H,
                                                    operator.orientation()))
             field[~problem_all.interior_mask()] = -np.inf
@@ -636,7 +654,6 @@ def run_asymptotic_solve(phi: BoundaryDatum, H: float, grid: GridFunction, cfg: 
                 f"perron iteration stalled at sweep {sweep}: residual {res:.4e} "
                 f"(max at {_node_text(u, np.argmax(field))}) with increment {increment:.3e} "
                 f"from a whole-box lift (tolerance {cfg.tol:.1e})")
-        radius = min(radius * 4, max_radius)
     else:
         raise PerronSweepLimit(
             f"perron iteration did not converge within {cfg.max_sweeps} sweeps "

@@ -244,19 +244,44 @@ class TestCriterion6ComparisonPrinciple:
 
 
 class TestCriterion7OrderIndependence:
-    def test_lexicographic_vs_shuffled(self):
+    def test_lexicographic_vs_shuffled(self, monkeypatch):
+        # every sweep lifts one whole-box ball, so the two orders differ only
+        # on a sub-cover: each run's sweep-1 whole-box lift is forced onto
+        # its cover by radius-32 balls, lifted in lattice or shuffled order
         started = time.perf_counter()
         tol = 1e-8
         phi = pe.smooth_step_datum(0.2, 0.6, width=0.5, c_max=0.7)
         grid = lambda: op.make_grid(2, 2.0, 0.05, 0.8, 65)
-        u_lex, _ = pe.run_asymptotic_solve(phi, 0.0, grid(), pe.PerronConfig(tol=tol))
-        u_shuf, _ = pe.run_asymptotic_solve(phi, 0.0, grid(),
-                                            pe.PerronConfig(tol=tol, shuffle_seed=42))
-        gap = float(np.max(np.abs(u_lex.values - u_shuf.values)))
+        real_lift = pe._lift_once
+        runs = []  # per run: whether the whole-box lift was forced, the balls lifted
+
+        def forced_sub_cover(u, ball, *args):
+            run = runs[-1]
+            if ball.radius < max(u.values.shape):
+                run["balls"].append((ball.center, ball.radius))
+            elif not run["forced"]:
+                run["forced"] = True
+                raise sv.SolverDivergence("forced divergence")
+            return real_lift(u, ball, *args)
+
+        monkeypatch.setattr(pe, "_lift_once", forced_sub_cover)
+        solutions = []
+        for seed in (None, 42):
+            runs.append({"forced": False, "balls": []})
+            u, rep = pe.run_asymptotic_solve(phi, 0.0, grid(),
+                                             pe.PerronConfig(tol=tol, shuffle_seed=seed))
+            solutions.append(u)
+            assert rep.converged and rep.radius_halvings[0] == 1
+        lex, shuffled = (run["balls"] for run in runs)
+        gap = float(np.max(np.abs(solutions[0].values - solutions[1].values)))
         elapsed = time.perf_counter() - started
-        ok = gap <= 10 * tol and elapsed < 600.0
+        reordered = sorted(lex) == sorted(shuffled) and lex != shuffled
+        ok = gap <= 10 * tol and reordered and elapsed < 600.0
         criterion_line(7, "ball order independence", ok,
-                       f"max |u_lex - u_shuffled| = {gap:.2e} (tol {10 * tol:.1e}), {elapsed:.0f} s")
+                       f"max |u_lex - u_shuffled| = {gap:.2e} (tol {10 * tol:.1e}) over "
+                       f"{len(lex)} sub-cover balls lifted per run, {elapsed:.0f} s")
+        assert len(lex) == 16 and all(radius == 32 for _, radius in lex)
+        assert reordered
         assert gap <= 10 * tol
         assert elapsed < 600.0
 

@@ -145,8 +145,10 @@ class TestSolveSection:
     """report.json carries the solve's own account next to the checks."""
 
     def test_solve_asymptotic_records_the_perron_report(self, tmp_path, monkeypatch):
+        # step data: the first lift's own start, the linearization, is
+        # exact on constant data and leaves Newton nothing to count
         doc = {"mode": "solve-asymptotic", "n": 2, "H": 0.0,
-               "boundary": {"kind": "constant", "c": 0.5},
+               "boundary": {"kind": "smooth_step", "lo": 0.2, "hi": 0.8, "width": 0.5},
                "domain": {"L": 1.0, "y_min": 0.05, "y_max": 0.65},
                "grid": 25, "solver": {"tol": 1e-7, "max_iters": 40, "max_sweeps": 100}}
         run, lift_solve = cli.perron.run_asymptotic_solve, cli.perron.solver.solve_dirichlet
@@ -168,8 +170,8 @@ class TestSolveSection:
         assert cli.main(["solve-asymptotic", "--config", config, "--out-dir", str(tmp_path)]) == 0
         solve = json.loads((tmp_path / "report.json").read_text())["solve"]
         (rep,) = reports
-        keys = ("sweeps", "radii", "radius_halvings", "smallest_radii", "increments",
-                "residuals", "newton_iterations")
+        keys = ("sweeps", "radii", "radius_halvings", "smallest_radii", "lift_retries",
+                "increments", "residuals", "newton_iterations")
         assert solve == {key: getattr(rep, key) for key in keys}
         assert all(len(solve[key]) == solve["sweeps"] for key in keys[1:])
         # every Newton iteration of every lift is counted against its sweep

@@ -251,9 +251,10 @@ class TestLift:
 
 class TestSweep:
     def test_radius_halvings_are_counted_per_sweep(self, monkeypatch):
-        # the first three radius-16 lifts of sweep 1 diverge and are replaced
-        # by sub-covers of radius 8; the report counts them against that
-        # sweep, whose smallest lift ran at radius 8
+        # the sweep-1 whole-box lift diverges and is replaced by its sub-cover
+        # of radius 16; the report counts it against that sweep, whose
+        # smallest lift ran at radius 16, and the next sweep's whole-box
+        # lift converges
         grid = small_grid()
         phi = pe.constant_datum(0.4)
         cfg = pe.PerronConfig(tol=1e-8)
@@ -261,19 +262,40 @@ class TestSweep:
         forced = {"n": 0}
         real_lift = pe._lift_once
 
-        def diverging_first_radius_16(u, ball, *args):
-            if ball.radius == 16 and forced["n"] < 3:
+        def diverging_first_whole_box(u, ball, *args):
+            if ball.radius >= max(u.values.shape) and forced["n"] < 1:
                 forced["n"] += 1
                 raise sv.SolverDivergence("forced divergence")
             return real_lift(u, ball, *args)
 
-        monkeypatch.setattr(pe, "_lift_once", diverging_first_radius_16)
+        monkeypatch.setattr(pe, "_lift_once", diverging_first_whole_box)
         _, rep = pe.run_asymptotic_solve(phi, 0.0, grid, cfg)
         assert plain.radius_halvings == [0] * plain.sweeps
-        assert plain.smallest_radii == plain.radii
-        assert rep.converged and forced["n"] == 3 and rep.radii[0] == 16
-        assert rep.radius_halvings == [3] + [0] * (rep.sweeps - 1)
-        assert rep.smallest_radii == [8] + rep.radii[1:]
+        assert plain.smallest_radii == plain.radii == [33] * plain.sweeps
+        assert rep.converged and forced["n"] == 1 and rep.sweeps >= 2
+        assert rep.radii == [33] * rep.sweeps
+        assert rep.radius_halvings == [1] + [0] * (rep.sweeps - 1)
+        assert rep.smallest_radii == [16] + rep.radii[1:]
+
+    def test_step_row_takes_two_whole_box_sweeps(self, monkeypatch):
+        # one step row of the benchmark's 33^2 asymptotic workload: every
+        # sweep lifts the whole box, the first from the solver's own start
+        starts = []
+        real_solve = sv.solve_dirichlet
+
+        def recording_solve(problem, cfg=None, initial=None, **kwargs):
+            starts.append(initial is None)
+            return real_solve(problem, cfg, initial, **kwargs)
+
+        monkeypatch.setattr(sv, "solve_dirichlet", recording_solve)
+        grid = op.make_grid(2, 2.0, 0.05, 0.8, 33)
+        phi = pe.smooth_step_datum(0.21, 0.79, center=-0.09, width=0.5)
+        _, rep = pe.run_asymptotic_solve(phi, 0.0, grid, pe.PerronConfig(tol=1e-8))
+        assert rep.converged
+        assert rep.radii == [33, 33] and rep.radius_halvings == [0, 0]
+        assert rep.lift_retries == [0, 0]
+        assert rep.newton_iterations[0] <= 8
+        assert starts[0]  # the first lift solve took no start values
 
     def test_whole_box_divergence_is_named(self, monkeypatch):
         # the whole-box lift diverges and its sub-cover lifts radius-16 balls:
@@ -301,9 +323,9 @@ class TestSweep:
         u = grid.copy()
         u.values[:] = 0.3
 
-        def lowering(u, ball, H, cfg, upper):
+        def lowering(u, ball, H, cfg, upper, region, rng, own_start_first):
             u.values[5, 7] -= 1e-3
-            return 0, 0, ball.radius  # sub-covers, Newton iterations, smallest radius
+            return 0, 0, ball.radius, 0  # sub-covers, Newton iterations, smallest radius, retries
 
         monkeypatch.setattr(pe, "_lift_inplace", lowering)
         with pytest.raises(pe.PerronDecrease) as info:
@@ -404,21 +426,45 @@ class TestAsymptoticSolve:
 class TestStall:
     """A whole-box sweep that stops moving above tolerance raises a named stall."""
 
-    @pytest.mark.parametrize("y_min, H, residual", [
-        # the iterate overshoots near y_min and cannot come down
-        pytest.param(1e-4, 0.0, 1.4642e-4, id="small_y_min"),
+    @pytest.mark.parametrize("y_min, H, sweep, residual", [
         # zero is no lower barrier for H < 0
-        pytest.param(0.05, -0.5, 2.4385, id="negative_H"),
+        pytest.param(0.05, -0.5, 2, 3.8339, id="negative_H"),
     ])
-    def test_step_data_stall_is_named(self, y_min, H, residual):
+    def test_step_data_stall_is_named(self, y_min, H, sweep, residual):
         grid = op.make_grid(2, 2.0, y_min, 0.8, 33)
         phi = pe.smooth_step_datum(0.2, 0.8, width=0.5)
         with pytest.raises(pe.PerronStall) as info:
             pe.run_asymptotic_solve(phi, H, grid, pe.PerronConfig(tol=1e-8, max_sweeps=12))
         message = str(info.value)
-        assert "sweep 3" in message and "increment" in message and "max at x = " in message
+        assert f"sweep {sweep}:" in message and "increment" in message
+        assert "max at x = " in message
         reported = float(message.split("residual ")[1].split()[0])
         assert reported == pytest.approx(residual, rel=1e-3)
+
+    def test_small_y_min_step_converges(self):
+        # this case stalled while sweep 1 lifted balls smaller than the box
+        # from the zero interior.  Whole-box lifts reach the solution that a
+        # whole-box Newton solve with the same face data finds from another
+        # start: its half-resolution solution, prolonged (on 33^2 the lift's
+        # own start is the linearization)
+        tol = 1e-8
+        grid = op.make_grid(2, 2.0, 1e-4, 0.8, 33)
+        phi = pe.smooth_step_datum(0.2, 0.8, width=0.5)
+        u, rep = pe.run_asymptotic_solve(phi, 0.0, grid, pe.PerronConfig(tol=tol, max_sweeps=12))
+        assert rep.converged and rep.final_residual <= tol
+        assert rep.min_u >= -10 * tol and rep.max_above_upper <= 10 * tol
+
+        def whole_box(values, axes):
+            return sv.DirichletProblem(grid=op.GridFunction(axes, values),
+                                       mask=np.ones(values.shape, dtype=bool), data=values, H=0.0)
+
+        data = np.where(u.boundary, u.values, 0.0)
+        solver_cfg = sv.SolverConfig(tol=tol * 1e-2)
+        half, _ = sv.solve_dirichlet(whole_box(data[::2, ::2], tuple(a[::2] for a in u.axes)),
+                                     solver_cfg)
+        direct, _ = sv.solve_dirichlet(whole_box(data, u.axes), solver_cfg,
+                                       initial=sv.prolong(half.values))
+        assert np.max(np.abs(direct.values - u.values)) <= 10 * tol
 
 
 class TestComparison:
