@@ -573,6 +573,7 @@ def _run_solve_dirichlet(cfg: RunConfig, report: DiagnosticsReport, out_dir: str
     u, srep = solver.solve_dirichlet(problem, scfg)
     report.solve = {"iterations": srep.iterations, "damping_history": srep.damping_history,
                     "krylov_iterations": srep.krylov_iterations,
+                    "lu_fallbacks": srep.lu_fallbacks,
                     "levels": [vars(level) for level in srep.levels]}
     err = float(np.max(np.abs(u.values[problem.mask] - data[problem.mask])))
     report.add("dirichlet.converged", srep.final_residual <= cfg.solver["tol"],

@@ -1,11 +1,14 @@
 """Dirichlet solver for the discrete graph equation on masked grid domains.
 
 Damped Newton iteration on the conservative residual, with the Jacobian
-assembled by stencil-colored finite differences.  The residual kernel with
-its W factors frozen serves twice more: frozen at the equidistant plane, it
-is the operator's linearization, whose solution starts Newton on small,
-masked or even-sized problems; frozen at the iterate, it is the Picard
-fallback when a Newton step cannot reduce the residual.  Newton and Picard
+assembled by stencil-colored finite differences: the color classes reach the
+residual in stacks of perturbed copies of the grid, as many per call as fit
+a fixed node budget (``NODE_BUDGET``), so one call evaluates every class on
+small grids and one class on large ones (:class:`JacobianBuilder`).  The
+residual kernel with its W factors frozen serves twice more: frozen at the
+equidistant plane, it is the operator's linearization, whose solution starts
+Newton on small, masked or even-sized problems; frozen at the iterate, it is
+the Picard fallback when a Newton step cannot reduce the residual.  Newton and Picard
 take their steps through one backtracking line search.  Boundary nodes are
 constrained, never solved, so prescribed data is attained exactly.  Failure
 to drive the residual down is reported as divergence, the numerical
@@ -18,13 +21,15 @@ cubically to the fine grid, where Newton then needs two or three steps.  The
 hierarchy ends at the last level whose half still has more interior
 unknowns than ``DENSE_CUTOFF``; that coarsest level starts from the
 linearization and takes its Newton steps through LU factors.  Every level
-above it is never factored: its Newton steps come from GMRES on its
-Jacobian, preconditioned by one V-cycle over the levels below
-(:func:`_krylov_solver`).  On each level the cycle smooths with damped
-Jacobi, restricts the residual by the adjoint of the cubic prolongation,
-applies the level below's last linear solver (its own cycle, or the
-coarsest level's LU factors) and prolongs the correction back, so the coarse
-solves of the start serve again as coarse-grid corrections.  Masked,
+above it takes its Newton steps from GMRES on its Jacobian, preconditioned
+by one V-cycle over the levels below (:func:`_krylov_solver`), and factors
+a Jacobian only when GMRES misses its tolerance on it freshly assembled.
+On each level the
+cycle smooths with damped Jacobi, restricts the residual by the adjoint of
+the cubic prolongation, applies the level below's last linear solver (its
+own cycle, or the coarsest level's LU factors) and prolongs the correction
+back, so the coarse solves of the start serve again as coarse-grid
+corrections.  Masked,
 even-sized and coarsest problems, and every solve given start values, keep
 the LU path.
 
@@ -89,6 +94,7 @@ class LevelRecord:
     iterations: int
     final_residual: float
     krylov_iterations: tuple
+    lu_fallbacks: int
 
 
 @dataclass
@@ -96,11 +102,13 @@ class SolveReport:
     """How a solve went; every field but ``levels`` describes the finest level.
 
     ``krylov_iterations`` holds the GMRES iterations of each Newton step, 0
-    for a step solved directly.  ``levels`` holds the coarse levels of the
-    nested-iteration start, coarsest first, and is empty when the start was
-    the linearization.  ``linear_solver`` is the linear solver of the last
-    Newton step (None after a Picard fallback or without a step), which the
-    level above applies as its coarse correction (:func:`_krylov_solver`).
+    for a step solved directly; ``lu_fallbacks`` counts the Jacobians that
+    were LU-factored after GMRES missed its tolerance on them.  ``levels``
+    holds the coarse levels of the nested-iteration start, coarsest first,
+    and is empty when the start was the linearization.  ``linear_solver``
+    is the linear solver of the last Newton step (None after a Picard
+    fallback or without a step), which the level above applies as its
+    coarse correction (:func:`_krylov_solver`).
     """
 
     iterations: int = 0
@@ -109,6 +117,7 @@ class SolveReport:
     converged: bool = False
     damping_history: list = field(default_factory=list)
     krylov_iterations: list = field(default_factory=list)
+    lu_fallbacks: int = 0
     gradient_bands: list = field(default_factory=list)
     levels: list = field(default_factory=list)
     linear_solver: object = field(default=None, repr=False, compare=False)
@@ -180,38 +189,49 @@ def ball_mask(grid: GridFunction, center, radius: float) -> np.ndarray:
 # Residual and Jacobian plumbing
 # ---------------------------------------------------------------------------
 
+# Most grid nodes that one residual call of a Jacobian assembly evaluates:
+# the color classes go to the residual in chunks of NODE_BUDGET // (grid
+# nodes) perturbed copies of the grid, at least one.  Per hemisphere
+# assembly (best of 5; 2-CPU Xeon host, 2 MB of L2 cache per core) with 1,
+# 2, 3 and all 9 colors per call: 129^2 4.32, 5.25, 8.02 and 8.78 ms; 65^2
+# 1.36, 1.27, 1.15 and 1.38 ms; 33^2 0.86, 0.61, 0.55 and 0.42 ms.  2^14
+# nodes picks the fastest on each row: 1, 3 and 9 colors per call.
+NODE_BUDGET = 2**14
+
+
 class JacobianBuilder:
     """Colored finite-difference Jacobian of the interior residual.
 
     Perturbing every interior node of one 3^d color class simultaneously
     keeps at most one perturbed node per stencil, so each colored evaluation
     recovers one coupling per row exactly (Curtis, Powell and Reid, J. Inst.
-    Math. Appl. 13, 1974).  All color classes are evaluated together: the
-    perturbed copies are stacked along a leading axis and passed to the
-    residual in one call, whose kernels treat leading axes as a batch.  The
-    stacked perturbation mask and the gather from the stacked evaluation
-    into the matrix are precomputed once per (shape, interior) and reused
-    across Newton iterations.
+    Math. Appl. 13, 1974).  The color classes reach the residual in chunks
+    of ``NODE_BUDGET // grid nodes`` classes, at least one: a chunk's
+    perturbed copies of the grid are stacked along a leading axis and passed
+    in one call, whose kernels treat leading axes as a batch.  So a small
+    grid passes every class in one call and a large one a class per call,
+    and the stack and the kernel's temporaries stay near the budget, also in
+    3-D.  Each copy sees the same arithmetic in any chunk, so the matrix does
+    not depend on the chunking.  The perturbed nodes and the gather from
+    each call's evaluation into the matrix are precomputed once per (shape,
+    interior) and reused across Newton iterations.
 
     Up to ``DENSE_CUTOFF`` unknowns the matrix is dense and numbered in C
     order.  Above it, the unknowns are numbered in nested-dissection order
     (:func:`nested_dissection_order`): ``order`` lists the C index of the
     unknown at each matrix position and ``position`` is its inverse.  The
     sparse matrix is then written straight into CSC arrays, each column's
-    rows sorted once here, so no assembly sorts or converts.
+    rows sorted once here, so no assembly sorts or converts.  Every matrix
+    shares the builder's index arrays, which must stay in that canonical
+    order: SuperLU's ``splu`` sorts a matrix's indices in place when they
+    are out of order, and would then scramble every later assembly.
     """
 
     def __init__(self, shape, interior: np.ndarray):
         self.shape = shape
-        d = len(shape)
+        d, size = len(shape), interior.size
         self.m = int(np.count_nonzero(interior))
         self.dense = self.m <= DENSE_CUTOFF
-        coords = np.indices(shape)
-        color = sum((coords[k] % 3) * 3**k for k in range(d))
-        colors = np.unique(color[interior])
-        # slot of each node's color in the stack (only colors with interior nodes)
-        slot = np.searchsorted(colors, color).reshape(-1)
-        self.perturb = interior & (color == colors.reshape((-1,) + (1,) * d))
         nodes = np.flatnonzero(interior)
         if self.dense:
             self.order = self.position = None
@@ -220,47 +240,77 @@ class JacobianBuilder:
             self.position = np.empty_like(self.order)
             self.position[self.order] = np.arange(self.m)
             nodes = nodes[self.order]
-        number = np.full(interior.size, -1, dtype=np.int64)
-        number[nodes] = np.arange(self.m)
+        number = np.full(size, -1, dtype=np.int32)
+        number[nodes] = np.arange(self.m, dtype=np.int32)
         # column j is the unknown at node q = nodes[j]; its rows are the
         # interior nodes r of q's stencil (interior nodes have the whole
         # stencil inside the grid, so flat offsets do not wrap), and J[r, q]
         # is read at r from the evaluation that perturbed q's color
         offsets = np.ravel_multi_index(np.indices((3,) * d).reshape(d, -1), shape) \
             - np.ravel_multi_index((1,) * d, shape)
-        stencil = nodes[:, None] + offsets
-        rows = number[stencil]
-        base = slot[nodes] * interior.size + nodes
+        rows = np.empty((self.m, len(offsets)), dtype=np.int32)
+        counts = np.zeros(self.m, dtype=np.int32)  # couplings per column
+        for k, offset in enumerate(offsets):
+            rows[:, k] = number[nodes + offset]
+            counts += rows[:, k] >= 0
+        keep = rows >= 0  # absent couplings: the stencil node is not interior
+        starts = np.zeros(self.m + 1, dtype=np.int32)
+        np.cumsum(counts, out=starts[1:])
+        # each column's color, ranked among the colors present, gives its
+        # residual call (chunk) and its copy of the grid in that call's stack
+        color = functools.reduce(np.add.outer, [np.arange(s) % 3 * 3**a
+                                                for a, s in enumerate(shape)]).reshape(-1)[nodes]
+        present = np.cumsum(np.bincount(color) > 0)
+        per_call = max(1, NODE_BUDGET // size)
+        chunk, copy = np.divmod((present - 1)[color], per_call)
+        perturbed = copy * size + nodes  # flat indices into the call's stack
+        # the couplings column by column, column j's at starts[j] ... starts[j + 1] - 1:
+        # where each is read (a flat index into its call's stack) and where
+        # it goes, flat in the F-order dense matrix or at its place in the CSC data
+        read_at = (perturbed.astype(np.int32)[:, None] + offsets.astype(np.int32))[keep]
         if self.dense:
-            keep = rows >= 0
-            self.rows = rows[keep]
-            self.cols = np.broadcast_to(np.arange(self.m)[:, None], rows.shape)[keep]
-            self.src = (base[:, None] + offsets)[keep]
-            return
-        # sort each column's rows, carrying the stencil offset in the low digits;
-        # absent couplings sort last
-        k = len(offsets)
-        rows[rows < 0] = self.m
-        packed = np.sort(rows * k + np.arange(k), axis=1)
-        keep = packed < self.m * k
-        self.indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(keep, axis=1)))) \
-            .astype(np.int32)
-        packed = packed[keep]
-        self.indices = (packed // k).astype(np.int32)
-        self.src = np.broadcast_to(base[:, None], keep.shape)[keep] + offsets[packed % k]
+            goes_to = (rows + self.m * np.arange(self.m)[:, None])[keep].astype(np.int32)
+        else:  # each column's rows sorted once here (in C), carrying their reads along
+            pattern = sp.csc_matrix((read_at, rows[keep], starts), shape=(self.m, self.m))
+            pattern.sort_indices()
+            self.indptr, self.indices, read_at = starts, pattern.indices, pattern.data
+        by_chunk = np.argsort(chunk.astype(np.int16), kind="stable")  # a radix sort
+        self.perturbed = perturbed[by_chunk]
+        counts = counts[by_chunk]
+        # per residual call: (copies, its slice of perturbed, its slice of src and dest)
+        columns = np.concatenate(([0], np.cumsum(np.bincount(chunk))))
+        entries = np.concatenate(([0], np.cumsum(counts)))[columns]
+        self.chunks = [(min(per_call, int(present[-1]) - c * per_call),
+                        slice(columns[c], columns[c + 1]), slice(entries[c], entries[c + 1]))
+                       for c in range(len(columns) - 1)]
+        # the couplings in chunk order: each column's places, column by column
+        first = np.cumsum(counts, dtype=np.int32) - counts
+        place = np.repeat(starts[by_chunk] - first, counts) \
+            + np.arange(read_at.size, dtype=np.int32)
+        self.src = read_at[place]
+        self.dest = goes_to[place] if self.dense else place
 
     def assemble(self, values: np.ndarray, resid_fn, F0: np.ndarray,
                  eps: float | None = None):
         if eps is None:
             eps = math.sqrt(np.finfo(float).eps) * (1.0 + float(np.max(np.abs(values))))
-        vp = np.broadcast_to(values, self.perturb.shape).copy()
-        vp[self.perturb] += eps
-        vals = ((resid_fn(vp) - F0) / eps).ravel()[self.src]
         if self.dense:
             J = np.zeros((self.m, self.m), order="F")
-            J[self.rows, self.cols] = vals
+            out = J.reshape(-1, order="F")  # a view
+        else:
+            out = np.empty(self.src.size)
+        for copies, perturbed, entries in self.chunks:
+            stack = np.broadcast_to(values, (copies,) + values.shape).copy()
+            stack.reshape(-1)[self.perturbed[perturbed]] += eps
+            quotient = resid_fn(stack)
+            quotient -= F0
+            quotient /= eps
+            # np.take reads int32 indices as fast as intp ones; item assignment does not
+            read = np.take(quotient.reshape(-1), self.src[entries])
+            out[self.dest[entries].astype(np.intp)] = read
+        if self.dense:
             return J
-        return sp.csc_matrix((vals, self.indices, self.indptr), shape=(self.m, self.m))
+        return sp.csc_matrix((out, self.indices, self.indptr), shape=(self.m, self.m))
 
 
 # sort digit of the lower half, the separator and the upper half of a cut
@@ -460,7 +510,8 @@ def _nested_start(problem: DirichletProblem, cfg: SolverConfig, resid,
     solved, sub = solve_dirichlet(coarse, cfg)
     report.levels = sub.levels + [LevelRecord(coarse.mask.shape, sub.iterations,
                                               sub.final_residual,
-                                              tuple(sub.krylov_iterations))]
+                                              tuple(sub.krylov_iterations),
+                                              sub.lu_fallbacks)]
     return prolong(solved.values), sub.linear_solver
 
 
@@ -609,11 +660,13 @@ def solve_dirichlet(problem: DirichletProblem, cfg: SolverConfig | None = None,
     one reused for up to three more steps: LU-factored (:func:`_factorize`)
     unless a coarse level was solved, whose last linear solver then serves
     as the coarse correction of preconditioned GMRES steps
-    (:func:`_krylov_solver`).  Steps take backtracking halving on the
-    residual max-norm (:func:`_backtrack`); if no Newton step makes
-    progress, a GMRES solve that misses its tolerance included, the solver
-    falls back to frozen-W sweeps (either Killing structure, LU-factored)
-    before declaring divergence, whose message names the grid shape.
+    (:func:`_krylov_solver`).  A GMRES solve that misses its tolerance on a
+    reused Jacobian sends the solver to a fresh one; on a fresh one it is
+    replaced by the LU step of that Jacobian.  Steps take backtracking
+    halving on the residual max-norm (:func:`_backtrack`); if no Newton step
+    makes progress, the solver falls back to frozen-W sweeps (either Killing
+    structure, LU-factored) before declaring divergence, whose message names
+    the grid shape.
     ``compute_bands`` adds the :func:`gradient_diagnostic` table to the
     report.
     """
@@ -638,12 +691,32 @@ def solve_dirichlet(problem: DirichletProblem, cfg: SolverConfig | None = None,
     krylov = [0]  # GMRES iterations of the current Newton step
 
     def linearize(values, F):
-        """(solve, the solver to hand up) for the Jacobian at ``values``."""
+        """(solve, the solver to hand up) for the Jacobian at ``values``.
+
+        On the Krylov path, a GMRES solve that misses its tolerance on the
+        freshly assembled Jacobian is replaced by the LU step of that
+        Jacobian, whose factors then serve its remaining reuses and are
+        handed up in place of the cycle.  A miss on a reused Jacobian gives
+        no step, so the caller reassembles before anything is factored.
+        """
         J = builder.assemble(values, resid, F)
         if coarse is None:
             solve = _factorize(J, builder)
             return solve, solve
-        return _krylov_solver(J, builder, coarse, krylov)
+        krylov_solve, cycle = _krylov_solver(J, builder, coarse, krylov)
+        factored, uses = [], [0]
+
+        def solve(rhs):
+            uses[0] += 1
+            if not factored:
+                step = krylov_solve(rhs)
+                if step is not None or uses[0] > 1:
+                    return step
+                report.lu_fallbacks += 1
+                factored.append(_factorize(J, builder))
+            return factored[0](rhs)
+
+        return solve, lambda rhs: (factored[0] if factored else cycle)(rhs)
 
     solve = handoff = None  # linear solver, reused for up to three more steps
     reused = 0

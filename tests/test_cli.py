@@ -198,9 +198,11 @@ class TestSolveSection:
         (level,) = rep.levels
         assert solve == {"iterations": rep.iterations, "damping_history": rep.damping_history,
                          "krylov_iterations": rep.krylov_iterations,
+                         "lu_fallbacks": rep.lu_fallbacks,
                          "levels": [{"shape": [33, 33], "iterations": level.iterations,
                                      "final_residual": level.final_residual,
-                                     "krylov_iterations": list(level.krylov_iterations)}]}
+                                     "krylov_iterations": list(level.krylov_iterations),
+                                     "lu_fallbacks": level.lu_fallbacks}]}
         assert solve["iterations"] >= 1 and level.iterations >= 1
         # the 65^2 level takes its steps by GMRES on the 33^2 level's factors,
         # which took its own steps directly

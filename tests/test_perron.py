@@ -397,14 +397,36 @@ class TestAsymptoticSolve:
         assert np.min(u.values) >= -1e-7
         assert np.max(u.values) <= 0.8 + 1e-7
 
-    def test_order_independence(self):
-        grid = small_grid()
+    def test_order_independence(self, monkeypatch):
+        # one whole-box ball per sweep has no order: each run's sweep-1
+        # whole-box lift is forced onto its sub-cover, whose radius-16 balls
+        # are lifted in lattice or shuffled order
         phi = pe.smooth_step_datum(0.2, 0.6, width=0.5)
         tol = 1e-8
-        u_lex, _ = pe.run_asymptotic_solve(phi, 0.0, grid, pe.PerronConfig(tol=tol))
-        u_shuf, _ = pe.run_asymptotic_solve(phi, 0.0, grid,
-                                            pe.PerronConfig(tol=tol, shuffle_seed=123))
-        assert np.max(np.abs(u_lex.values - u_shuf.values)) <= 10 * tol
+        real_lift = pe._lift_once
+        runs = []  # per run: whether the whole-box lift was forced, the balls lifted
+
+        def forced_sub_cover(u, ball, *args):
+            run = runs[-1]
+            if ball.radius < max(u.values.shape):
+                run["balls"].append((ball.center, ball.radius))
+            elif not run["forced"]:
+                run["forced"] = True
+                raise sv.SolverDivergence("forced divergence")
+            return real_lift(u, ball, *args)
+
+        monkeypatch.setattr(pe, "_lift_once", forced_sub_cover)
+        solutions = []
+        for seed in (None, 123):
+            runs.append({"forced": False, "balls": []})
+            u, rep = pe.run_asymptotic_solve(phi, 0.0, small_grid(),
+                                             pe.PerronConfig(tol=tol, shuffle_seed=seed))
+            solutions.append(u)
+            assert rep.converged and rep.radius_halvings[0] == 1
+        lex, shuffled = (run["balls"] for run in runs)
+        assert len(lex) == 16 and all(radius == 16 for _, radius in lex)
+        assert sorted(lex) == sorted(shuffled) and lex != shuffled
+        assert np.max(np.abs(solutions[0].values - solutions[1].values)) <= 10 * tol
 
     def test_tall_box_rejected_for_negative_curvature(self):
         grid = op.make_grid(2, 1.0, 0.05, 1.2, 33)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -328,6 +329,94 @@ class TestJacobianBuilder:
         sv.JacobianBuilder(values.shape, interior).assemble(values, resid, F0)
         assert calls == [(9,) + values.shape]  # every 3^2 color class in one stack
 
+    def test_large_grid_makes_one_color_calls(self):
+        problem = hemisphere_problem(129)
+        conv = op.orientation()
+        calls = []
+
+        def resid(v):
+            calls.append(v.shape)
+            return op.residual_field(v, problem.grid, PARABOLIC, 0.0, conv)
+
+        values = problem.data
+        F0 = op.residual_field(values, problem.grid, PARABOLIC, 0.0, conv)
+        sv.JacobianBuilder(values.shape, problem.interior_mask()).assemble(values, resid, F0)
+        assert calls == [(1,) + values.shape] * 9  # 129^2 nodes exceed the node budget
+
+    @pytest.mark.parametrize("n, nodes, window", [
+        (2, 129, False),  # whole box, sparse
+        (2, 129, True),   # a ball window of the same grid, sparse
+        (2, 17, False),   # dense
+        (3, 17, False),   # three axes, sparse
+    ])
+    def test_chunked_equals_one_stack(self, n, nodes, window, monkeypatch):
+        grid = op.make_grid(n, 0.5, 0.2, 1.0, nodes)
+        mesh = grid.meshgrid()
+        values = 0.3 + 0.2 * np.sin(3.0 * mesh[0]) * mesh[-1] \
+            + 0.02 * np.random.default_rng(5).standard_normal(mesh[0].shape)
+        mask = sv.ball_mask(grid, [0.0, 0.6], 0.4) if window else np.ones(values.shape, bool)
+        interior = sv.DirichletProblem(grid=grid, mask=mask, data=values, H=0.2).interior_mask()
+        resid = op.residual_evaluator(grid, PARABOLIC, 0.2, op.orientation())
+        F0 = resid(values)
+        colors = 3**n
+        matrices = []
+        # one stack, four colors per call (the last call takes the rest), one color per call
+        for per_call in (colors, 4, 1):
+            monkeypatch.setattr(sv, "NODE_BUDGET", per_call * values.size)
+            calls = []
+
+            def counting(v):
+                calls.append(v.shape[0])
+                return resid(v)
+
+            matrices.append(sv.JacobianBuilder(values.shape, interior)
+                            .assemble(values, counting, F0))
+            assert calls == [min(per_call, colors - c) for c in range(0, colors, per_call)]
+        one_stack = matrices[0]
+        assert isinstance(one_stack, np.ndarray) == (nodes == 17 and n == 2)
+        for J in matrices[1:]:
+            if isinstance(J, np.ndarray):
+                assert np.array_equal(J, one_stack)
+            else:
+                assert all(np.array_equal(getattr(J, a), getattr(one_stack, a))
+                           for a in ("data", "indices", "indptr"))
+
+    def test_large_grid_builder_and_assembly_memory(self):
+        # tracemalloc peaks on 129^2: a builder that sorts packed int64
+        # (m x 9) couplings reaches 9.0 MB and an assembly that stacks all
+        # nine colors 12.9 MB, above both bounds; this one 4.5 and 3.0 MB
+        problem = hemisphere_problem(129)
+        interior = problem.interior_mask()
+        resid = sv._residual_fn(problem)
+        values = problem.data
+        F0 = resid(values)
+        tracemalloc.start()
+        try:
+            builder = sv.JacobianBuilder(values.shape, interior)
+            held, build_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            builder.assemble(values, resid, F0)
+            assemble_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert build_peak <= 6e6
+        assert assemble_peak <= 5e6
+
+    def test_lu_between_assemblies_leaves_the_builder_intact(self):
+        # splu sorts a matrix's indices in place, so a matrix that shared the
+        # builder's index arrays would scramble every later assembly
+        problem = hemisphere_problem(33)
+        resid = sv._residual_fn(problem)
+        values = problem.data
+        F0 = resid(values)
+        builder = sv.JacobianBuilder(values.shape, problem.interior_mask())
+        first = builder.assemble(values, resid, F0)
+        arrays = [a.copy() for a in (first.data, first.indices, first.indptr)]
+        assert sv._factorize(first, builder)(-F0[problem.interior_mask()]) is not None
+        second = builder.assemble(values, resid, F0)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(arrays, (second.data, second.indices, second.indptr)))
+
 
 class TestDivergence:
     def test_impossible_data_reports_no_graph_solution(self):
@@ -639,7 +728,8 @@ class TestNestedIteration:
         assert coarse_rep.levels == []  # 15^2 unknowns below: the hierarchy ends at 33^2
         assert rep.levels == [sv.LevelRecord((33, 33), coarse_rep.iterations,
                                              coarse_rep.final_residual,
-                                             tuple(coarse_rep.krylov_iterations))]
+                                             tuple(coarse_rep.krylov_iterations),
+                                             coarse_rep.lu_fallbacks)]
         assert coarse_rep.iterations > 0 and coarse_rep.final_residual <= 1e-10
         # the coarse data are the fine data injected, boundary values included
         assert np.array_equal(coarse.data, problem.data[::2, ::2])
@@ -752,8 +842,8 @@ class TestPreconditionedSteps:
 
     def test_failed_coarse_correction_never_gives_a_wrong_answer(self, monkeypatch):
         # a coarse correction that returns NaN spoils every GMRES solve, so
-        # every Newton step has no direction: the solve must end in the
-        # LU-based Picard fallback, converged, or in a named divergence
+        # every Newton step must come from the LU factors of its Jacobian:
+        # the solve must end converged, or in a named divergence
         problem = hemisphere_box(2, 65)
         cfg = sv.SolverConfig(tol=1e-10)
         reference, _ = sv.solve_dirichlet(problem, cfg)
@@ -768,8 +858,56 @@ class TestPreconditionedSteps:
         except sv.SolverDivergence as exc:
             assert "on the 65x65 grid" in str(exc)
             return
-        assert rep.converged and rep.picard_iterations > 0
+        assert rep.converged and rep.lu_fallbacks >= 1 and rep.picard_iterations == 0
         assert rep.krylov_iterations[0] >= 1  # GMRES ran before the fallback
-        assert rep.linear_solver is None  # nothing of the failed steps is handed up
+        # the LU factors are handed up in place of the spoiled cycle
+        rhs = np.ones(np.count_nonzero(problem.interior_mask()))
+        assert np.all(np.isfinite(rep.linear_solver(rhs)))
         assert sv.residual_norm(u, problem) <= cfg.tol
         assert np.max(np.abs(u.values - reference.values)) <= 1e-10
+
+    def test_gmres_miss_takes_the_lu_step_of_the_same_jacobian(self, monkeypatch):
+        # two GMRES iterations miss most forcing terms; a miss on a fresh
+        # Jacobian factors it, and its LU steps converge with no frozen-W sweep
+        # (falling back to Picard instead takes 14 frozen-W sweeps here)
+        problem = hemisphere_box(2, 65)
+        cfg = sv.SolverConfig(tol=1e-10)
+        reference, ref_rep = sv.solve_dirichlet(problem, cfg)
+        assert ref_rep.lu_fallbacks == 0
+        monkeypatch.setattr(sv, "KRYLOV_CAP", 2)
+        u, rep = sv.solve_dirichlet(problem, cfg)
+        assert rep.converged and rep.picard_iterations == 0
+        assert 1 <= rep.lu_fallbacks <= rep.iterations
+        assert np.max(np.abs(u.values - reference.values)) <= 10 * cfg.tol
+
+    def test_gmres_miss_on_a_reused_jacobian_reassembles_before_factoring(self, monkeypatch):
+        # a reused Jacobian is stale; a miss on it rebuilds the Jacobian and
+        # retries GMRES, so only a Jacobian whose first GMRES solve missed is
+        # factored (the coarsest level's, factored without GMRES, aside)
+        problem = hemisphere_box(2, 65)
+        solves = []  # [Jacobian, GMRES solves made on it] on the Krylov path
+        factored = []  # GMRES solves made on each Jacobian when it was factored
+        krylov_solver, factorize = sv._krylov_solver, sv._factorize
+
+        def counted_krylov(J, *args):
+            solve, cycle = krylov_solver(J, *args)
+            record = [J, 0]  # holds J, so no later Jacobian shares its record
+            solves.append(record)
+
+            def counted(rhs):
+                record[1] += 1
+                return solve(rhs)
+            return counted, cycle
+
+        def recorded_factorize(J, builder):
+            factored.append(next((n for K, n in solves if K is J), 0))
+            return factorize(J, builder)
+
+        monkeypatch.setattr(sv, "KRYLOV_CAP", 2)
+        monkeypatch.setattr(sv, "_krylov_solver", counted_krylov)
+        monkeypatch.setattr(sv, "_factorize", recorded_factorize)
+        u, rep = sv.solve_dirichlet(problem, sv.SolverConfig(tol=1e-10))
+        assert rep.converged and rep.lu_fallbacks >= 1
+        assert factored.count(1) == rep.lu_fallbacks
+        assert set(factored) <= {0, 1}
+        assert max(n for _, n in solves) >= 2  # a Jacobian was reused, so the case was met
