@@ -12,7 +12,9 @@ sandwich violation or divergence), 4 check failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
+import itertools
 import json
 import math
 import os
@@ -305,12 +307,17 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def grid_to_csv(u: GridFunction) -> str:
-    """Row-major CSV of the grid: x1..x_{n-1}, y, u at 17 significant digits."""
+    """Row-major CSV of the grid: x1..x_{n-1}, y, u at 17 significant digits.
+
+    Each axis coordinate is formatted once; the rows pair those strings in
+    C order, the order of ``u.values.ravel()``.
+    """
     n = u.ndim
     header = ",".join([f"x{i+1}" for i in range(n - 1)] + ["y", "u"])
-    columns = [m.ravel().tolist() for m in u.meshgrid()] + [u.values.ravel().tolist()]
-    row = ",".join(["{:.17g}"] * (n + 1)).format
-    return "\n".join([header] + [row(*values) for values in zip(*columns)]) + "\n"
+    axes = [[f"{x:.17g}," for x in axis.tolist()] for axis in u.axes]
+    values = [f"{v:.17g}" for v in u.values.ravel().tolist()]
+    rows = ["".join(coords) + v for coords, v in zip(itertools.product(*axes), values)]
+    return "\n".join([header] + rows) + "\n"
 
 
 def csv_to_grid(text: str) -> GridFunction:
@@ -340,6 +347,14 @@ def grid_to_obj(u: GridFunction) -> str:
     ys = [f"{y:.17g}" for y in u.axes[1].tolist()]
     lines = [f"v {v:.17g} {x} {y}"
              for x, column in zip(xs, u.values.tolist()) for v, y in zip(column, ys)]
+    faces = _obj_faces(nx, ny)
+    return "\n".join(lines + [faces] if faces else lines) + "\n"
+
+
+@functools.lru_cache(maxsize=8)
+def _obj_faces(nx: int, ny: int) -> str:
+    """The face lines of an nx x ny OBJ grid, two triangles per quad, joined by newlines."""
+    lines = []
     for i in range(nx - 1):
         for j in range(ny - 1):
             a = i * ny + j + 1
@@ -348,7 +363,7 @@ def grid_to_obj(u: GridFunction) -> str:
             d = i * ny + j + 2
             lines.append(f"f {a} {b} {c}")
             lines.append(f"f {a} {c} {d}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines)
 
 
 def emit_outputs(u: GridFunction, cfg: RunConfig, out_dir: str, report: DiagnosticsReport,
@@ -381,7 +396,7 @@ def _run_solve_asymptotic(cfg: RunConfig, report: DiagnosticsReport, out_dir: st
     u, prun = perron.run_asymptotic_solve(phi, cfg.H, _grid_from_cfg(cfg), _perron_cfg(cfg))
     report.solve = {key: getattr(prun, key) for key in (
         "sweeps", "radii", "radius_halvings", "smallest_radii", "lift_retries", "increments",
-        "residuals", "newton_iterations")}
+        "residuals", "newton_iterations", "lu_fallbacks")}
     report.add("perron.converged", prun.final_residual <= cfg.solver["tol"],
                prun.final_residual, cfg.solver["tol"],
                "monotone lift iteration between the zero subsolution and the plane")

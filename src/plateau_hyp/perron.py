@@ -330,7 +330,8 @@ def cmc_lift(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig) -> GridFu
 def _lift_inplace(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig,
                   upper: np.ndarray | None, region: np.ndarray | None,
                   rng: np.random.Generator | None, own_start_first: bool) -> tuple:
-    """Lift in place; returns (sub-covers, Newton iterations, smallest radius, retries).
+    """Lift in place; returns (sub-covers, Newton iterations, smallest radius, retries,
+    LU fallbacks).
 
     ``region`` (full grid shape) holds the nodes the lift may change, the
     ball of the lift it replaces; None leaves the whole grid.  A solve that
@@ -340,12 +341,14 @@ def _lift_inplace(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig,
     count the lifts so replaced, the iterations are those of the solves that
     succeeded, the smallest radius is that of the smallest ball that ran,
     and the retries count the solves that diverged from their first start
-    and converged from the other.  A solve that diverges at ``MIN_RADIUS``
+    and converged from the other; the LU fallbacks are those of the solves
+    that succeeded.  A solve that diverges at ``MIN_RADIUS``
     raises :class:`PerronDivergence` naming the ball's centre.
     """
     try:
-        iterations, retries = _lift_once(u, ball, H, cfg, upper, region, own_start_first)
-        return 0, iterations, ball.radius, retries
+        iterations, retries, fallbacks = _lift_once(u, ball, H, cfg, upper, region,
+                                                    own_start_first)
+        return 0, iterations, ball.radius, retries, fallbacks
     except SolverDivergence as exc:
         if ball.radius <= MIN_RADIUS:
             at = np.ravel_multi_index(ball.center, u.values.shape)
@@ -355,15 +358,16 @@ def _lift_inplace(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig,
     if region is not None:
         inside &= region
     radius = max(MIN_RADIUS, ball.radius // 2)
-    covers, iterations, smallest, retries = 1, 0, radius, 0
+    covers, iterations, smallest, retries, fallbacks = 1, 0, radius, 0, 0
     for sub in _ordered(build_ball_cover(u.boundary | ~inside, radius, within=ball), rng):
-        sub_covers, iters, ran_at, sub_retries = _lift_inplace(u, sub, H, cfg, upper, inside,
-                                                               rng, own_start_first)
+        sub_covers, iters, ran_at, sub_retries, sub_fallbacks = _lift_inplace(
+            u, sub, H, cfg, upper, inside, rng, own_start_first)
         covers += sub_covers
         iterations += iters
         smallest = min(smallest, ran_at)
         retries += sub_retries
-    return covers, iterations, smallest, retries
+        fallbacks += sub_fallbacks
+    return covers, iterations, smallest, retries, fallbacks
 
 
 def _ordered(cover: list, rng: np.random.Generator | None) -> list:
@@ -374,13 +378,16 @@ def _ordered(cover: list, rng: np.random.Generator | None) -> list:
 def _lift_once(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig,
                upper: np.ndarray | None, region: np.ndarray | None,
                own_start_first: bool) -> tuple:
-    """One ball solve combined into u in place; returns (Newton iterations, retries).
+    """One ball solve combined into u in place; returns (Newton iterations, retries,
+    LU fallbacks).
 
     The ball's nodes outside ``region``, when it is given, keep their values
     as boundary data.  Newton starts from the iterate and retries from the
     solver's own start, or the other way round with ``own_start_first``;
     retries is 1 if the first start diverged and the second converged.
-    Raises :class:`SolverDivergence` if the solve diverges from both starts.
+    The LU fallbacks are the converged solve's ``SolveReport.lu_fallbacks``,
+    its nested-iteration levels' included.  Raises :class:`SolverDivergence`
+    if the solve diverges from both starts.
     """
     shape = u.values.shape
     d = len(shape)
@@ -400,7 +407,7 @@ def _lift_once(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig,
     if region is not None:
         mask &= region[window]
     if not mask.any():
-        return 0, 0
+        return 0, 0, 0
     problem_mask = _dilate(mask)
     problem = DirichletProblem(grid=sub_grid, mask=problem_mask, data=sub_vals,
                                H=H, kind=PARABOLIC)
@@ -424,7 +431,8 @@ def _lift_once(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig,
     if upper is not None:
         lifted = np.minimum(lifted, upper[window][interior])
     u.values[window][interior] = lifted
-    return report.iterations, retries
+    fallbacks = report.lu_fallbacks + sum(level.lu_fallbacks for level in report.levels)
+    return report.iterations, retries, fallbacks
 
 
 def _dilate(mask: np.ndarray) -> np.ndarray:
@@ -436,7 +444,7 @@ def perron_sweep(u: GridFunction, upper: np.ndarray, cover: list, H: float,
     """One pass of lifts over the cover, in place.
 
     Returns (increment, sub-covers, Newton iterations, smallest radius,
-    retries).  The cover and every sub-cover are lifted in lattice order, or
+    retries, LU fallbacks).  The cover and every sub-cover are lifted in lattice order, or
     in the order ``rng`` permutes them to.  A sweep that starts from the
     zero subsolution, the first, starts its solves from the solver's own
     start and retries from the iterate; any other sweep starts from the
@@ -446,7 +454,9 @@ def perron_sweep(u: GridFunction, upper: np.ndarray, cover: list, H: float,
     were replaced by a cover of their ball with balls of half the radius,
     the iterations are those of the lift solves that succeeded, the smallest
     radius is that of the smallest ball any lift ran at, and the retries
-    count the solves that converged from their second start.  Raises
+    count the solves that converged from their second start, and the LU
+    fallbacks the Jacobians the lift solves factored after GMRES missed its
+    tolerance on them.  Raises
     :class:`PerronDecrease` if a lift lowered the iterate beyond the sweep
     tolerance, and :class:`SandwichViolation` if the iterate leaves the
     sandwich [0, upper] by more than ten times it (a discretization
@@ -455,15 +465,16 @@ def perron_sweep(u: GridFunction, upper: np.ndarray, cover: list, H: float,
     """
     before = u.values.copy()
     own_start_first = not np.any(u.values[~u.boundary])
-    covers = iterations = retries = 0
+    covers = iterations = retries = fallbacks = 0
     smallest = max(u.values.shape)
     for ball in _ordered(cover, rng):
-        sub_covers, iters, ran_at, ball_retries = _lift_inplace(u, ball, H, cfg, upper, None,
-                                                                rng, own_start_first)
+        sub_covers, iters, ran_at, ball_retries, ball_fallbacks = _lift_inplace(
+            u, ball, H, cfg, upper, None, rng, own_start_first)
         covers += sub_covers
         iterations += iters
         smallest = min(smallest, ran_at)
         retries += ball_retries
+        fallbacks += ball_fallbacks
     change = u.values - before
     increment = float(np.max(change))
     drop = float(np.min(change))
@@ -478,7 +489,7 @@ def perron_sweep(u: GridFunction, upper: np.ndarray, cover: list, H: float,
             f"sandwich violated by {float(np.max(excess)):.3e} {side} at "
             f"{_node_text(u, np.argmax(excess))}: min(u) = {low:.3e}, "
             f"max(u - upper) = {high:.3e}, tolerance {10 * cfg.tol:.1e}")
-    return increment, covers, iterations, smallest, retries
+    return increment, covers, iterations, smallest, retries, fallbacks
 
 
 def _node_text(u: GridFunction, flat_index) -> str:
@@ -505,8 +516,10 @@ class PerronReport:
     sweep's lift solves that succeeded; ``radius_halvings`` counts the lifts
     that diverged from both starts and were replaced by a sub-cover of half
     their radius, ``smallest_radii`` the radius of the smallest ball any of
-    the sweep's lifts ran at, and ``lift_retries`` the lift solves that
-    diverged from their first start and converged from the other.
+    the sweep's lifts ran at, ``lift_retries`` the lift solves that
+    diverged from their first start and converged from the other, and
+    ``lu_fallbacks`` the Jacobians those solves (their nested-iteration
+    levels included) LU-factored after GMRES missed its tolerance on them.
     """
 
     sweeps: int = 0
@@ -517,6 +530,7 @@ class PerronReport:
     smallest_radii: list = field(default_factory=list)
     lift_retries: list = field(default_factory=list)
     newton_iterations: list = field(default_factory=list)
+    lu_fallbacks: list = field(default_factory=list)
     final_residual: float = math.inf
     min_u: float = math.nan
     max_above_upper: float = math.nan
@@ -625,7 +639,7 @@ def run_asymptotic_solve(phi: BoundaryDatum, H: float, grid: GridFunction, cfg: 
 
     for sweep in range(1, cfg.max_sweeps + 1):
         try:
-            increment, covers, iterations, smallest, retries = perron_sweep(
+            increment, covers, iterations, smallest, retries, fallbacks = perron_sweep(
                 u, upper, cover, H, cfg, rng)
         except PerronDivergence as exc:
             raise PerronDivergence(f"perron iteration diverged at sweep {sweep}: {exc}") from exc
@@ -638,6 +652,7 @@ def run_asymptotic_solve(phi: BoundaryDatum, H: float, grid: GridFunction, cfg: 
         report.smallest_radii.append(smallest)
         report.lift_retries.append(retries)
         report.newton_iterations.append(iterations)
+        report.lu_fallbacks.append(fallbacks)
         if increment <= cfg.tol and res <= cfg.tol:
             report.converged = True
             break

@@ -33,12 +33,16 @@ corrections.  Masked,
 even-sized and coarsest problems, and every solve given start values, keep
 the LU path.
 
-Sparse Jacobians number their unknowns by nested dissection of the box
-(George, SIAM J. Numer. Anal. 10, 1973): halves before the separating
-plane, recursively, computed as one vectorized sort key
-(:func:`nested_dissection_order`).  SuperLU factors them in that order,
-which fills less than its own graph orderings on the 3^d-stencil Jacobian
-(see :func:`_factorize`).
+Every Jacobian is assembled as one sparse (CSC) matrix.  In C order the
+3^d-stencil Jacobian is banded, its half-bandwidth kl one interior row (or
+plane) plus one; while m kl^2 stays within ``BAND_WORK`` for its m unknowns
+(2-D boxes up to 96^2, 3-D boxes up to 15^3, and their ball windows) it
+keeps C order and is factored by LAPACK's band LU.  Wider Jacobians number
+their unknowns by nested dissection of the box (George, SIAM J. Numer.
+Anal. 10, 1973): halves before the separating plane, recursively, computed
+as one vectorized sort key (:func:`nested_dissection_order`).  SuperLU
+factors them in that order, which fills less than its own graph orderings
+on the 3^d-stencil Jacobian (see :func:`_factorize`).
 """
 
 from __future__ import annotations
@@ -66,10 +70,11 @@ class SolverDivergence(RuntimeError):
 
 
 # Smallest backtracking step, the most frozen-W (Picard) sweeps of one
-# fallback phase, and the largest interior a Jacobian is assembled dense
-# for.  A level whose half-resolution problem would be that small also ends
-# the nested-iteration hierarchy: dense levels are cheap to start from the
-# linearization, and the sparse factorizations are what the hierarchy saves.
+# fallback phase, and the interior size that ends the nested-iteration
+# hierarchy: a level whose half-resolution problem would have at most
+# DENSE_CUTOFF unknowns starts from the linearization, which is cheap to
+# solve at that size, and the factorizations of the levels above it are
+# what the hierarchy saves.
 MIN_STEP = 2.0**-20
 PICARD_SWEEPS = 50
 DENSE_CUTOFF = 400
@@ -197,6 +202,20 @@ def ball_mask(grid: GridFunction, center, radius: float) -> np.ndarray:
 # 1.36, 1.27, 1.15 and 1.38 ms; 33^2 0.86, 0.61, 0.55 and 0.42 ms.  2^14
 # nodes picks the fastest on each row: 1, 3 and 9 colors per call.
 NODE_BUDGET = 2**14
+# Largest m kl^2, the band LU's work for m unknowns at C-order
+# half-bandwidth kl, for which a builder keeps C order and LAPACK's band LU;
+# a wider matrix is numbered by nested dissection for SuperLU (_factorize).
+# One hemisphere Jacobian per box (best of 3, BLAS 1 thread, 2-CPU Xeon
+# host), factor ms, band against SuperLU: 17^2 0.05 / 0.43, 33^2 0.39 / 1.4,
+# 65^2 4.6 / 7.2, 81^2 7.4 / 10.7, 89^2 12.8 / 13.4, 93^2 18.3 / 14.7, 97^2
+# 15.1 / 16.8, 129^2 41 / 37; 9^3 0.41 / 1.1, 13^3 3.3 / 7.8, 15^3 8.1 /
+# 12.1, 17^3 17.1 / 22.8.  From 65^2 on the band's solves take up to 2.1
+# times SuperLU's, and its storage m (3 kl + 1) doubles 2-4 times SuperLU's
+# factors (97^2: 21 against 6.4 MB).  From 89^2 to 97^2 the two trade
+# places from one sweep to the next on a shared host.  8e7 keeps the
+# band up to 96^2 and 15^3 (8.0e7 and 7.4e7), where 3-D gains the most, and
+# puts 97^2 (8.3e7) and 17^3 (2.0e8) on SuperLU.
+BAND_WORK = 8 * 10**7
 
 
 class JacobianBuilder:
@@ -216,30 +235,30 @@ class JacobianBuilder:
     each call's evaluation into the matrix are precomputed once per (shape,
     interior) and reused across Newton iterations.
 
-    Up to ``DENSE_CUTOFF`` unknowns the matrix is dense and numbered in C
-    order.  Above it, the unknowns are numbered in nested-dissection order
-    (:func:`nested_dissection_order`): ``order`` lists the C index of the
-    unknown at each matrix position and ``position`` is its inverse.  The
-    sparse matrix is then written straight into CSC arrays, each column's
-    rows sorted once here, so no assembly sorts or converts.  Every matrix
-    shares the builder's index arrays, which must stay in that canonical
-    order: SuperLU's ``splu`` sorts a matrix's indices in place when they
-    are out of order, and would then scramble every later assembly.
+    The matrix is banded in C order; ``kl`` is its half-bandwidth there,
+    the farthest coupling from the diagonal (0 when no interior node has an
+    interior neighbor).  If m kl^2 <= ``BAND_WORK`` for the m unknowns, the
+    builder keeps C order for the band LU: ``order`` and ``position`` are
+    identity slices, and ``band_at`` gives each stored coupling's flat
+    index in F-order LAPACK band storage with kl rows left for the fill,
+    (2 kl + row - col) + (3 kl + 1) col (the stencil is symmetric, so the
+    upper half-bandwidth is kl too).  Otherwise ``kl`` is None and the
+    unknowns are numbered in nested-dissection order
+    (:func:`nested_dissection_order`) for SuperLU: ``order`` lists the C
+    index of the unknown at each matrix position and ``position`` is its
+    inverse.  Either way the matrix is written straight into CSC arrays,
+    each column's rows sorted once here, so no assembly sorts or converts.
+    Every matrix shares the builder's index arrays, which must stay in that
+    canonical order: SuperLU's ``splu`` sorts a matrix's indices in place
+    when they are out of order, and would then scramble every later
+    assembly.
     """
 
     def __init__(self, shape, interior: np.ndarray):
         self.shape = shape
         d, size = len(shape), interior.size
         self.m = int(np.count_nonzero(interior))
-        self.dense = self.m <= DENSE_CUTOFF
         nodes = np.flatnonzero(interior)
-        if self.dense:
-            self.order = self.position = None
-        else:
-            self.order = nested_dissection_order(interior)
-            self.position = np.empty_like(self.order)
-            self.position[self.order] = np.arange(self.m)
-            nodes = nodes[self.order]
         number = np.full(size, -1, dtype=np.int32)
         number[nodes] = np.arange(self.m, dtype=np.int32)
         # column j is the unknown at node q = nodes[j]; its rows are the
@@ -254,6 +273,20 @@ class JacobianBuilder:
             rows[:, k] = number[nodes + offset]
             counts += rows[:, k] >= 0
         keep = rows >= 0  # absent couplings: the stencil node is not interior
+        # the C-order half-bandwidth: the farthest coupling from the diagonal,
+        # 0 when no interior node has an interior neighbor
+        kl = int(np.max(np.abs(rows - np.arange(self.m, dtype=np.int32)[:, None]),
+                        where=keep, initial=0))
+        self.kl = kl if self.m * kl**2 <= BAND_WORK else None
+        if self.kl is None:  # renumber rows and columns by nested dissection
+            self.order = nested_dissection_order(interior)
+            self.position = np.empty_like(self.order)
+            self.position[self.order] = np.arange(self.m)
+            nodes, counts = nodes[self.order], counts[self.order]
+            rows = np.where(keep, self.position.astype(np.int32)[rows], -1)[self.order]
+            keep = keep[self.order]
+        else:
+            self.order = self.position = slice(None)
         starts = np.zeros(self.m + 1, dtype=np.int32)
         np.cumsum(counts, out=starts[1:])
         # each column's color, ranked among the colors present, gives its
@@ -264,16 +297,16 @@ class JacobianBuilder:
         per_call = max(1, NODE_BUDGET // size)
         chunk, copy = np.divmod((present - 1)[color], per_call)
         perturbed = copy * size + nodes  # flat indices into the call's stack
-        # the couplings column by column, column j's at starts[j] ... starts[j + 1] - 1:
-        # where each is read (a flat index into its call's stack) and where
-        # it goes, flat in the F-order dense matrix or at its place in the CSC data
+        # the couplings column by column, column j's at starts[j] ... starts[j + 1] - 1,
+        # each column's rows sorted once here (in C), carrying along where
+        # each is read: a flat index into its call's stack
         read_at = (perturbed.astype(np.int32)[:, None] + offsets.astype(np.int32))[keep]
-        if self.dense:
-            goes_to = (rows + self.m * np.arange(self.m)[:, None])[keep].astype(np.int32)
-        else:  # each column's rows sorted once here (in C), carrying their reads along
-            pattern = sp.csc_matrix((read_at, rows[keep], starts), shape=(self.m, self.m))
-            pattern.sort_indices()
-            self.indptr, self.indices, read_at = starts, pattern.indices, pattern.data
+        pattern = sp.csc_matrix((read_at, rows[keep], starts), shape=(self.m, self.m))
+        pattern.sort_indices()
+        self.indptr, self.indices, read_at = starts, pattern.indices, pattern.data
+        if self.kl is not None:  # each coupling's flat place in F-order LAPACK band storage
+            cols = np.repeat(np.arange(self.m), counts)
+            self.band_at = (2 * kl + self.indices - cols) + (3 * kl + 1) * cols
         by_chunk = np.argsort(chunk.astype(np.int16), kind="stable")  # a radix sort
         self.perturbed = perturbed[by_chunk]
         counts = counts[by_chunk]
@@ -283,22 +316,17 @@ class JacobianBuilder:
         self.chunks = [(min(per_call, int(present[-1]) - c * per_call),
                         slice(columns[c], columns[c + 1]), slice(entries[c], entries[c + 1]))
                        for c in range(len(columns) - 1)]
-        # the couplings in chunk order: each column's places, column by column
+        # the couplings in chunk order: each column's places in the CSC data, column by column
         first = np.cumsum(counts, dtype=np.int32) - counts
-        place = np.repeat(starts[by_chunk] - first, counts) \
+        self.dest = np.repeat(starts[by_chunk] - first, counts) \
             + np.arange(read_at.size, dtype=np.int32)
-        self.src = read_at[place]
-        self.dest = goes_to[place] if self.dense else place
+        self.src = read_at[self.dest]
 
     def assemble(self, values: np.ndarray, resid_fn, F0: np.ndarray,
                  eps: float | None = None):
         if eps is None:
             eps = math.sqrt(np.finfo(float).eps) * (1.0 + float(np.max(np.abs(values))))
-        if self.dense:
-            J = np.zeros((self.m, self.m), order="F")
-            out = J.reshape(-1, order="F")  # a view
-        else:
-            out = np.empty(self.src.size)
+        out = np.empty(self.src.size)
         for copies, perturbed, entries in self.chunks:
             stack = np.broadcast_to(values, (copies,) + values.shape).copy()
             stack.reshape(-1)[self.perturbed[perturbed]] += eps
@@ -308,8 +336,6 @@ class JacobianBuilder:
             # np.take reads int32 indices as fast as intp ones; item assignment does not
             read = np.take(quotient.reshape(-1), self.src[entries])
             out[self.dest[entries].astype(np.intp)] = read
-        if self.dense:
-            return J
         return sp.csc_matrix((out, self.indices, self.indptr), shape=(self.m, self.m))
 
 
@@ -375,21 +401,24 @@ def _cached_builder(shape, interior: np.ndarray) -> JacobianBuilder:
     return builder
 
 
-# Raw LAPACK routines for the dense branch: the scipy.linalg wrappers cost
-# more per call than factoring the small ball-lift matrices themselves.
-_getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
+# Raw LAPACK band LU: the scipy.linalg wrappers cost more per call than
+# factoring the small ball-lift matrices themselves.
+_gbtrf, _gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), dtype=np.float64)
 
 
 def _factorize(J, builder: JacobianBuilder):
     """Linear solver for one matrix assembled by ``builder``: ``solve(rhs)`` returns the step.
 
     The matrix is LU-factored here, once, and the factors serve every
-    right-hand side until the caller drops the solver: a dense matrix (the
-    builder's choice for small problems) with LAPACK ``getrf``, in place, a
-    sparse one with SuperLU.  A singular matrix gives ``None``, "no step", from either
-    branch.
+    right-hand side until the caller drops the solver.  A matrix of a
+    narrow-band builder (``builder.kl`` set) is scattered into LAPACK band
+    storage and factored by ``gbtrf`` with partial pivoting, which keeps
+    the fill inside kl more superdiagonals (Anderson et al., LAPACK Users'
+    Guide, 3rd ed., SIAM 1999); its steps come from ``gbtrs`` in C order.
+    Any other is factored by SuperLU.  A singular matrix gives ``None``,
+    "no step", from either branch.
 
-    A sparse matrix comes numbered in the builder's nested-dissection order
+    A SuperLU matrix comes numbered in the builder's nested-dissection order
     (George, SIAM J. Numer. Anal. 10, 1973), so SuperLU keeps that column
     order (``NATURAL``, which scipy pairs with SuperLU's symmetric mode) and
     its threshold partial pivoting; right-hand sides and steps are mapped
@@ -397,11 +426,14 @@ def _factorize(J, builder: JacobianBuilder):
     fills less than SuperLU's graph-only orderings: about 7 % less than a
     minimum degree on A + A^T at 127^2 unknowns, and 38 % less at 33^3.
     """
-    if isinstance(J, np.ndarray):
-        lu, piv, info = _getrf(J, overwrite_a=True)
+    kl = builder.kl
+    if kl is not None:
+        band = np.zeros((3 * kl + 1, builder.m), order="F")
+        band.reshape(-1, order="F")[builder.band_at] = J.data  # a view: F order
+        lu, piv, info = _gbtrf(band, kl, kl, overwrite_ab=True)
         if info != 0:
             return lambda rhs: None
-        return lambda rhs: _getrs(lu, piv, rhs)[0]
+        return lambda rhs: _gbtrs(lu, kl, kl, rhs, piv)[0]
     try:
         lu = spla.splu(J, permc_spec="NATURAL")
     except RuntimeError:  # SuperLU: "Factor is exactly singular"
@@ -574,8 +606,8 @@ def _gmres(A, M, b: np.ndarray, rtol: float, counts: list):
     return None
 
 
-def _krylov_solver(J, builder: JacobianBuilder, coarse, counts: list):
-    """(solve, cycle) for a sparse Jacobian whose half-resolution level was solved.
+def _krylov_solver(J, builder: JacobianBuilder, coarse, counts: list, tol: float):
+    """(solve, cycle) for a Jacobian whose half-resolution level was solved.
 
     ``solve(rhs)`` returns the Newton step from :func:`_gmres` on ``J``, or
     None if GMRES misses its tolerance within ``KRYLOV_CAP`` iterations.
@@ -596,8 +628,13 @@ def _krylov_solver(J, builder: JacobianBuilder, coarse, counts: list):
     accuracy than the Newton step itself delivers, and as Newton converges
     it tightens, so the iterates follow the LU path's.  The first step with
     ``J`` has no model to judge and takes min(1/2, max |F|), the choice of
-    Dembo, Eisenstat and Steihaug (SIAM J. Numer. Anal. 19, 1982).  Vectors
-    enter and leave in C order; inside, they follow the builder's numbering.
+    Dembo, Eisenstat and Steihaug (SIAM J. Numer. Anal. 19, 1982).  Every
+    forcing term is kept at least 0.5 ``tol`` / |F|_2, the Newton tolerance
+    ``tol`` over the right-hand side (Kelley, Iterative Methods for Linear
+    and Nonlinear Equations, SIAM 1995): the 2-norm bounds the max-norm, so
+    the linear residual still meets half the Newton tolerance, and a nearly
+    converged step asks no accuracy below it.  Vectors enter and leave in C
+    order; inside, they follow the builder's numbering.
     """
     P, R = _transfer(builder.shape)
     order, position = builder.order, builder.position
@@ -626,6 +663,7 @@ def _krylov_solver(J, builder: JacobianBuilder, coarse, counts: list):
             eta = min(eta, 0.9)
         else:
             eta = min(0.5, float(np.max(np.abs(rhs))))
+        eta = max(eta, 0.5 * tol / norm)
         found = _gmres(J, cycle_in_order, b, eta, counts)
         if found is None:
             return None
@@ -703,7 +741,7 @@ def solve_dirichlet(problem: DirichletProblem, cfg: SolverConfig | None = None,
         if coarse is None:
             solve = _factorize(J, builder)
             return solve, solve
-        krylov_solve, cycle = _krylov_solver(J, builder, coarse, krylov)
+        krylov_solve, cycle = _krylov_solver(J, builder, coarse, krylov, cfg.tol)
         factored, uses = [], [0]
 
         def solve(rhs):

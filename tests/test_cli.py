@@ -1,6 +1,7 @@
 """Config parsing, scenario runs, artifact formats, determinism, exit codes."""
 
 import inspect
+import itertools
 import json
 import math
 import os
@@ -171,11 +172,40 @@ class TestSolveSection:
         solve = json.loads((tmp_path / "report.json").read_text())["solve"]
         (rep,) = reports
         keys = ("sweeps", "radii", "radius_halvings", "smallest_radii", "lift_retries",
-                "increments", "residuals", "newton_iterations")
+                "increments", "residuals", "newton_iterations", "lu_fallbacks")
         assert solve == {key: getattr(rep, key) for key in keys}
         assert all(len(solve[key]) == solve["sweeps"] for key in keys[1:])
         # every Newton iteration of every lift is counted against its sweep
         assert sum(solve["newton_iterations"]) == sum(newton) > 0
+
+    def test_solve_asymptotic_counts_lu_fallbacks(self, tmp_path, monkeypatch):
+        # two GMRES iterations miss the forcing terms of the 65^2 whole-box
+        # lift, whose fresh Jacobians are then LU-factored: the report counts
+        # those fallbacks against their sweep
+        doc = {"mode": "solve-asymptotic", "n": 2, "H": 0.0,
+               "boundary": {"kind": "smooth_step", "lo": 0.2, "hi": 0.8, "width": 0.5},
+               "grid": 65}
+        lift_solve = cli.perron.solver.solve_dirichlet
+        depth, fallbacks = [0], []
+
+        def counting_solve(*args, **kwargs):
+            depth[0] += 1  # nested-iteration levels call back in
+            try:
+                u, rep = lift_solve(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+            if depth[0] == 0:
+                fallbacks.append(rep.lu_fallbacks + sum(lv.lu_fallbacks for lv in rep.levels))
+            return u, rep
+
+        monkeypatch.setattr(cli.perron.solver, "KRYLOV_CAP", 2)
+        monkeypatch.setattr(cli.perron.solver, "solve_dirichlet", counting_solve)
+        config = write_config(tmp_path, doc)
+        assert cli.main(["solve-asymptotic", "--config", config, "--out-dir", str(tmp_path)]) == 0
+        solve = json.loads((tmp_path / "report.json").read_text())["solve"]
+        assert len(solve["lu_fallbacks"]) == solve["sweeps"]
+        assert solve["lu_fallbacks"][0] >= 1
+        assert sum(solve["lu_fallbacks"]) == sum(fallbacks)
 
     def test_solve_dirichlet_records_the_solve_report(self, tmp_path, monkeypatch):
         doc = {"mode": "solve-dirichlet", "H": 0.0, "grid": 65,
@@ -236,6 +266,35 @@ class TestEmission:
         f_count = sum(1 for ln in lines if ln.startswith("f "))
         assert v_count == 20
         assert f_count == 2 * 3 * 4
+
+    @staticmethod
+    def per_row_csv(u):
+        """The CSV as formatted row by row, every coordinate on every row."""
+        n = u.ndim
+        header = ",".join([f"x{i+1}" for i in range(n - 1)] + ["y", "u"])
+        columns = [m.ravel().tolist() for m in u.meshgrid()] + [u.values.ravel().tolist()]
+        row = ",".join(["{:.17g}"] * (n + 1)).format
+        return "\n".join([header] + [row(*values) for values in zip(*columns)]) + "\n"
+
+    @staticmethod
+    def per_quad_obj(u):
+        """The OBJ with its faces formatted quad by quad."""
+        nx, ny = u.values.shape
+        lines = [f"v {u.values[i, j]:.17g} {u.axes[0][i]:.17g} {u.axes[1][j]:.17g}"
+                 for i, j in itertools.product(range(nx), range(ny))]
+        for i, j in itertools.product(range(nx - 1), range(ny - 1)):
+            a, b = i * ny + j + 1, (i + 1) * ny + j + 1
+            lines += [f"f {a} {b} {b + 1}", f"f {a} {b + 1} {a + 1}"]
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("n, nodes", [(2, 33), (3, 9)])
+    def test_text_equals_the_per_row_formatting(self, n, nodes):
+        grid = op.make_grid(n, 2.0, 0.05, 0.8, nodes)
+        grid.values = np.random.default_rng(nodes).standard_normal(grid.values.shape) / 3.0
+        assert cli.grid_to_csv(grid) == self.per_row_csv(grid)
+        if n == 2:
+            for _ in range(2):  # the second call reuses the face block
+                assert cli.grid_to_obj(grid) == self.per_quad_obj(grid)
 
     def test_obj_rejects_non_planar(self):
         grid = op.make_grid(1, 0.0, 0.5, 1.5, 5)

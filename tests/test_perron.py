@@ -325,7 +325,8 @@ class TestSweep:
 
         def lowering(u, ball, H, cfg, upper, region, rng, own_start_first):
             u.values[5, 7] -= 1e-3
-            return 0, 0, ball.radius, 0  # sub-covers, Newton iterations, smallest radius, retries
+            # sub-covers, Newton iterations, smallest radius, retries, LU fallbacks
+            return 0, 0, ball.radius, 0, 0
 
         monkeypatch.setattr(pe, "_lift_inplace", lowering)
         with pytest.raises(pe.PerronDecrease) as info:

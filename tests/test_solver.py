@@ -156,40 +156,53 @@ def hemisphere_problem(nodes):
     return full_problem(grid, lambda z: 0.1 + math.sqrt(1.5**2 - float(np.dot(z, z))), 0.0)[0]
 
 
+def counting_factorizations(monkeypatch) -> dict:
+    """Counts of the factorizations made through each LU backend, by matrix size."""
+    sizes = {"band": [], "superlu": []}
+    real_gbtrf, real_splu = sv._gbtrf, sv.spla.splu
+
+    def counting_gbtrf(band, *args, **kwargs):
+        sizes["band"].append(band.shape[1])
+        return real_gbtrf(band, *args, **kwargs)
+
+    def counting_splu(A, *args, **kwargs):
+        sizes["superlu"].append(A.shape[0])
+        return real_splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(sv, "_gbtrf", counting_gbtrf)
+    monkeypatch.setattr(sv.spla, "splu", counting_splu)
+    return sizes
+
+
 class TestFactorization:
-    @pytest.mark.parametrize("nodes", [17, 33])
+    @pytest.mark.parametrize("nodes", [17, 33, 98])
     def test_one_factorization_per_assembly(self, nodes, monkeypatch):
-        # 15^2 unknowns take the dense branch (LAPACK getrf), 31^2 the sparse
-        # one (SuperLU); either way each assembled matrix is factored once
+        # 15^2 and 31^2 unknowns are factored by the band LU, the 96^2 of an
+        # even box (no nested iteration) by SuperLU; either way each
+        # assembled matrix is factored once
+        backend = "superlu" if nodes == 98 else "band"
         problem = hemisphere_problem(nodes)
-        dense = nodes == 17
-        counts = {"factorizations": 0, "assemblies": 0}
-        owner, attr = (sv, "_getrf") if dense else (sv.spla, "splu")
-        real_factor = getattr(owner, attr)
+        sizes = counting_factorizations(monkeypatch)
+        assemblies = [0]
         real_assemble = sv.JacobianBuilder.assemble
 
-        def counting_factor(*args, **kwargs):
-            counts["factorizations"] += 1
-            return real_factor(*args, **kwargs)
-
         def counting_assemble(self, *args, **kwargs):
-            if self.dense == dense:
-                counts["assemblies"] += 1
+            assemblies[0] += 1
             return real_assemble(self, *args, **kwargs)
 
-        monkeypatch.setattr(owner, attr, counting_factor)
         monkeypatch.setattr(sv.JacobianBuilder, "assemble", counting_assemble)
         _, rep = sv.solve_dirichlet(problem, sv.SolverConfig(tol=1e-10))
-        assert rep.converged
-        newton_assemblies = counts["assemblies"] - 1  # one is the linearized start
+        assert rep.converged and rep.levels == []
+        newton_assemblies = assemblies[0] - 1  # one is the linearized start
         assert rep.iterations > newton_assemblies >= 1  # some Jacobians served several steps
-        assert counts["factorizations"] == counts["assemblies"]
+        assert sizes[backend] == [(nodes - 2) ** 2] * assemblies[0]
+        assert sum(map(len, sizes.values())) == assemblies[0]
 
     def test_sparse_factors_order_for_the_symmetric_stencil_pattern(self, monkeypatch):
-        # 63^2 unknowns take the sparse branch; the nested-dissection numbering
-        # fills at most 3/4 of what SuperLU's default COLAMD ordering does
-        # (0.62 measured), with the same step
-        J, solve, lu, rhs = factored_start_jacobian(hemisphere_problem(65), monkeypatch)
+        # 95^2 unknowns take SuperLU; the nested-dissection numbering fills at
+        # most 3/4 of what SuperLU's default COLAMD ordering does (0.60
+        # measured), with the same step
+        J, solve, lu, rhs = factored_start_jacobian(hemisphere_problem(97), monkeypatch)
         colamd = sv.spla.splu(J, permc_spec="COLAMD")
         assert lu.L.nnz + lu.U.nnz <= 0.75 * (colamd.L.nnz + colamd.U.nnz)
         reference = colamd.solve(rhs)
@@ -208,7 +221,7 @@ def factored_start_jacobian(problem, monkeypatch):
     F = resid(values)
     builder = sv._cached_builder(values.shape, interior)
     J = builder.assemble(values, resid, F)
-    assert sv.sp.issparse(J)
+    assert builder.kl is None  # numbered by nested dissection for SuperLU
     factors = []
     real_splu = sv.spla.splu
 
@@ -222,6 +235,120 @@ def factored_start_jacobian(problem, monkeypatch):
     (lu,) = factors
     in_c_order = J[builder.position][:, builder.position].tocsc()
     return in_c_order, solve, lu, -F[interior]
+
+
+class TestBandLU:
+    """Narrow-band Jacobians keep C order and are factored by LAPACK's band LU."""
+
+    @staticmethod
+    def box_interior(shape):
+        return sv.stencil_reduce(np.ones(shape, dtype=bool), np.logical_and)
+
+    @pytest.mark.parametrize("n, nodes, window", [(2, 33, False), (2, 41, True),
+                                                  (3, 9, False), (3, 13, False)])
+    def test_band_step_equals_the_superlu_step(self, n, nodes, window, monkeypatch):
+        problem = hemisphere_box(n, nodes)
+        if window:
+            problem = sv.DirichletProblem(grid=problem.grid,
+                                          mask=sv.ball_mask(problem.grid, [0.0, 0.6], 0.33),
+                                          data=problem.data, H=0.0)
+        interior = problem.interior_mask()
+        values = sv.linearized_start(problem)
+        resid = sv._residual_fn(problem)
+        F = resid(values)
+        steps = []
+        for layout, work in (("band", sv.BAND_WORK), ("nested", 0)):
+            monkeypatch.setattr(sv, "BAND_WORK", work)
+            builder = sv.JacobianBuilder(values.shape, interior)
+            assert (builder.kl is not None) == (layout == "band")
+            steps.append(sv._factorize(builder.assemble(values, resid, F), builder)(-F[interior]))
+        band, superlu = steps
+        assert np.max(np.abs(band - superlu)) <= 1e-12 * np.max(np.abs(superlu))
+
+    @pytest.mark.parametrize("shape, kl", [((65, 65), 64), ((13, 13, 13), 11 * 11 + 11 + 1),
+                                           ((97, 97), None), ((17, 17, 17), None)])
+    def test_layout_rule(self, shape, kl):
+        # m kl^2 against BAND_WORK: 16.3e6 and 23.5e6 take the band, 83.2e6
+        # and 196e6 nested dissection
+        interior = self.box_interior(shape)
+        builder = sv.JacobianBuilder(shape, interior)
+        assert builder.kl == kl
+        m = builder.m
+        if kl is None:
+            c_order_kl = math.prod(s - 2 for s in shape[1:]) + (shape[-1] - 2) + 1
+            assert m * c_order_kl**2 > sv.BAND_WORK
+            assert np.array_equal(builder.order, sv.nested_dissection_order(interior))
+            assert np.array_equal(builder.order[builder.position], np.arange(m))
+        else:
+            assert m * kl**2 <= sv.BAND_WORK
+            rhs = np.arange(m, dtype=float)
+            assert np.array_equal(rhs[builder.order], rhs)
+            assert np.array_equal(rhs[builder.position], rhs)
+
+    @pytest.mark.parametrize("shape", [(17, 17), (9, 7, 8)])
+    def test_band_storage_holds_the_matrix(self, shape):
+        # LAPACK's gbtrf layout: A[i, j] at row 2 kl + i - j of column j,
+        # kl rows above it left free for the fill of pivoting
+        interior = self.box_interior(shape)
+        builder = sv.JacobianBuilder(shape, interior)
+        kl, m = builder.kl, builder.m
+        data = np.arange(1.0, builder.indices.size + 1.0)
+        A = sv.sp.csc_matrix((data, builder.indices, builder.indptr), shape=(m, m)).toarray()
+        band = np.zeros((3 * kl + 1, m), order="F")
+        band.reshape(-1, order="F")[builder.band_at] = data
+        i, j = np.nonzero(np.abs(np.subtract.outer(np.arange(m), np.arange(m))) <= kl)
+        assert np.array_equal(band[2 * kl + i - j, j], A[i, j])
+        assert np.count_nonzero(band) == np.count_nonzero(A) == data.size
+
+    def test_isolated_interior_nodes_make_a_zero_band(self):
+        # three 3 x 3 patches: each centre is an interior node with no
+        # interior neighbor, so the matrix is diagonal (kl = 0)
+        grid = op.make_grid(2, 0.5, 0.2, 1.0, 17)
+        mask = np.zeros(grid.values.shape, dtype=bool)
+        for i, j in ((3, 3), (3, 8), (9, 5)):
+            mask[i - 1:i + 2, j - 1:j + 2] = True
+        data = op.sample_on_grid(grid, lambda z: 0.4 + 0.3 * z[0] * z[-1]).values
+        problem = sv.DirichletProblem(grid=grid, mask=mask, data=data, H=0.0)
+        interior = problem.interior_mask()
+        builder = sv.JacobianBuilder(mask.shape, interior)
+        assert builder.m == 3 and builder.kl == 0
+        values = np.where(interior, 0.0, data)
+        resid = sv._residual_fn(problem)
+        F = resid(values)
+        J = builder.assemble(values, resid, F)
+        step = sv._factorize(J, builder)(-F[interior])
+        assert np.allclose(step, -F[interior] / J.diagonal(), rtol=1e-14, atol=0.0)
+        u, rep = sv.solve_dirichlet(problem, sv.SolverConfig(tol=1e-12))
+        assert rep.converged and sv.residual_norm(u, problem) <= 1e-12
+
+    def test_singular_band_matrix_gives_no_step_and_divergence(self, monkeypatch):
+        # a zero first column: gbtrf reports U[0, 0] == 0 (info 1), which is
+        # no step; Newton and the frozen-W fallback then end in divergence
+        problem = hemisphere_problem(17)
+        start = sv.linearized_start(problem)
+        infos = []
+        real_gbtrf, real_assemble = sv._gbtrf, sv.JacobianBuilder.assemble
+
+        def recording_gbtrf(*args, **kwargs):
+            lu, piv, info = real_gbtrf(*args, **kwargs)
+            infos.append(info)
+            return lu, piv, info
+
+        def singular_assemble(self, *args, **kwargs):
+            J = real_assemble(self, *args, **kwargs)
+            J.data[J.indptr[0]:J.indptr[1]] = 0.0
+            return J
+
+        monkeypatch.setattr(sv, "_gbtrf", recording_gbtrf)
+        monkeypatch.setattr(sv.JacobianBuilder, "assemble", singular_assemble)
+        interior = problem.interior_mask()
+        builder = sv.JacobianBuilder(start.shape, interior)
+        resid = sv._residual_fn(problem)
+        F = resid(start)
+        assert sv._factorize(builder.assemble(start, resid, F), builder)(-F[interior]) is None
+        with pytest.raises(sv.SolverDivergence, match="on the 17x17 grid"):
+            sv.solve_dirichlet(problem, sv.SolverConfig(tol=1e-12), initial=start)
+        assert len(infos) >= 3 and all(info == 1 for info in infos)
 
 
 class TestNestedDissection:
@@ -238,11 +365,12 @@ class TestNestedDissection:
         assert np.array_equal(np.sort(order), np.arange(math.prod(s - 2 for s in shape)))
 
     def test_ball_interior_positions_are_a_permutation(self):
-        grid = op.make_grid(2, 0.5, 0.2, 1.0, 41)
-        mask = sv.ball_mask(grid, [0.1, 0.55], 0.33)
+        # a ball of 7,917 unknowns, too wide a band for the band LU
+        grid = op.make_grid(2, 0.5, 0.2, 1.0, 129)
+        mask = sv.ball_mask(grid, [0.1, 0.55], 0.36)
         interior = sv.stencil_reduce(mask, np.logical_and)
         builder = sv.JacobianBuilder(mask.shape, interior)
-        assert not builder.dense
+        assert builder.kl is None
         assert np.array_equal(np.sort(builder.order), np.arange(builder.m))
         assert np.array_equal(builder.order[builder.position], np.arange(builder.m))
 
@@ -284,13 +412,24 @@ def one_node_jacobian(values, interior, resid, eps):
 
 class TestJacobianBuilder:
     @pytest.mark.parametrize("n, nodes, kind, window", [
-        (2, 11, PARABOLIC, True),     # a ball-lift window: dense
-        (3, 5, PARABOLIC, False),     # three axes: dense
-        (2, 17, "hyperbolic", False),  # chart residual: dense
-        (2, 33, PARABOLIC, False),    # whole box: sparse
-        (2, 41, PARABOLIC, True),     # a large ball window: sparse, bounding-box order
+        (2, 11, PARABOLIC, True),     # a ball-lift window
+        (3, 5, PARABOLIC, False),     # three axes
+        (2, 17, "hyperbolic", False),  # chart residual
+        (2, 33, PARABOLIC, False),    # whole box
+        (2, 41, PARABOLIC, True),     # a large ball window
     ])
     def test_colored_equals_one_node_at_a_time(self, n, nodes, kind, window):
+        self.check_colored_against_one_node(n, nodes, kind, window, band=True)
+
+    @pytest.mark.parametrize("nodes, window", [(33, False), (41, True)])
+    def test_nested_numbering_equals_one_node_at_a_time(self, nodes, window, monkeypatch):
+        # the numbering of matrices too wide for the band LU; the window
+        # is numbered by its bounding box
+        monkeypatch.setattr(sv, "BAND_WORK", 0)
+        self.check_colored_against_one_node(2, nodes, PARABOLIC, window, band=False)
+
+    @staticmethod
+    def check_colored_against_one_node(n, nodes, kind, window, band):
         grid = op.make_grid(n, 0.5, 0.2, 1.0, nodes)
         mesh = grid.meshgrid()
         values = 0.3 + 0.2 * np.sin(3.0 * mesh[0]) * mesh[-1] \
@@ -304,11 +443,11 @@ class TestJacobianBuilder:
             return op.residual_field(v, grid, kind, 0.2, conv)
 
         builder = sv.JacobianBuilder(values.shape, interior)
-        assert builder.dense == (nodes < 33)
+        assert (builder.kl is not None) == band
         eps = 1e-7
         J = builder.assemble(values, resid, resid(values), eps)
-        if not builder.dense:  # numbered by nested dissection: back to C order
-            J = J[builder.position][:, builder.position].toarray()
+        # back to C order (the identity on a band builder)
+        J = J[builder.position][:, builder.position].toarray()
         expected = one_node_jacobian(values, interior, resid, eps)
         assert np.count_nonzero(expected) > 0
         assert np.array_equal(J, expected)
@@ -344,10 +483,10 @@ class TestJacobianBuilder:
         assert calls == [(1,) + values.shape] * 9  # 129^2 nodes exceed the node budget
 
     @pytest.mark.parametrize("n, nodes, window", [
-        (2, 129, False),  # whole box, sparse
-        (2, 129, True),   # a ball window of the same grid, sparse
-        (2, 17, False),   # dense
-        (3, 17, False),   # three axes, sparse
+        (2, 129, False),  # whole box, SuperLU layout
+        (2, 129, True),   # a ball window of the same grid
+        (2, 17, False),   # band layout
+        (3, 17, False),   # three axes, SuperLU layout
     ])
     def test_chunked_equals_one_stack(self, n, nodes, window, monkeypatch):
         grid = op.make_grid(n, 0.5, 0.2, 1.0, nodes)
@@ -373,13 +512,9 @@ class TestJacobianBuilder:
                             .assemble(values, counting, F0))
             assert calls == [min(per_call, colors - c) for c in range(0, colors, per_call)]
         one_stack = matrices[0]
-        assert isinstance(one_stack, np.ndarray) == (nodes == 17 and n == 2)
         for J in matrices[1:]:
-            if isinstance(J, np.ndarray):
-                assert np.array_equal(J, one_stack)
-            else:
-                assert all(np.array_equal(getattr(J, a), getattr(one_stack, a))
-                           for a in ("data", "indices", "indptr"))
+            assert all(np.array_equal(getattr(J, a), getattr(one_stack, a))
+                       for a in ("data", "indices", "indptr"))
 
     def test_large_grid_builder_and_assembly_memory(self):
         # tracemalloc peaks on 129^2: a builder that sorts packed int64
@@ -405,11 +540,12 @@ class TestJacobianBuilder:
     def test_lu_between_assemblies_leaves_the_builder_intact(self):
         # splu sorts a matrix's indices in place, so a matrix that shared the
         # builder's index arrays would scramble every later assembly
-        problem = hemisphere_problem(33)
+        problem = hemisphere_problem(97)
         resid = sv._residual_fn(problem)
         values = problem.data
         F0 = resid(values)
         builder = sv.JacobianBuilder(values.shape, problem.interior_mask())
+        assert builder.kl is None  # factored by SuperLU
         first = builder.assemble(values, resid, F0)
         arrays = [a.copy() for a in (first.data, first.indices, first.indptr)]
         assert sv._factorize(first, builder)(-F0[problem.interior_mask()]) is not None
@@ -452,12 +588,12 @@ class TestDivergence:
         with pytest.raises(ValueError):
             sv.DirichletProblem(grid=grid, mask=mask, data=np.zeros(grid.values.shape), H=0.0)
 
-    @pytest.mark.parametrize("nodes", [17, 33])
+    @pytest.mark.parametrize("nodes", [17, 33, 97])
     def test_singular_retry_jacobian_reports_divergence(self, nodes, monkeypatch):
         # The first Newton step succeeds; the step from the reused Jacobian is
         # unusable, so the solver rebuilds it, and every matrix from then on
         # is singular.  That must end as divergence, not as a linear algebra
-        # error.  17^2 takes the dense branch, 33^2 the sparse one.
+        # error.  17^2 and 33^2 take the band LU, 97^2 SuperLU.
         problem = hemisphere_problem(nodes)
         start = sv.linearized_start(problem)
         calls = {"n": 0}
@@ -465,21 +601,21 @@ class TestDivergence:
         def nan_step(rhs):
             return np.full_like(rhs, np.nan)
 
-        if nodes == 17:
-            real_getrf, real_getrs = sv._getrf, sv._getrs
+        if nodes < 97:
+            real_gbtrf, real_gbtrs = sv._gbtrf, sv._gbtrs
             steps = {"n": 0}
 
-            def flaky_getrf(*args, **kwargs):
+            def flaky_gbtrf(*args, **kwargs):
                 calls["n"] += 1
-                lu, piv, info = real_getrf(*args, **kwargs)
+                lu, piv, info = real_gbtrf(*args, **kwargs)
                 return lu, piv, (info if calls["n"] == 1 else 1)  # then: U[0, 0] == 0
 
-            def stale_getrs(lu, piv, rhs):
+            def stale_gbtrs(lu, kl, ku, rhs, piv):
                 steps["n"] += 1
-                return (nan_step(rhs), 0) if steps["n"] == 2 else real_getrs(lu, piv, rhs)
+                return (nan_step(rhs), 0) if steps["n"] == 2 else real_gbtrs(lu, kl, ku, rhs, piv)
 
-            monkeypatch.setattr(sv, "_getrf", flaky_getrf)
-            monkeypatch.setattr(sv, "_getrs", stale_getrs)
+            monkeypatch.setattr(sv, "_gbtrf", flaky_gbtrf)
+            monkeypatch.setattr(sv, "_gbtrs", stale_gbtrs)
         else:
             real_splu = sv.spla.splu
 
@@ -701,15 +837,9 @@ class TestNestedIteration:
         # and the prolonged start still leaves the 127^2 unknowns two or
         # three steps (12 GMRES iterations over 3 steps measured)
         problem = hemisphere_box(2, 129)
-        sizes = []
-        real_splu = sv.spla.splu
-
-        def counting_splu(A, *args, **kwargs):
-            sizes.append(A.shape[0])
-            return real_splu(A, *args, **kwargs)
-
-        monkeypatch.setattr(sv.spla, "splu", counting_splu)
+        by_backend = counting_factorizations(monkeypatch)
         _, rep = sv.solve_dirichlet(problem, sv.SolverConfig(tol=1e-10))
+        sizes = by_backend["band"] + by_backend["superlu"]
         assert rep.converged and rep.iterations <= 3
         assert sizes.count(127**2) == 0 and sizes.count(63**2) == 0
         assert set(sizes) == {31**2}
@@ -828,7 +958,7 @@ class TestPreconditionedSteps:
         J = builder.assemble(values, resid, F)
         lu_step = sv._factorize(J.copy(), builder)(-F[interior])
         counts = [0]
-        solve, cycle = sv._krylov_solver(J, builder, coarse, counts)
+        solve, cycle = sv._krylov_solver(J, builder, coarse, counts, 1e-10)
         in_c_order = J[builder.position][:, builder.position]
         # GMRES with the cycle as preconditioner, run to 1e-12, reproduces the LU step
         step, _ = sv._gmres(in_c_order, cycle, -F[interior], 1e-12, [0])
@@ -840,6 +970,29 @@ class TestPreconditionedSteps:
             <= eta * np.linalg.norm(F[interior]) * (1 + 1e-8)
         assert 1 <= counts[0] <= 5
 
+    def test_forcing_term_stops_at_half_the_newton_tolerance(self, monkeypatch):
+        # Eisenstat-Walker alone asks the last 129^2 steps for a linear
+        # residual of 0.019 tol; with the floor no GMRES solve is asked for
+        # less than 0.5 tol (2-norm), and the Newton steps per level (3 on
+        # 129^2, [6, 3] on 33^2 and 65^2) do not rise
+        problem = hemisphere_box(2, 129)
+        cfg = sv.SolverConfig(tol=1e-10)
+        asked = []
+        real_gmres = sv._gmres
+
+        def recording(A, M, b, rtol, counts):
+            asked.append(rtol * float(np.linalg.norm(b)))
+            return real_gmres(A, M, b, rtol, counts)
+
+        monkeypatch.setattr(sv, "_gmres", recording)
+        _, rep = sv.solve_dirichlet(problem, cfg)
+        assert rep.converged and rep.final_residual <= cfg.tol
+        assert min(asked) >= 0.5 * cfg.tol * (1 - 1e-12)
+        assert min(asked) <= 0.5 * cfg.tol * (1 + 1e-12)  # the floor was met
+        assert rep.iterations <= 3
+        assert [level.shape for level in rep.levels] == [(33, 33), (65, 65)]
+        assert all(level.iterations <= cap for level, cap in zip(rep.levels, (6, 3)))
+
     def test_failed_coarse_correction_never_gives_a_wrong_answer(self, monkeypatch):
         # a coarse correction that returns NaN spoils every GMRES solve, so
         # every Newton step must come from the LU factors of its Jacobian:
@@ -849,8 +1002,8 @@ class TestPreconditionedSteps:
         reference, _ = sv.solve_dirichlet(problem, cfg)
         real = sv._krylov_solver
 
-        def nan_coarse(J, builder, coarse, counts):
-            return real(J, builder, lambda rhs: np.full_like(rhs, np.nan), counts)
+        def nan_coarse(J, builder, coarse, *args):
+            return real(J, builder, lambda rhs: np.full_like(rhs, np.nan), *args)
 
         monkeypatch.setattr(sv, "_krylov_solver", nan_coarse)
         try:
