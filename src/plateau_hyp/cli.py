@@ -18,6 +18,7 @@ import itertools
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 import time
@@ -293,12 +294,26 @@ class DiagnosticsReport:
 # ---------------------------------------------------------------------------
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it to ``path``.
+
+    A reader finds the old file or the whole new one, never part of one.
+    The file gets the mode that ``open(path, "w")`` would give it, not
+    mkstemp's 0600: an existing file keeps its own, and a new one gets 0666
+    less the umask.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)  # the only way to read it; set straight back
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-artifact-")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+            os.fchmod(handle.fileno(), mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -21,28 +21,30 @@ cubically to the fine grid, where Newton then needs two or three steps.  The
 hierarchy ends at the last level whose half still has more interior
 unknowns than ``DENSE_CUTOFF``; that coarsest level starts from the
 linearization and takes its Newton steps through LU factors.  Every level
-above it takes its Newton steps from GMRES on its Jacobian, preconditioned
-by one V-cycle over the levels below (:func:`_krylov_solver`), and factors
-a Jacobian only when GMRES misses its tolerance on it freshly assembled.
-On each level the
-cycle smooths with damped Jacobi, restricts the residual by the adjoint of
-the cubic prolongation, applies the level below's last linear solver (its
-own cycle, or the coarsest level's LU factors) and prolongs the correction
-back, so the coarse solves of the start serve again as coarse-grid
-corrections.  Masked,
-even-sized and coarsest problems, and every solve given start values, keep
-the LU path.
+above it takes its Newton steps from GMRES on its Jacobian (:func:`_gmres`),
+right-preconditioned by one V-cycle over the levels below
+(:func:`_krylov_solver`), and factors a Jacobian only when GMRES misses its
+tolerance on it freshly assembled.  On each level the cycle smooths with
+damped Jacobi, restricts the residual by the adjoint of the cubic
+prolongation, applies the level below's last linear solver (its own cycle,
+or the coarsest level's LU factors) and prolongs the correction back, so
+the coarse solves of the start serve again as coarse-grid corrections.
+Masked, even-sized and coarsest problems, and every solve given start
+values, keep the LU path.
 
-Every Jacobian is assembled as one sparse (CSC) matrix.  In C order the
-3^d-stencil Jacobian is banded, its half-bandwidth kl one interior row (or
-plane) plus one; while m kl^2 stays within ``BAND_WORK`` for its m unknowns
-(2-D boxes up to 96^2, 3-D boxes up to 15^3, and their ball windows) it
-keeps C order and is factored by LAPACK's band LU.  Wider Jacobians number
-their unknowns by nested dissection of the box (George, SIAM J. Numer.
-Anal. 10, 1973): halves before the separating plane, recursively, computed
-as one vectorized sort key (:func:`nested_dissection_order`).  SuperLU
-factors them in that order, which fills less than its own graph orderings
-on the 3^d-stencil Jacobian (see :func:`_factorize`).
+Every Jacobian is assembled as one sparse (CSC) matrix in C order, in
+which the 3^d-stencil Jacobian is banded, its half-bandwidth kl one
+interior row (or plane) plus one; the GMRES steps and cycles work in that
+order.  While m kl^2 stays within ``BAND_WORK`` for its m unknowns (2-D
+boxes up to 96^2, 3-D boxes up to 15^3, and their ball windows) a
+Jacobian is factored by LAPACK's band LU.  A wider one is factored by
+SuperLU after renumbering by nested dissection of the box (George, SIAM J.
+Numer. Anal. 10, 1973): halves before the separating plane, recursively,
+computed as one vectorized sort key (:func:`nested_dissection_order`),
+which fills less than SuperLU's own graph orderings on the 3^d-stencil
+Jacobian (see :func:`_factorize`).  The numbering is made on the first
+such factorization and kept by the Jacobian's builder, so a Krylov level
+never pays for it.
 """
 
 from __future__ import annotations
@@ -218,6 +220,26 @@ NODE_BUDGET = 2**14
 BAND_WORK = 8 * 10**7
 
 
+@dataclass(frozen=True)
+class NestedNumbering:
+    """A builder's unknowns numbered by nested dissection, for SuperLU.
+
+    ``order`` lists the C index of the unknown at each position and
+    ``position`` is its inverse.  :meth:`renumber` gives a matrix of the
+    builder with rows and columns in that order, as CSC with each column's
+    rows sorted: its data are the C-order data at ``take``.
+    """
+
+    order: np.ndarray
+    position: np.ndarray
+    take: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+    def renumber(self, J):
+        return sp.csc_matrix((J.data[self.take], self.indices, self.indptr), shape=J.shape)
+
+
 class JacobianBuilder:
     """Colored finite-difference Jacobian of the interior residual.
 
@@ -235,27 +257,26 @@ class JacobianBuilder:
     each call's evaluation into the matrix are precomputed once per (shape,
     interior) and reused across Newton iterations.
 
-    The matrix is banded in C order; ``kl`` is its half-bandwidth there,
-    the farthest coupling from the diagonal (0 when no interior node has an
-    interior neighbor).  If m kl^2 <= ``BAND_WORK`` for the m unknowns, the
-    builder keeps C order for the band LU: ``order`` and ``position`` are
-    identity slices, and ``band_at`` gives each stored coupling's flat
-    index in F-order LAPACK band storage with kl rows left for the fill,
-    (2 kl + row - col) + (3 kl + 1) col (the stencil is symmetric, so the
-    upper half-bandwidth is kl too).  Otherwise ``kl`` is None and the
-    unknowns are numbered in nested-dissection order
-    (:func:`nested_dissection_order`) for SuperLU: ``order`` lists the C
-    index of the unknown at each matrix position and ``position`` is its
-    inverse.  Either way the matrix is written straight into CSC arrays,
-    each column's rows sorted once here, so no assembly sorts or converts.
-    Every matrix shares the builder's index arrays, which must stay in that
-    canonical order: SuperLU's ``splu`` sorts a matrix's indices in place
-    when they are out of order, and would then scramble every later
-    assembly.
+    The matrix numbers the unknowns in C order, written straight into CSC
+    arrays with each column's rows sorted, so no assembly sorts or converts.
+    It is banded; ``kl`` is its half-bandwidth, the farthest coupling from
+    the diagonal (0 when no interior node has an interior neighbor).  If
+    m kl^2 <= ``BAND_WORK`` for the m unknowns, the band LU factors it:
+    ``band_at`` gives each stored coupling's flat index in F-order LAPACK
+    band storage with kl rows left for the fill, (2 kl + row - col) +
+    (3 kl + 1) col (the stencil is symmetric, so the upper half-bandwidth
+    is kl too).  Otherwise ``kl`` is None, and SuperLU factors the matrix
+    renumbered by nested dissection (:attr:`nested`), which is computed on
+    the first factorization and kept here: a level that takes its steps
+    from GMRES never factors, and never pays for it.  Every matrix shares
+    the builder's index arrays (and every renumbered one the numbering's),
+    which must stay in that canonical order: SuperLU's ``splu`` sorts a
+    matrix's indices in place when they are out of order, and would then
+    scramble every later assembly.
     """
 
     def __init__(self, shape, interior: np.ndarray):
-        self.shape = shape
+        self.shape, self.interior = shape, interior.copy()  # for the numbering
         d, size = len(shape), interior.size
         self.m = int(np.count_nonzero(interior))
         nodes = np.flatnonzero(interior)
@@ -278,15 +299,6 @@ class JacobianBuilder:
         kl = int(np.max(np.abs(rows - np.arange(self.m, dtype=np.int32)[:, None]),
                         where=keep, initial=0))
         self.kl = kl if self.m * kl**2 <= BAND_WORK else None
-        if self.kl is None:  # renumber rows and columns by nested dissection
-            self.order = nested_dissection_order(interior)
-            self.position = np.empty_like(self.order)
-            self.position[self.order] = np.arange(self.m)
-            nodes, counts = nodes[self.order], counts[self.order]
-            rows = np.where(keep, self.position.astype(np.int32)[rows], -1)[self.order]
-            keep = keep[self.order]
-        else:
-            self.order = self.position = slice(None)
         starts = np.zeros(self.m + 1, dtype=np.int32)
         np.cumsum(counts, out=starts[1:])
         # each column's color, ranked among the colors present, gives its
@@ -298,12 +310,11 @@ class JacobianBuilder:
         chunk, copy = np.divmod((present - 1)[color], per_call)
         perturbed = copy * size + nodes  # flat indices into the call's stack
         # the couplings column by column, column j's at starts[j] ... starts[j + 1] - 1,
-        # each column's rows sorted once here (in C), carrying along where
-        # each is read: a flat index into its call's stack
+        # with where each is read: a flat index into its call's stack.  The
+        # offsets increase and the C numbering follows the flat index, so
+        # each column's rows come sorted.
         read_at = (perturbed.astype(np.int32)[:, None] + offsets.astype(np.int32))[keep]
-        pattern = sp.csc_matrix((read_at, rows[keep], starts), shape=(self.m, self.m))
-        pattern.sort_indices()
-        self.indptr, self.indices, read_at = starts, pattern.indices, pattern.data
+        self.indptr, self.indices = starts, rows[keep]
         if self.kl is not None:  # each coupling's flat place in F-order LAPACK band storage
             cols = np.repeat(np.arange(self.m), counts)
             self.band_at = (2 * kl + self.indices - cols) + (3 * kl + 1) * cols
@@ -321,6 +332,24 @@ class JacobianBuilder:
         self.dest = np.repeat(starts[by_chunk] - first, counts) \
             + np.arange(read_at.size, dtype=np.int32)
         self.src = read_at[self.dest]
+
+    @functools.cached_property
+    def nested(self) -> NestedNumbering:
+        """The unknowns' nested-dissection numbering, computed on first use."""
+        order = nested_dissection_order(self.interior)
+        position = np.empty_like(order)
+        position[order] = np.arange(self.m)
+        counts = np.diff(self.indptr)[order]
+        indptr = np.zeros(self.m + 1, dtype=np.int32)
+        np.cumsum(counts, out=indptr[1:])
+        # renumbered column p is column order[p]: its entries, in the
+        # original row order, then sorted by their renumbered rows
+        take = np.repeat(self.indptr[order] - indptr[:-1], counts)
+        take += np.arange(indptr[-1], dtype=np.int32)
+        rows = np.take(np.take(position.astype(np.int32), self.indices), take)
+        pattern = sp.csc_matrix((take, rows, indptr), shape=(self.m, self.m))
+        pattern.sort_indices()
+        return NestedNumbering(order, position, pattern.data, pattern.indices, pattern.indptr)
 
     def assemble(self, values: np.ndarray, resid_fn, F0: np.ndarray,
                  eps: float | None = None):
@@ -383,7 +412,8 @@ def nested_dissection_order(interior: np.ndarray) -> np.ndarray:
         keys.append(key)
     box = tuple(slice(l, l + c) for l, c in zip(lo, counts))
     total = functools.reduce(np.add.outer, keys)
-    return np.argsort(total[interior[box]], kind="stable")
+    # the cuts go down to single nodes, so no two nodes share a key
+    return np.argsort(total[interior[box]])
 
 
 _BUILDER_CACHE: dict = {}
@@ -403,7 +433,7 @@ def _cached_builder(shape, interior: np.ndarray) -> JacobianBuilder:
 
 # Raw LAPACK band LU: the scipy.linalg wrappers cost more per call than
 # factoring the small ball-lift matrices themselves.
-_gbtrf, _gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), dtype=np.float64)
+_gbtrf, _gbtrs, _trtrs = get_lapack_funcs(("gbtrf", "gbtrs", "trtrs"), dtype=np.float64)
 
 
 def _factorize(J, builder: JacobianBuilder):
@@ -418,13 +448,15 @@ def _factorize(J, builder: JacobianBuilder):
     Any other is factored by SuperLU.  A singular matrix gives ``None``,
     "no step", from either branch.
 
-    A SuperLU matrix comes numbered in the builder's nested-dissection order
-    (George, SIAM J. Numer. Anal. 10, 1973), so SuperLU keeps that column
-    order (``NATURAL``, which scipy pairs with SuperLU's symmetric mode) and
-    its threshold partial pivoting; right-hand sides and steps are mapped
-    between C order and that order here.  On the 3^d-stencil Jacobians this
-    fills less than SuperLU's graph-only orderings: about 7 % less than a
-    minimum degree on A + A^T at 127^2 unknowns, and 38 % less at 33^3.
+    For SuperLU the matrix is renumbered by the builder's nested dissection
+    (George, SIAM J. Numer. Anal. 10, 1973; ``builder.nested``, computed on
+    the builder's first SuperLU factorization), and SuperLU keeps that
+    column order (``NATURAL``, which scipy pairs with SuperLU's symmetric
+    mode) and its threshold partial pivoting; right-hand sides and steps
+    are mapped between C order and that order here.  On the 3^d-stencil
+    Jacobians this fills less than SuperLU's graph-only orderings: about
+    7 % less than a minimum degree on A + A^T at 127^2 unknowns, and 38 %
+    less at 33^3.
     """
     kl = builder.kl
     if kl is not None:
@@ -434,11 +466,12 @@ def _factorize(J, builder: JacobianBuilder):
         if info != 0:
             return lambda rhs: None
         return lambda rhs: _gbtrs(lu, kl, kl, rhs, piv)[0]
+    nested = builder.nested
     try:
-        lu = spla.splu(J, permc_spec="NATURAL")
+        lu = spla.splu(nested.renumber(J), permc_spec="NATURAL")
     except RuntimeError:  # SuperLU: "Factor is exactly singular"
         return lambda rhs: None
-    order, position = builder.order, builder.position
+    order, position = nested.order, nested.position
     return lambda rhs: lu.solve(rhs[order])[position]
 
 
@@ -572,37 +605,59 @@ def _gmres(A, M, b: np.ndarray, rtol: float, counts: list):
 
     GMRES (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) on A M y = b
     with x = M y, so the residual it minimizes is the true one; the Arnoldi
-    basis is orthogonalized by classical Gram-Schmidt applied twice.  Gives
-    None when ``KRYLOV_CAP`` iterations do not reach the tolerance or a
-    vector turns non-finite.  Each iteration adds one to ``counts[0]``.
-    ``scipy.sparse.linalg.gmres`` preconditions from the left, so its inner
-    test reads the preconditioned residual; with these cycles that test
-    stopped after one iteration at a true relative residual of 0.31 where
-    0.026 was asked (65^2 hemisphere), and the solve then reported failure.
+    basis v_j is orthogonalized by classical Gram-Schmidt applied twice.
+    The preconditioned vectors z_j = M(v_j) are kept as the iterations make
+    them, and the step is x = Z y (flexible GMRES, Saad, SIAM J. Sci.
+    Comput. 14, 1993), so ``M`` runs once per iteration.  Givens rotations
+    reduce the Hessenberg matrix to triangular form as it grows, so each
+    iteration reads its least-squares residual as |g_j+1| and y comes from
+    one triangular solve at the end.  Gives None when ``KRYLOV_CAP``
+    iterations do not reach the tolerance, a vector turns non-finite or the
+    least-squares matrix turns singular.  Each iteration adds one to
+    ``counts[0]``.  ``scipy.sparse.linalg.gmres`` preconditions from the
+    left, so its inner test reads the preconditioned residual; with these
+    cycles that test stopped after one iteration at a true relative
+    residual of 0.31 where 0.026 was asked (65^2 hemisphere), and the solve
+    then reported failure.
     """
     beta = float(np.linalg.norm(b))
     if beta == 0.0:
         return np.zeros_like(b), 0.0
     V = np.empty((KRYLOV_CAP + 1, b.size))
-    H = np.zeros((KRYLOV_CAP + 1, KRYLOV_CAP))
+    Z = np.empty((KRYLOV_CAP, b.size))
+    R = np.zeros((KRYLOV_CAP, KRYLOV_CAP))  # the rotated Hessenberg matrix
+    rotations = []  # (cos, sin) of each Givens rotation
+    g = [beta]  # the rotated right-hand side beta e_1
     V[0] = b / beta
-    e1 = np.zeros(KRYLOV_CAP + 1)
-    e1[0] = beta
     for j in range(KRYLOV_CAP):
         counts[0] += 1
-        w = A @ M(V[j])
-        for _ in range(2):
-            h = V[:j + 1] @ w
-            w -= h @ V[:j + 1]
-            H[:j + 1, j] += h
-        H[j + 1, j] = np.linalg.norm(w)
-        if not np.isfinite(H[j + 1, j]):
+        Z[j] = M(V[j])
+        w = A @ Z[j]
+        h = V[:j + 1] @ w
+        w -= h @ V[:j + 1]
+        again = V[:j + 1] @ w
+        w -= again @ V[:j + 1]
+        column = (h + again).tolist()
+        below = float(np.linalg.norm(w))  # not finite if anything before it is not
+        if not math.isfinite(below):
             return None
-        y = np.linalg.lstsq(H[:j + 2, :j + 1], e1[:j + 2], rcond=None)[0]
-        left = float(np.linalg.norm(H[:j + 2, :j + 1] @ y - e1[:j + 2]))
-        if left <= rtol * beta or H[j + 1, j] == 0.0:
-            return M(y @ V[:j + 1]), left
-        V[j + 1] = w / H[j + 1, j]
+        for i, (c, s) in enumerate(rotations):
+            column[i], column[i + 1] = c * column[i] + s * column[i + 1], \
+                c * column[i + 1] - s * column[i]
+        diagonal = math.hypot(column[j], below)
+        if diagonal == 0.0:  # the least-squares matrix is singular
+            return None
+        c, s = column[j] / diagonal, below / diagonal
+        rotations.append((c, s))
+        column[j] = diagonal
+        R[:j + 1, j] = column
+        g.append(-s * g[j])
+        g[j] *= c
+        left = abs(g[j + 1])
+        if left <= rtol * beta:  # always when below = 0, the Krylov space being invariant
+            y = _trtrs(R[:j + 1, :j + 1], np.array(g[:j + 1]))[0]
+            return y @ Z[:j + 1], left
+        V[j + 1] = w / below
     return None
 
 
@@ -633,20 +688,19 @@ def _krylov_solver(J, builder: JacobianBuilder, coarse, counts: list, tol: float
     ``tol`` over the right-hand side (Kelley, Iterative Methods for Linear
     and Nonlinear Equations, SIAM 1995): the 2-norm bounds the max-norm, so
     the linear residual still meets half the Newton tolerance, and a nearly
-    converged step asks no accuracy below it.  Vectors enter and leave in C
-    order; inside, they follow the builder's numbering.
+    converged step asks no accuracy below it.  Every vector is in C order,
+    the order of ``J``, ``P`` and ``R``, so no step or cycle permutes one.
     """
     P, R = _transfer(builder.shape)
-    order, position = builder.order, builder.position
     weight = JACOBI_WEIGHT / J.diagonal()
 
-    def cycle_in_order(r):
+    def cycle(r):
         x = weight * r
         x += weight * (r - J @ x)
-        correction = coarse(R @ (r - J @ x)[position])
+        correction = coarse(R @ (r - J @ x))
         if correction is None:
             return np.full_like(r, np.nan)
-        x += (P @ correction)[order]
+        x += P @ correction
         for _ in range(2):
             x += weight * (r - J @ x)
         return x
@@ -654,8 +708,7 @@ def _krylov_solver(J, builder: JacobianBuilder, coarse, counts: list, tol: float
     last = {}  # |F|, the linear residual and the forcing term of the previous step
 
     def solve(rhs):
-        b = rhs[order]
-        norm = float(np.linalg.norm(b))
+        norm = float(np.linalg.norm(rhs))
         if last:
             eta = abs(norm - last["linear"]) / last["norm"]
             if last["eta"] ** _GOLDEN > 0.1:
@@ -664,13 +717,13 @@ def _krylov_solver(J, builder: JacobianBuilder, coarse, counts: list, tol: float
         else:
             eta = min(0.5, float(np.max(np.abs(rhs))))
         eta = max(eta, 0.5 * tol / norm)
-        found = _gmres(J, cycle_in_order, b, eta, counts)
+        found = _gmres(J, cycle, rhs, eta, counts)
         if found is None:
             return None
         last.update(norm=norm, linear=found[1], eta=eta)
-        return found[0][position]
+        return found[0]
 
-    return solve, lambda rhs: cycle_in_order(rhs[order])[position]
+    return solve, cycle
 
 
 # ---------------------------------------------------------------------------

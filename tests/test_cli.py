@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -318,6 +319,29 @@ class TestEmission:
         monkeypatch.setattr(os, "replace", real_replace)
         assert not target.exists()
         assert not any(p.name.startswith(".tmp-artifact") for p in tmp_path.iterdir())
+
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])
+    def test_artifacts_take_the_mode_of_a_normally_opened_file(self, tmp_path, umask):
+        # mkstemp creates 0600; a new artifact gets 0666 less the umask, as
+        # open() gives it, and a rewritten one keeps its own mode
+        old = os.umask(umask)
+        try:
+            report = cli.run_scenario(cli.parse_config({"mode": "barrier", "l": 1.0}),
+                                      str(tmp_path))
+            with open(tmp_path / "opened.txt", "w") as handle:
+                handle.write("x\n")
+        finally:
+            os.umask(old)
+        expected = stat.S_IMODE((tmp_path / "opened.txt").stat().st_mode)
+        assert expected == 0o666 & ~umask
+        artifacts = [tmp_path / name for name in
+                     ("stack_levels.csv", "stack_profile.csv", "report.json")]
+        assert report.outputs and all(a.exists() for a in artifacts)
+        assert [stat.S_IMODE(a.stat().st_mode) for a in artifacts] == [expected] * 3
+        os.chmod(artifacts[0], 0o640)
+        cli._atomic_write(str(artifacts[0]), "data\n")
+        assert stat.S_IMODE(artifacts[0].stat().st_mode) == 0o640
 
 
 class TestEndToEnd:

@@ -212,8 +212,8 @@ class TestFactorization:
 def factored_start_jacobian(problem, monkeypatch):
     """The sparse Jacobian at the linearized start, factored by ``_factorize``.
 
-    Returns (the matrix back in C order, the solver, its SuperLU factors,
-    the Newton right-hand side).
+    Returns (the matrix, in C order, the solver, its SuperLU factors of the
+    matrix renumbered by nested dissection, the Newton right-hand side).
     """
     interior = problem.interior_mask()
     values = sv.linearized_start(problem)
@@ -233,8 +233,7 @@ def factored_start_jacobian(problem, monkeypatch):
         patch.setattr(sv.spla, "splu", keeping_splu)
         solve = sv._factorize(J, builder)
     (lu,) = factors
-    in_c_order = J[builder.position][:, builder.position].tocsc()
-    return in_c_order, solve, lu, -F[interior]
+    return J, solve, lu, -F[interior]
 
 
 class TestBandLU:
@@ -274,16 +273,19 @@ class TestBandLU:
         builder = sv.JacobianBuilder(shape, interior)
         assert builder.kl == kl
         m = builder.m
+        # every builder numbers in C order, where the matrix has half-bandwidth
+        # c_order_kl; the nested-dissection numbering is SuperLU's alone
+        inner = [s - 2 for s in shape]
+        c_order_kl = sum(math.prod(inner[a + 1:]) for a in range(len(shape)))
+        cols = np.repeat(np.arange(m), np.diff(builder.indptr))
+        assert np.max(np.abs(builder.indices - cols)) == c_order_kl
         if kl is None:
-            c_order_kl = math.prod(s - 2 for s in shape[1:]) + (shape[-1] - 2) + 1
             assert m * c_order_kl**2 > sv.BAND_WORK
-            assert np.array_equal(builder.order, sv.nested_dissection_order(interior))
-            assert np.array_equal(builder.order[builder.position], np.arange(m))
+            nested = builder.nested
+            assert np.array_equal(nested.order, sv.nested_dissection_order(interior))
+            assert np.array_equal(nested.order[nested.position], np.arange(m))
         else:
             assert m * kl**2 <= sv.BAND_WORK
-            rhs = np.arange(m, dtype=float)
-            assert np.array_equal(rhs[builder.order], rhs)
-            assert np.array_equal(rhs[builder.position], rhs)
 
     @pytest.mark.parametrize("shape", [(17, 17), (9, 7, 8)])
     def test_band_storage_holds_the_matrix(self, shape):
@@ -371,8 +373,9 @@ class TestNestedDissection:
         interior = sv.stencil_reduce(mask, np.logical_and)
         builder = sv.JacobianBuilder(mask.shape, interior)
         assert builder.kl is None
-        assert np.array_equal(np.sort(builder.order), np.arange(builder.m))
-        assert np.array_equal(builder.order[builder.position], np.arange(builder.m))
+        nested = builder.nested
+        assert np.array_equal(np.sort(nested.order), np.arange(builder.m))
+        assert np.array_equal(nested.order[nested.position], np.arange(builder.m))
 
     @pytest.mark.parametrize("shape, axis", [((21, 15), 0), ((14, 19), 1), ((9, 9, 12), 2)])
     def test_top_separator_is_numbered_after_both_halves(self, shape, axis):
@@ -387,6 +390,44 @@ class TestNestedDissection:
         assert blocks == [-1, 1, 0]
         assert np.count_nonzero(side == 0) == math.prod(s - 2 for i, s in enumerate(shape)
                                                         if i != axis)
+
+    def test_numbering_is_computed_once_per_builder(self, monkeypatch):
+        # 95^2 unknowns on the LU path (start values given): the builder keeps
+        # C order until its first SuperLU factorization numbers the unknowns,
+        # and every later factorization reuses that numbering
+        problem = hemisphere_problem(97)
+        monkeypatch.setattr(sv, "_BUILDER_CACHE", {})
+        calls = []
+        real = sv.nested_dissection_order
+
+        def counting(interior):
+            calls.append(interior.shape)
+            return real(interior)
+
+        monkeypatch.setattr(sv, "nested_dissection_order", counting)
+        builder = sv._cached_builder(problem.mask.shape, problem.interior_mask())
+        assert builder.kl is None and "nested" not in vars(builder)
+        sizes = counting_factorizations(monkeypatch)
+        start = sv.linearized_start(problem)
+        assert calls == [(97, 97)] and "nested" in vars(builder)
+        u, rep = sv.solve_dirichlet(problem, sv.SolverConfig(tol=1e-10), initial=start)
+        assert rep.converged and sv.residual_norm(u, problem) <= 1e-10
+        assert len(sizes["superlu"]) >= 2 and calls == [(97, 97)]
+
+    def test_krylov_levels_never_number_by_nested_dissection(self, monkeypatch):
+        # a 129^2 whole box takes GMRES steps on 65^2 and 129^2 and band LU
+        # steps on 33^2, so no level needs the SuperLU numbering
+        def refuse(interior):
+            raise AssertionError(f"numbered a {interior.shape} interior for SuperLU")
+
+        monkeypatch.setattr(sv, "nested_dissection_order", refuse)
+        monkeypatch.setattr(sv, "_BUILDER_CACHE", {})
+        problem = hemisphere_box(2, 129)
+        u, rep = sv.solve_dirichlet(problem, sv.SolverConfig(tol=1e-10))
+        assert rep.converged and rep.lu_fallbacks == 0
+        assert [level.shape for level in rep.levels] == [(33, 33), (65, 65)]
+        assert min(rep.krylov_iterations) >= 1
+        assert sv.residual_norm(u, problem) <= 1e-10
 
     def test_fills_less_than_minimum_degree_on_a_cube(self, monkeypatch):
         # 15^3 unknowns: at most 0.85 of the fill of SuperLU's minimum degree
@@ -446,11 +487,14 @@ class TestJacobianBuilder:
         assert (builder.kl is not None) == band
         eps = 1e-7
         J = builder.assemble(values, resid, resid(values), eps)
-        # back to C order (the identity on a band builder)
-        J = J[builder.position][:, builder.position].toarray()
         expected = one_node_jacobian(values, interior, resid, eps)
         assert np.count_nonzero(expected) > 0
-        assert np.array_equal(J, expected)
+        assert np.array_equal(J.toarray(), expected)
+        if not band:  # the matrix SuperLU factors, renumbered by nested dissection
+            renumbered = builder.nested.renumber(J)
+            assert renumbered.has_sorted_indices
+            order = builder.nested.order
+            assert np.array_equal(renumbered.toarray(), expected[order][:, order])
 
     @pytest.mark.parametrize("nodes", [11, 33])
     def test_one_residual_call_per_assembly(self, nodes):
@@ -920,6 +964,71 @@ class TestNestedIteration:
                 assert np.max(np.abs(got - fine)) > 1e-6  # the ends are only quadratic
 
 
+def gmres_case(case):
+    """(A, b, Jacobi preconditioner) for the GMRES oracle tests."""
+    if case == "jacobian":  # a 17^2 Jacobian off the linearized start
+        problem = hemisphere_problem(17)
+        interior = problem.interior_mask()
+        values = sv.linearized_start(problem)
+        values[interior] += 0.01 * np.sin(np.arange(np.count_nonzero(interior)))
+        resid = sv._residual_fn(problem)
+        F = resid(values)
+        A, b = sv.JacobianBuilder(values.shape, interior).assemble(values, resid, F), -F[interior]
+    else:  # dense, nonsymmetric, diagonally dominant
+        rng = np.random.default_rng(3)
+        n = 40
+        A = rng.standard_normal((n, n)) / math.sqrt(n) + np.diag(3.0 + rng.random(n))
+        b = rng.standard_normal(n)
+    diagonal = A.diagonal()
+    return A, b, lambda v: v / diagonal
+
+
+class TestGMRES:
+    """Right-preconditioned GMRES against dense oracles."""
+
+    @pytest.mark.parametrize("case", ["jacobian", "dense"])
+    @pytest.mark.parametrize("rtol", [1e-1, 1e-3])
+    def test_step_is_the_krylov_least_squares_solution(self, case, rtol):
+        A, b, M = gmres_case(case)
+        counts = [0]
+        x, reported = sv._gmres(A, M, b, rtol, counts)
+        true = np.linalg.norm(A @ x - b)
+        assert true <= rtol * np.linalg.norm(b)
+        assert abs(reported - true) <= 1e-12 * true
+        # the same problem, dense: min |b - A M y| over the Krylov space of
+        # A M and b with as many dimensions as GMRES took iterations, its
+        # basis made by Householder QR
+        k = counts[0]
+        Q = (b / np.linalg.norm(b))[:, None]
+        for _ in range(k - 1):
+            Q = np.linalg.qr(np.column_stack([Q, A @ M(Q[:, -1])]))[0]
+        AMQ = np.column_stack([A @ M(q) for q in Q.T])
+        expected = M(Q @ np.linalg.lstsq(AMQ, b, rcond=None)[0])
+        assert np.max(np.abs(x - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("case", ["jacobian", "dense"])
+    def test_preconditioner_runs_once_per_iteration(self, case):
+        A, b, M = gmres_case(case)
+        calls = [0]
+
+        def counting(v):
+            calls[0] += 1
+            return M(v)
+
+        counts = [0]
+        assert sv._gmres(A, counting, b, 1e-3, counts) is not None
+        assert counts[0] >= 2 and calls[0] == counts[0]
+
+    @pytest.mark.parametrize("case", ["jacobian", "dense"])
+    def test_cap_miss_and_nan_preconditioner_give_none(self, case, monkeypatch):
+        A, b, M = gmres_case(case)
+        assert sv._gmres(A, lambda v: np.full_like(v, np.nan), b, 1e-3, [0]) is None
+        monkeypatch.setattr(sv, "KRYLOV_CAP", 2)
+        counts = [0]
+        assert sv._gmres(A, M, b, 1e-8, counts) is None
+        assert counts[0] == 2
+
+
 class TestPreconditionedSteps:
     """Levels above the coarsest take GMRES steps preconditioned by a V-cycle."""
 
@@ -959,14 +1068,13 @@ class TestPreconditionedSteps:
         lu_step = sv._factorize(J.copy(), builder)(-F[interior])
         counts = [0]
         solve, cycle = sv._krylov_solver(J, builder, coarse, counts, 1e-10)
-        in_c_order = J[builder.position][:, builder.position]
         # GMRES with the cycle as preconditioner, run to 1e-12, reproduces the LU step
-        step, _ = sv._gmres(in_c_order, cycle, -F[interior], 1e-12, [0])
+        step, _ = sv._gmres(J, cycle, -F[interior], 1e-12, [0])
         assert np.max(np.abs(step - lu_step)) <= 1e-10 * np.max(np.abs(lu_step))
         # the Newton loop's first step stops at its forcing term min(1/2, max |F|)
         first = solve(-F[interior])
         eta = min(0.5, float(np.max(np.abs(F[interior]))))
-        assert np.linalg.norm(in_c_order @ first + F[interior]) \
+        assert np.linalg.norm(J @ first + F[interior]) \
             <= eta * np.linalg.norm(F[interior]) * (1 + 1e-8)
         assert 1 <= counts[0] <= 5
 
