@@ -43,8 +43,16 @@ Killing data (:func:`chart_coefficients`).  :func:`residual_field_parabolic`
 and :func:`residual_field_chart` are the two entry points.  Given ``w_at``,
 the kernel takes the slopes inside W from that grid function: the Picard
 linearization, affine in u, for either structure.
+
+Beside it, :func:`_face_flux_jacobian` differentiates the same kernel
+exactly, with the same coefficients and index plan, and returns the
+derivative as 3^d stencil coefficients per inner node; given ``w_at`` it
+returns the exact matrix of the frozen, affine kernel.  The solver gathers
+that array into its sparse Newton Jacobian, so an assembly costs about two
+residual evaluations and no finite-difference rounding.
 :func:`residual_evaluator` is the one dispatch on the structure; it forms
-the coefficients once for all evaluations on a grid.
+the coefficients once for all evaluations on a grid, and its ``resid``
+carries the matching ``resid.jacobian(values, w_at)``.
 """
 
 from __future__ import annotations
@@ -613,6 +621,81 @@ def _face_flux_residual(values: np.ndarray, h, n: int, H: float, sign: int,
     return out
 
 
+def _face_flux_jacobian(values: np.ndarray, h, sign: int, coefficients: FluxCoefficients,
+                        w_at: np.ndarray | None) -> np.ndarray:
+    """The exact derivative of :func:`_face_flux_residual` as stencil coefficients.
+
+    Returns an array shaped (3^d, *inner): entry k at an inner node i is
+    dR_i / du_{i + o_k}, where the offsets o_k run over {-1, 0, 1}^d in C
+    order (k = sum_b (o_b + 1) 3^(d - 1 - b)).  With D the normal difference
+    on a face, t_b its averaged tangential slopes and W^2 = g + D^2 + sum t_b^2,
+    the face flux weight D / W has the partial derivatives
+
+        d/dD = weight (g + sum t_b^2) / W^3,   d/dt_b = -weight D t_b / W^3,
+
+    and at a node, with the centered slopes s_b, p = <Du, drift> and
+    W_c^2 = gamma + sum s_b^2, d(p / W_c)/ds_b = c_b / W_c - p s_b / W_c^3.
+    The stencil weights are +-1 / h_a on D, +-1 / (4 h_b) on the four
+    face-end neighbours of t_b and +-1 / (2 h_b) on s_b.  Given ``w_at``,
+    W and W_c are read from ``w_at`` and the result is the exact matrix of
+    the frozen, affine kernel: d/dD = weight / W, d(p / W_c)/ds_b = c_b / W_c
+    and no t_b term.  The grid is ``values`` itself: no batch axes.
+    """
+    d = len(h)
+    plan = _slice_plan(d)
+    w = values if w_at is None else w_at
+    out = np.zeros((3**d,) + values[plan.inner].shape)
+
+    def entry(offset: dict) -> int:  # the stencil index of the offset {axis: +-1}
+        return sum((offset.get(b, 0) + 1) * 3 ** (d - 1 - b) for b in range(d))
+
+    centre = entry({})
+    slopes = [(w[hi] - w[lo]) / (2 * h[b]) for b, (hi, lo) in enumerate(plan.centered)]
+    for a, (face_gamma, weight) in enumerate(coefficients.faces):
+        hi, lo = plan.normal[a]
+        wn = (w[hi] - w[lo]) / h[a]
+        tangential = [(b, 0.5 * (slopes[b][lo_b] + slopes[b][hi_b]))
+                      for b, lo_b, hi_b in plan.tangential[a]]
+        squares = [t**2 for _, t in tangential] or [0.0]  # 0.0: one axis
+        t2 = sum(squares[1:], squares[0])
+        w2 = face_gamma + wn**2 + t2
+        omega = 1.0 if weight is None else weight
+        if w_at is None:
+            inv_w3 = omega / (w2 * np.sqrt(w2))
+            normal = (face_gamma + t2) * inv_w3
+            tangents = [(b, -wn * t * inv_w3) for b, t in tangential]
+        else:
+            normal, tangents = omega / np.sqrt(w2), []
+        # the node's upper face minus its lower face, times sign * scale / h_a
+        upper, lower = plan.flux[a]
+        factor = sign * coefficients.scale / h[a]
+        up, down = factor * normal[upper] / h[a], factor * normal[lower] / h[a]
+        out[entry({a: 1})] += up
+        out[centre] -= up + down
+        out[entry({a: -1})] += down
+        for b, dflux in tangents:
+            up, down = factor * dflux[upper] / (4 * h[b]), factor * dflux[lower] / (4 * h[b])
+            out[entry({b: 1})] += up - down
+            out[entry({b: -1})] -= up - down
+            out[entry({a: 1, b: 1})] += up
+            out[entry({a: 1, b: -1})] -= up
+            out[entry({a: -1, b: 1})] -= down
+            out[entry({a: -1, b: -1})] += down
+    node = [s[block] for s, block in zip(slopes, plan.along)]
+    w_c = np.sqrt(coefficients.gamma + sum((g**2 for g in node[1:]), node[0] ** 2))
+    if w_at is None:
+        drift = dict(coefficients.drift)
+        cubed = sum(node[b] * c for b, c in coefficients.drift) / w_c**3
+        node_terms = [(b, drift.get(b, 0.0) / w_c - node[b] * cubed) for b in range(d)]
+    else:
+        node_terms = [(b, c / w_c) for b, c in coefficients.drift]
+    for b, deriv in node_terms:  # - sign p / W_c through s_b
+        step = sign * deriv / (2 * h[b])
+        out[entry({b: 1})] -= step
+        out[entry({b: -1})] += step
+    return out
+
+
 def residual_field_parabolic(values: np.ndarray, y_grid: np.ndarray, h, n: int,
                              H: float, sign: int, w_at: np.ndarray | None = None,
                              coefficients: FluxCoefficients | None = None) -> np.ndarray:
@@ -649,7 +732,10 @@ def residual_evaluator(grid: GridFunction, kind: str, H: float, conv: Orientatio
     """``resid(values, w_at=None)``: the residual on ``grid`` for the ``kind`` structure.
 
     The one dispatch on the structure.  The spacing and the structure's
-    coefficients are formed here, once, and every evaluation reuses them.
+    coefficients are formed here, once, and every evaluation reuses them,
+    as does ``resid.jacobian(values, w_at)``, the kernel's exact stencil
+    derivative (:func:`_face_flux_jacobian`; ``w_at`` None for the full
+    residual's).
     Leading axes of ``values`` beyond the grid's are a batch; ``w_at``
     freezes the W factors there (see :func:`_face_flux_residual`).  Calls go
     through the module attributes ``residual_field_parabolic`` and
@@ -667,6 +753,11 @@ def residual_evaluator(grid: GridFunction, kind: str, H: float, conv: Orientatio
 
         def resid(values, w_at=None):
             return residual_field_chart(values, axes, h, n, H, sign, w_at, coefficients)
+
+    def jacobian(values, w_at):
+        return _face_flux_jacobian(values, h, sign, coefficients, w_at)
+
+    resid.jacobian = jacobian
     return resid
 
 

@@ -1,15 +1,16 @@
 """Dirichlet solver for the discrete graph equation on masked grid domains.
 
-Damped Newton iteration on the conservative residual, with the Jacobian
-assembled by stencil-colored finite differences: the color classes reach the
-residual in stacks of perturbed copies of the grid, as many per call as fit
-a fixed node budget (``NODE_BUDGET``), so one call evaluates every class on
-small grids and one class on large ones (:class:`JacobianBuilder`).  The
-residual kernel with its W factors frozen serves twice more: frozen at the
-equidistant plane, it is the operator's linearization, whose solution starts
-Newton on small, masked or even-sized problems; frozen at the iterate, it is
-the Picard fallback when a Newton step cannot reduce the residual.  Newton and Picard
-take their steps through one backtracking line search.  Boundary nodes are
+Damped Newton iteration on the conservative residual.  Its Jacobian is
+the face-flux kernel's exact derivative, which the operator returns as an
+array of 3^d stencil coefficients per node
+(:func:`operator._face_flux_jacobian`) and :class:`JacobianBuilder`
+gathers into a sparse matrix: no residual is evaluated to assemble it.  The
+residual kernel with its W factors frozen serves twice more, with the exact
+matrix of the frozen, affine kernel: frozen at the equidistant plane, it is
+the operator's linearization, whose solution starts Newton on small, masked
+or even-sized problems; frozen at the iterate, it is the Picard fallback
+when a Newton step cannot reduce the residual.  Newton and Picard take
+their steps through one backtracking line search.  Boundary nodes are
 constrained, never solved, so prescribed data is attained exactly.  Failure
 to drive the residual down is reported as divergence, the numerical
 stand-in for boundary geometry that admits no graph solution.
@@ -196,14 +197,6 @@ def ball_mask(grid: GridFunction, center, radius: float) -> np.ndarray:
 # Residual and Jacobian plumbing
 # ---------------------------------------------------------------------------
 
-# Most grid nodes that one residual call of a Jacobian assembly evaluates:
-# the color classes go to the residual in chunks of NODE_BUDGET // (grid
-# nodes) perturbed copies of the grid, at least one.  Per hemisphere
-# assembly (best of 5; 2-CPU Xeon host, 2 MB of L2 cache per core) with 1,
-# 2, 3 and all 9 colors per call: 129^2 4.32, 5.25, 8.02 and 8.78 ms; 65^2
-# 1.36, 1.27, 1.15 and 1.38 ms; 33^2 0.86, 0.61, 0.55 and 0.42 ms.  2^14
-# nodes picks the fastest on each row: 1, 3 and 9 colors per call.
-NODE_BUDGET = 2**14
 # Largest m kl^2, the band LU's work for m unknowns at C-order
 # half-bandwidth kl, for which a builder keeps C order and LAPACK's band LU;
 # a wider matrix is numbered by nested dissection for SuperLU (_factorize).
@@ -241,27 +234,24 @@ class NestedNumbering:
 
 
 class JacobianBuilder:
-    """Colored finite-difference Jacobian of the interior residual.
+    """Sparse Jacobian of the interior residual, gathered from the kernel's exact stencil.
 
-    Perturbing every interior node of one 3^d color class simultaneously
-    keeps at most one perturbed node per stencil, so each colored evaluation
-    recovers one coupling per row exactly (Curtis, Powell and Reid, J. Inst.
-    Math. Appl. 13, 1974).  The color classes reach the residual in chunks
-    of ``NODE_BUDGET // grid nodes`` classes, at least one: a chunk's
-    perturbed copies of the grid are stacked along a leading axis and passed
-    in one call, whose kernels treat leading axes as a batch.  So a small
-    grid passes every class in one call and a large one a class per call,
-    and the stack and the kernel's temporaries stay near the budget, also in
-    3-D.  Each copy sees the same arithmetic in any chunk, so the matrix does
-    not depend on the chunking.  The perturbed nodes and the gather from
-    each call's evaluation into the matrix are precomputed once per (shape,
-    interior) and reused across Newton iterations.
+    The residual's derivative comes from :func:`operator._face_flux_jacobian`
+    as one array of stencil coefficients per inner node, shaped (3^d,
+    *inner): entry k at node r is dR_r / du_{r + o_k}.  Column q's rows are
+    the interior nodes r = q + o_k, and J[r, q] = dR_r / du_{r - o_k} is
+    entry 3^d - 1 - k at r, the offsets being symmetric
+    (o_{3^d - 1 - k} = -o_k).  ``plane_at`` holds each coupling's flat index
+    into that array, precomputed once per (shape, interior) and reused
+    across Newton iterations, so an assembly is one kernel call and one
+    gather.
 
     The matrix numbers the unknowns in C order, written straight into CSC
     arrays with each column's rows sorted, so no assembly sorts or converts.
-    It is banded; ``kl`` is its half-bandwidth, the farthest coupling from
-    the diagonal (0 when no interior node has an interior neighbor).  If
-    m kl^2 <= ``BAND_WORK`` for the m unknowns, the band LU factors it:
+    ``diagonal_at`` gives each diagonal entry's place in the CSC data.  The
+    matrix is banded; ``kl`` is its half-bandwidth, the farthest coupling
+    from the diagonal (0 when no interior node has an interior neighbor).
+    If m kl^2 <= ``BAND_WORK`` for the m unknowns, the band LU factors it:
     ``band_at`` gives each stored coupling's flat index in F-order LAPACK
     band storage with kl rows left for the fill, (2 kl + row - col) +
     (3 kl + 1) col (the stencil is symmetric, so the upper half-bandwidth
@@ -282,56 +272,48 @@ class JacobianBuilder:
         nodes = np.flatnonzero(interior)
         number = np.full(size, -1, dtype=np.int32)
         number[nodes] = np.arange(self.m, dtype=np.int32)
+        # the inner block's C numbering, the nodes of the kernel's stencil
+        # array; every interior node lies in it
+        inner = np.full(shape, -1, dtype=np.int32)
+        inner_size = math.prod(s - 2 for s in shape)
+        inner[(slice(1, -1),) * d] = np.arange(inner_size, dtype=np.int32).reshape(
+            tuple(s - 2 for s in shape))
+        inner = inner.reshape(-1)
         # column j is the unknown at node q = nodes[j]; its rows are the
-        # interior nodes r of q's stencil (interior nodes have the whole
-        # stencil inside the grid, so flat offsets do not wrap), and J[r, q]
-        # is read at r from the evaluation that perturbed q's color
+        # interior nodes r = q + o_k of q's stencil (interior nodes have the
+        # whole stencil inside the grid, so flat offsets do not wrap)
         offsets = np.ravel_multi_index(np.indices((3,) * d).reshape(d, -1), shape) \
             - np.ravel_multi_index((1,) * d, shape)
-        rows = np.empty((self.m, len(offsets)), dtype=np.int32)
+        stencil = len(offsets)
+        rows = np.empty((self.m, stencil), dtype=np.int32)
+        plane_at = np.empty((self.m, stencil), dtype=np.int32)
         counts = np.zeros(self.m, dtype=np.int32)  # couplings per column
         for k, offset in enumerate(offsets):
+            if k == stencil // 2:  # the diagonal follows the couplings counted so far
+                before = counts.copy()
             rows[:, k] = number[nodes + offset]
+            plane_at[:, k] = inner[nodes + offset] + (stencil - 1 - k) * inner_size
             counts += rows[:, k] >= 0
         keep = rows >= 0  # absent couplings: the stencil node is not interior
-        # the C-order half-bandwidth: the farthest coupling from the diagonal,
-        # 0 when no interior node has an interior neighbor
-        kl = int(np.max(np.abs(rows - np.arange(self.m, dtype=np.int32)[:, None]),
-                        where=keep, initial=0))
-        self.kl = kl if self.m * kl**2 <= BAND_WORK else None
         starts = np.zeros(self.m + 1, dtype=np.int32)
         np.cumsum(counts, out=starts[1:])
-        # each column's color, ranked among the colors present, gives its
-        # residual call (chunk) and its copy of the grid in that call's stack
-        color = functools.reduce(np.add.outer, [np.arange(s) % 3 * 3**a
-                                                for a, s in enumerate(shape)]).reshape(-1)[nodes]
-        present = np.cumsum(np.bincount(color) > 0)
-        per_call = max(1, NODE_BUDGET // size)
-        chunk, copy = np.divmod((present - 1)[color], per_call)
-        perturbed = copy * size + nodes  # flat indices into the call's stack
-        # the couplings column by column, column j's at starts[j] ... starts[j + 1] - 1,
-        # with where each is read: a flat index into its call's stack.  The
-        # offsets increase and the C numbering follows the flat index, so
-        # each column's rows come sorted.
-        read_at = (perturbed.astype(np.int32)[:, None] + offsets.astype(np.int32))[keep]
+        # the couplings column by column, column j's at starts[j] ... starts[j + 1] - 1;
+        # the offsets increase and the C numbering follows the flat index, so
+        # each column's rows come sorted
         self.indptr, self.indices = starts, rows[keep]
+        # np.take gathers several times faster with intp indices than int32
+        self.plane_at = plane_at[keep].astype(np.intp)
+        self.diagonal_at = starts[:-1] + before
+        # the C-order half-bandwidth: the farthest coupling from the diagonal,
+        # a column's first or last row (each column holds its diagonal), so
+        # 0 when no interior node has an interior neighbor
+        cols = np.arange(self.m, dtype=np.int32)
+        kl = int(max(np.max(cols - self.indices[starts[:-1]]),
+                     np.max(self.indices[starts[1:] - 1] - cols)))
+        self.kl = kl if self.m * kl**2 <= BAND_WORK else None
         if self.kl is not None:  # each coupling's flat place in F-order LAPACK band storage
-            cols = np.repeat(np.arange(self.m), counts)
-            self.band_at = (2 * kl + self.indices - cols) + (3 * kl + 1) * cols
-        by_chunk = np.argsort(chunk.astype(np.int16), kind="stable")  # a radix sort
-        self.perturbed = perturbed[by_chunk]
-        counts = counts[by_chunk]
-        # per residual call: (copies, its slice of perturbed, its slice of src and dest)
-        columns = np.concatenate(([0], np.cumsum(np.bincount(chunk))))
-        entries = np.concatenate(([0], np.cumsum(counts)))[columns]
-        self.chunks = [(min(per_call, int(present[-1]) - c * per_call),
-                        slice(columns[c], columns[c + 1]), slice(entries[c], entries[c + 1]))
-                       for c in range(len(columns) - 1)]
-        # the couplings in chunk order: each column's places in the CSC data, column by column
-        first = np.cumsum(counts, dtype=np.int32) - counts
-        self.dest = np.repeat(starts[by_chunk] - first, counts) \
-            + np.arange(read_at.size, dtype=np.int32)
-        self.src = read_at[self.dest]
+            # (2 kl + row - col) + (3 kl + 1) col
+            self.band_at = self.indices + np.repeat(2 * kl + 3 * kl * cols.astype(np.intp), counts)
 
     @functools.cached_property
     def nested(self) -> NestedNumbering:
@@ -351,21 +333,15 @@ class JacobianBuilder:
         pattern.sort_indices()
         return NestedNumbering(order, position, pattern.data, pattern.indices, pattern.indptr)
 
-    def assemble(self, values: np.ndarray, resid_fn, F0: np.ndarray,
-                 eps: float | None = None):
-        if eps is None:
-            eps = math.sqrt(np.finfo(float).eps) * (1.0 + float(np.max(np.abs(values))))
-        out = np.empty(self.src.size)
-        for copies, perturbed, entries in self.chunks:
-            stack = np.broadcast_to(values, (copies,) + values.shape).copy()
-            stack.reshape(-1)[self.perturbed[perturbed]] += eps
-            quotient = resid_fn(stack)
-            quotient -= F0
-            quotient /= eps
-            # np.take reads int32 indices as fast as intp ones; item assignment does not
-            read = np.take(quotient.reshape(-1), self.src[entries])
-            out[self.dest[entries].astype(np.intp)] = read
-        return sp.csc_matrix((out, self.indices, self.indptr), shape=(self.m, self.m))
+    def assemble(self, values: np.ndarray, resid, w_at: np.ndarray | None = None):
+        """The interior Jacobian at ``values`` of ``resid`` (a :func:`_residual_fn`).
+
+        Given ``w_at``, the exact matrix of the residual with its W factors
+        frozen there, which is affine in the unknowns.
+        """
+        stencil = resid.jacobian(values, w_at)
+        data = np.take(stencil.reshape(-1), self.plane_at)
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.m, self.m))
 
 
 # sort digit of the lower half, the separator and the upper half of a cut
@@ -478,6 +454,9 @@ def _factorize(J, builder: JacobianBuilder):
 def _residual_fn(problem: DirichletProblem):
     """``resid(v, w_at=None)``: the problem's residual field under the orientation.
 
+    ``resid.jacobian(v, w_at)`` is its exact stencil derivative, which
+    :meth:`JacobianBuilder.assemble` gathers.
+
     The spacing and the structure's coefficients are formed here, once per
     solve (:func:`solve_dirichlet` hands its ``resid`` to
     :func:`linearized_start`).  Nothing is kept past the solve, so repeated
@@ -498,8 +477,9 @@ def linearized_start(problem: DirichletProblem, resid=None) -> np.ndarray:
     the translation structure, y Lap(v) - n v_y), so one frozen-W step from
     the data with a zero interior solves it, and a second step with the same
     factors refines away the rounding of the first.  Data sampled from an
-    equidistant plane are reproduced exactly.  The matrix is assembled by
-    the cached builder that Newton then reuses; a singular one leaves the
+    equidistant plane are reproduced exactly.  The frozen kernel's exact
+    matrix is assembled by the cached builder that Newton then reuses
+    (``assemble(values, resid, w_at=plane)``); a singular one leaves the
     interior at zero.  ``resid`` is the solve's :func:`_residual_fn`, when
     it has one already.
     """
@@ -508,10 +488,11 @@ def linearized_start(problem: DirichletProblem, resid=None) -> np.ndarray:
     values[interior] = 0.0
     slope = operator.orientation().solution_slope(problem.H)
     plane = slope * problem.grid.meshgrid()[-1]
-    frozen = functools.partial(resid or _residual_fn(problem), w_at=plane)
-    F = frozen(values)
-    solve = _factorize_frozen(_cached_builder(values.shape, interior), values, frozen, F)
-    step = solve(-F[interior])
+    resid = resid or _residual_fn(problem)
+    frozen = functools.partial(resid, w_at=plane)
+    builder = _cached_builder(values.shape, interior)
+    solve = _factorize(builder.assemble(values, resid, w_at=plane), builder)
+    step = solve(-frozen(values)[interior])
     if step is not None:
         values[interior] += step
         values[interior] += solve(-frozen(values)[interior])
@@ -692,7 +673,7 @@ def _krylov_solver(J, builder: JacobianBuilder, coarse, counts: list, tol: float
     the order of ``J``, ``P`` and ``R``, so no step or cycle permutes one.
     """
     P, R = _transfer(builder.shape)
-    weight = JACOBI_WEIGHT / J.diagonal()
+    weight = JACOBI_WEIGHT / J.data[builder.diagonal_at]
 
     def cycle(r):
         x = weight * r
@@ -747,17 +728,18 @@ def solve_dirichlet(problem: DirichletProblem, cfg: SolverConfig | None = None,
     more than ``DENSE_CUTOFF`` coarse unknowns, and starts from that
     solution prolonged; any other problem, and the coarsest level, starts
     from :func:`linearized_start`.  The start's boundary values are replaced
-    by the data.  Newton directions come from the colored-FD Jacobian, each
-    one reused for up to three more steps: LU-factored (:func:`_factorize`)
-    unless a coarse level was solved, whose last linear solver then serves
-    as the coarse correction of preconditioned GMRES steps
-    (:func:`_krylov_solver`).  A GMRES solve that misses its tolerance on a
-    reused Jacobian sends the solver to a fresh one; on a fresh one it is
-    replaced by the LU step of that Jacobian.  Steps take backtracking
-    halving on the residual max-norm (:func:`_backtrack`); if no Newton step
-    makes progress, the solver falls back to frozen-W sweeps (either Killing
-    structure, LU-factored) before declaring divergence, whose message names
-    the grid shape.
+    by the data.  Newton directions come from the exact stencil Jacobian
+    (:class:`JacobianBuilder`), each one reused for up to three more steps:
+    LU-factored (:func:`_factorize`) unless a coarse level was solved, whose
+    last linear solver then serves as the coarse correction of
+    preconditioned GMRES steps (:func:`_krylov_solver`).  A GMRES solve that
+    misses its tolerance on a reused Jacobian sends the solver to a fresh
+    one; on a fresh one it is replaced by the LU step of that Jacobian.
+    Steps take backtracking halving on the residual max-norm
+    (:func:`_backtrack`); if no Newton step makes progress, the solver falls
+    back to frozen-W sweeps (either Killing structure, the frozen kernel's
+    exact matrix LU-factored) before declaring divergence, whose message
+    names the grid shape.
     ``compute_bands`` adds the :func:`gradient_diagnostic` table to the
     report.
     """
@@ -781,7 +763,7 @@ def solve_dirichlet(problem: DirichletProblem, cfg: SolverConfig | None = None,
     builder = None
     krylov = [0]  # GMRES iterations of the current Newton step
 
-    def linearize(values, F):
+    def linearize(values):
         """(solve, the solver to hand up) for the Jacobian at ``values``.
 
         On the Krylov path, a GMRES solve that misses its tolerance on the
@@ -790,7 +772,7 @@ def solve_dirichlet(problem: DirichletProblem, cfg: SolverConfig | None = None,
         handed up in place of the cycle.  A miss on a reused Jacobian gives
         no step, so the caller reassembles before anything is factored.
         """
-        J = builder.assemble(values, resid, F)
+        J = builder.assemble(values, resid)
         if coarse is None:
             solve = _factorize(J, builder)
             return solve, solve
@@ -819,7 +801,7 @@ def solve_dirichlet(problem: DirichletProblem, cfg: SolverConfig | None = None,
             builder = _cached_builder(values.shape, interior)
         if solve is None or reused >= 3:
             solve = handoff = None  # drop the old factors before the new assembly
-            solve, handoff = linearize(values, F)
+            solve, handoff = linearize(values)
             reused = 0
         else:
             reused += 1
@@ -827,7 +809,7 @@ def solve_dirichlet(problem: DirichletProblem, cfg: SolverConfig | None = None,
         if found is None and reused > 0:
             # stale Jacobian may be the culprit: rebuild before falling back
             solve = handoff = None
-            solve, handoff = linearize(values, F)
+            solve, handoff = linearize(values)
             reused = 0
             found = _backtrack(values, solve(-F[interior]), nrm, interior, resid, cfg.tol)
         elif found is not None and found[3] < 1.0:
@@ -891,28 +873,17 @@ def _backtrack(values, step, nrm, interior, resid, tol):
     return None
 
 
-def _factorize_frozen(builder: JacobianBuilder, values, frozen, F):
-    """Factored matrix of a frozen-W residual ``frozen``, whose value at ``values`` is F.
-
-    Frozen, the residual is affine in the unknowns, so the colored
-    difference quotients are exact for any increment; a unit increment
-    keeps their rounding at the level of the residual's own.
-    """
-    return _factorize(builder.assemble(values, frozen, F, eps=1.0), builder)
-
-
 def _picard_phase(values, F, nrm, interior, resid, cfg):
     """Frozen-W sweeps; returns (values, F, nrm, accepted sweeps).
 
-    Each sweep solves the residual with W frozen at the iterate
-    (:func:`_factorize_frozen`) and backtracks along that step.
+    Each sweep solves the residual with W frozen at the iterate, whose
+    exact matrix the builder assembles, and backtracks along that step.
     """
     used = 0
     builder = _cached_builder(values.shape, interior)
     while used < PICARD_SWEEPS and nrm > cfg.tol:
-        frozen = functools.partial(resid, w_at=values)
         # at its freeze point the frozen residual is F itself
-        step = _factorize_frozen(builder, values, frozen, F)(-F[interior])
+        step = _factorize(builder.assemble(values, resid, w_at=values), builder)(-F[interior])
         found = _backtrack(values, step, nrm, interior, resid, cfg.tol)
         if found is None:
             break

@@ -1,5 +1,6 @@
 """Masked Dirichlet solver: recovery, comparison, diagnostics, divergence."""
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -220,7 +221,7 @@ def factored_start_jacobian(problem, monkeypatch):
     resid = sv._residual_fn(problem)
     F = resid(values)
     builder = sv._cached_builder(values.shape, interior)
-    J = builder.assemble(values, resid, F)
+    J = builder.assemble(values, resid)
     assert builder.kl is None  # numbered by nested dissection for SuperLU
     factors = []
     real_splu = sv.spla.splu
@@ -260,7 +261,7 @@ class TestBandLU:
             monkeypatch.setattr(sv, "BAND_WORK", work)
             builder = sv.JacobianBuilder(values.shape, interior)
             assert (builder.kl is not None) == (layout == "band")
-            steps.append(sv._factorize(builder.assemble(values, resid, F), builder)(-F[interior]))
+            steps.append(sv._factorize(builder.assemble(values, resid), builder)(-F[interior]))
         band, superlu = steps
         assert np.max(np.abs(band - superlu)) <= 1e-12 * np.max(np.abs(superlu))
 
@@ -317,7 +318,7 @@ class TestBandLU:
         values = np.where(interior, 0.0, data)
         resid = sv._residual_fn(problem)
         F = resid(values)
-        J = builder.assemble(values, resid, F)
+        J = builder.assemble(values, resid)
         step = sv._factorize(J, builder)(-F[interior])
         assert np.allclose(step, -F[interior] / J.diagonal(), rtol=1e-14, atol=0.0)
         u, rep = sv.solve_dirichlet(problem, sv.SolverConfig(tol=1e-12))
@@ -347,7 +348,7 @@ class TestBandLU:
         builder = sv.JacobianBuilder(start.shape, interior)
         resid = sv._residual_fn(problem)
         F = resid(start)
-        assert sv._factorize(builder.assemble(start, resid, F), builder)(-F[interior]) is None
+        assert sv._factorize(builder.assemble(start, resid), builder)(-F[interior]) is None
         with pytest.raises(sv.SolverDivergence, match="on the 17x17 grid"):
             sv.solve_dirichlet(problem, sv.SolverConfig(tol=1e-12), initial=start)
         assert len(infos) >= 3 and all(info == 1 for info in infos)
@@ -440,15 +441,26 @@ class TestNestedDissection:
 
 
 def one_node_jacobian(values, interior, resid, eps):
-    """FD Jacobian perturbing one interior node per residual evaluation."""
-    F0 = resid(values)
+    """Central-difference Jacobian perturbing one interior node per pair of evaluations."""
     nodes = np.argwhere(interior)
     J = np.zeros((len(nodes), len(nodes)))
     for j, node in enumerate(nodes):
-        vp = values.copy()
-        vp[tuple(node)] += eps
-        J[:, j] = ((resid(vp) - F0) / eps)[interior]
+        up, down = values.copy(), values.copy()
+        up[tuple(node)] += eps
+        down[tuple(node)] -= eps
+        J[:, j] = ((resid(up) - resid(down)) / (2 * eps))[interior]
     return J
+
+
+def jacobian_case(n, nodes, kind, window):
+    """(values, interior, the solve's residual) on a rough field over the test box."""
+    grid = op.make_grid(n, 0.5, 0.2, 1.0, nodes)
+    mesh = grid.meshgrid()
+    values = 0.3 + 0.2 * np.sin(3.0 * mesh[0]) * mesh[-1] \
+        + 0.02 * np.random.default_rng(5).standard_normal(mesh[0].shape)
+    mask = sv.ball_mask(grid, [0.0, 0.6], 0.4) if window else np.ones(values.shape, bool)
+    problem = sv.DirichletProblem(grid=grid, mask=mask, data=values, H=0.2, kind=kind)
+    return values, problem.interior_mask(), sv._residual_fn(problem)
 
 
 class TestJacobianBuilder:
@@ -458,73 +470,59 @@ class TestJacobianBuilder:
         (2, 17, "hyperbolic", False),  # chart residual
         (2, 33, PARABOLIC, False),    # whole box
         (2, 41, PARABOLIC, True),     # a large ball window
+        (3, 7, "hyperbolic", False),  # chart residual on three axes
     ])
     def test_colored_equals_one_node_at_a_time(self, n, nodes, kind, window):
-        self.check_colored_against_one_node(n, nodes, kind, window, band=True)
+        # the assembled matrix is the kernel's exact derivative
+        self.check_against_one_node(n, nodes, kind, window, band=True)
 
     @pytest.mark.parametrize("nodes, window", [(33, False), (41, True)])
     def test_nested_numbering_equals_one_node_at_a_time(self, nodes, window, monkeypatch):
         # the numbering of matrices too wide for the band LU; the window
         # is numbered by its bounding box
         monkeypatch.setattr(sv, "BAND_WORK", 0)
-        self.check_colored_against_one_node(2, nodes, PARABOLIC, window, band=False)
+        self.check_against_one_node(2, nodes, PARABOLIC, window, band=False)
 
     @staticmethod
-    def check_colored_against_one_node(n, nodes, kind, window, band):
-        grid = op.make_grid(n, 0.5, 0.2, 1.0, nodes)
-        mesh = grid.meshgrid()
-        values = 0.3 + 0.2 * np.sin(3.0 * mesh[0]) * mesh[-1] \
-            + 0.02 * np.random.default_rng(5).standard_normal(mesh[0].shape)
-        mask = sv.ball_mask(grid, [0.0, 0.6], 0.4) if window else np.ones(values.shape, bool)
-        problem = sv.DirichletProblem(grid=grid, mask=mask, data=values, H=0.2, kind=kind)
-        interior = problem.interior_mask()
-        conv = op.orientation()
+    def check_against_one_node(n, nodes, kind, window, band):
+        """The analytic matrix against one-node central differences, full and frozen.
 
-        def resid(v):
-            return op.residual_field(v, grid, kind, 0.2, conv)
-
+        At eps = 1e-6 the differences' truncation and rounding stay below
+        1e-9 of the largest entry; the frozen residual is affine, so its
+        differences at eps = 1 are exact up to rounding.
+        """
+        values, interior, resid = jacobian_case(n, nodes, kind, window)
         builder = sv.JacobianBuilder(values.shape, interior)
         assert (builder.kl is not None) == band
-        eps = 1e-7
-        J = builder.assemble(values, resid, resid(values), eps)
-        expected = one_node_jacobian(values, interior, resid, eps)
-        assert np.count_nonzero(expected) > 0
-        assert np.array_equal(J.toarray(), expected)
+        frozen_at = 0.5 * values + 0.1 * np.cos(2.0 * np.arange(values.size)).reshape(values.shape)
+        for w_at, eps, rtol in ((None, 1e-6, 1e-8), (frozen_at, 1.0, 1e-14)):
+            J = builder.assemble(values, resid, w_at=w_at).toarray()
+            expected = one_node_jacobian(values, interior,
+                                         functools.partial(resid, w_at=w_at), eps)
+            assert np.count_nonzero(expected) > 0
+            assert np.max(np.abs(J - expected)) <= rtol * np.max(np.abs(expected))
         if not band:  # the matrix SuperLU factors, renumbered by nested dissection
+            J = builder.assemble(values, resid)
             renumbered = builder.nested.renumber(J)
             assert renumbered.has_sorted_indices
             order = builder.nested.order
-            assert np.array_equal(renumbered.toarray(), expected[order][:, order])
+            assert np.array_equal(renumbered.toarray(), J.toarray()[order][:, order])
 
-    @pytest.mark.parametrize("nodes", [11, 33])
-    def test_one_residual_call_per_assembly(self, nodes):
+    @pytest.mark.parametrize("nodes", [11, 33, 129])
+    def test_assembly_makes_no_residual_call(self, nodes, monkeypatch):
         problem = hemisphere_problem(nodes)
         interior = problem.interior_mask()
-        conv = op.orientation()
-        calls = []
-
-        def resid(v):
-            calls.append(v.shape)
-            return op.residual_field(v, problem.grid, PARABOLIC, 0.0, conv)
-
+        resid = sv._residual_fn(problem)
         values = problem.data
-        F0 = op.residual_field(values, problem.grid, PARABOLIC, 0.0, conv)
-        sv.JacobianBuilder(values.shape, interior).assemble(values, resid, F0)
-        assert calls == [(9,) + values.shape]  # every 3^2 color class in one stack
-
-    def test_large_grid_makes_one_color_calls(self):
-        problem = hemisphere_problem(129)
-        conv = op.orientation()
         calls = []
-
-        def resid(v):
-            calls.append(v.shape)
-            return op.residual_field(v, problem.grid, PARABOLIC, 0.0, conv)
-
-        values = problem.data
-        F0 = op.residual_field(values, problem.grid, PARABOLIC, 0.0, conv)
-        sv.JacobianBuilder(values.shape, problem.interior_mask()).assemble(values, resid, F0)
-        assert calls == [(1,) + values.shape] * 9  # 129^2 nodes exceed the node budget
+        for name in ("residual_field_parabolic", "residual_field_chart", "_face_flux_residual"):
+            real = getattr(op, name)
+            monkeypatch.setattr(op, name,
+                                lambda *a, _real=real, **k: calls.append(a) or _real(*a, **k))
+        builder = sv.JacobianBuilder(values.shape, interior)
+        for w_at in (None, values):
+            assert builder.assemble(values, resid, w_at=w_at).nnz > 0
+        assert calls == []
 
     @pytest.mark.parametrize("n, nodes, window", [
         (2, 129, False),  # whole box, SuperLU layout
@@ -532,49 +530,33 @@ class TestJacobianBuilder:
         (2, 17, False),   # band layout
         (3, 17, False),   # three axes, SuperLU layout
     ])
-    def test_chunked_equals_one_stack(self, n, nodes, window, monkeypatch):
-        grid = op.make_grid(n, 0.5, 0.2, 1.0, nodes)
-        mesh = grid.meshgrid()
-        values = 0.3 + 0.2 * np.sin(3.0 * mesh[0]) * mesh[-1] \
-            + 0.02 * np.random.default_rng(5).standard_normal(mesh[0].shape)
-        mask = sv.ball_mask(grid, [0.0, 0.6], 0.4) if window else np.ones(values.shape, bool)
-        interior = sv.DirichletProblem(grid=grid, mask=mask, data=values, H=0.2).interior_mask()
-        resid = op.residual_evaluator(grid, PARABOLIC, 0.2, op.orientation())
-        F0 = resid(values)
-        colors = 3**n
-        matrices = []
-        # one stack, four colors per call (the last call takes the rest), one color per call
-        for per_call in (colors, 4, 1):
-            monkeypatch.setattr(sv, "NODE_BUDGET", per_call * values.size)
-            calls = []
-
-            def counting(v):
-                calls.append(v.shape[0])
-                return resid(v)
-
-            matrices.append(sv.JacobianBuilder(values.shape, interior)
-                            .assemble(values, counting, F0))
-            assert calls == [min(per_call, colors - c) for c in range(0, colors, per_call)]
-        one_stack = matrices[0]
-        for J in matrices[1:]:
-            assert all(np.array_equal(getattr(J, a), getattr(one_stack, a))
-                       for a in ("data", "indices", "indptr"))
+    def test_product_equals_directional_difference(self, n, nodes, window):
+        # J v against (R(u + t v) - R(u - t v)) / 2t for a random v on the
+        # interior: t = 1e-7 leaves truncation and rounding near 3e-9 of
+        # the largest component, where a misplaced coupling would show at O(1)
+        values, interior, resid = jacobian_case(n, nodes, PARABOLIC, window)
+        J = sv.JacobianBuilder(values.shape, interior).assemble(values, resid)
+        v = np.zeros(values.shape)
+        v[interior] = np.random.default_rng(9).standard_normal(np.count_nonzero(interior))
+        t = 1e-7
+        expected = ((resid(values + t * v) - resid(values - t * v)) / (2 * t))[interior]
+        assert np.max(np.abs(J @ v[interior] - expected)) <= 1e-8 * np.max(np.abs(expected))
 
     def test_large_grid_builder_and_assembly_memory(self):
         # tracemalloc peaks on 129^2: a builder that sorts packed int64
-        # (m x 9) couplings reaches 9.0 MB and an assembly that stacks all
-        # nine colors 12.9 MB, above both bounds; this one 4.5 and 3.0 MB
+        # (m x 9) couplings reaches 9.0 MB and an assembly that stacks nine
+        # perturbed copies of the grid 12.9 MB, above both bounds; this
+        # builder 4.1 MB and its stencil-array assembly 3.5 MB
         problem = hemisphere_problem(129)
         interior = problem.interior_mask()
         resid = sv._residual_fn(problem)
         values = problem.data
-        F0 = resid(values)
         tracemalloc.start()
         try:
             builder = sv.JacobianBuilder(values.shape, interior)
             held, build_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            builder.assemble(values, resid, F0)
+            builder.assemble(values, resid)
             assemble_peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
@@ -587,13 +569,12 @@ class TestJacobianBuilder:
         problem = hemisphere_problem(97)
         resid = sv._residual_fn(problem)
         values = problem.data
-        F0 = resid(values)
         builder = sv.JacobianBuilder(values.shape, problem.interior_mask())
         assert builder.kl is None  # factored by SuperLU
-        first = builder.assemble(values, resid, F0)
+        first = builder.assemble(values, resid)
         arrays = [a.copy() for a in (first.data, first.indices, first.indptr)]
-        assert sv._factorize(first, builder)(-F0[problem.interior_mask()]) is not None
-        second = builder.assemble(values, resid, F0)
+        assert sv._factorize(first, builder)(-resid(values)[problem.interior_mask()]) is not None
+        second = builder.assemble(values, resid)
         assert all(np.array_equal(a, b)
                    for a, b in zip(arrays, (second.data, second.indices, second.indptr)))
 
@@ -973,7 +954,7 @@ def gmres_case(case):
         values[interior] += 0.01 * np.sin(np.arange(np.count_nonzero(interior)))
         resid = sv._residual_fn(problem)
         F = resid(values)
-        A, b = sv.JacobianBuilder(values.shape, interior).assemble(values, resid, F), -F[interior]
+        A, b = sv.JacobianBuilder(values.shape, interior).assemble(values, resid), -F[interior]
     else:  # dense, nonsymmetric, diagonally dominant
         rng = np.random.default_rng(3)
         n = 40
@@ -1064,7 +1045,7 @@ class TestPreconditionedSteps:
         resid = sv._residual_fn(problem)
         F = resid(values)
         builder = sv._cached_builder(values.shape, interior)
-        J = builder.assemble(values, resid, F)
+        J = builder.assemble(values, resid)
         lu_step = sv._factorize(J.copy(), builder)(-F[interior])
         counts = [0]
         solve, cycle = sv._krylov_solver(J, builder, coarse, counts, 1e-10)
