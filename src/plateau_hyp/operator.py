@@ -579,9 +579,7 @@ def _face_flux_residual(values: np.ndarray, h, n: int, H: float, sign: int,
     between inner rows of the other axes, D_a u is the normal difference,
     the tangential slopes are averaged from the centered node differences,
     and g and the flux weight are ``coefficients.faces[a]``.  At the nodes
-    the slopes are the centered differences.  The grid occupies the trailing
-    ``len(h)`` axes of ``values``; any leading axes stack independent grid
-    functions, each evaluated with the same arithmetic as on its own.
+    the slopes are the centered differences.  The grid is ``values`` itself.
 
     The float operations run in a fixed order, so that every output is
     bitwise reproducible: on a face, the tangential sum t^2 is formed in
@@ -639,7 +637,7 @@ def _face_flux_jacobian(values: np.ndarray, h, sign: int, coefficients: FluxCoef
     face-end neighbours of t_b and +-1 / (2 h_b) on s_b.  Given ``w_at``,
     W and W_c are read from ``w_at`` and the result is the exact matrix of
     the frozen, affine kernel: d/dD = weight / W, d(p / W_c)/ds_b = c_b / W_c
-    and no t_b term.  The grid is ``values`` itself: no batch axes.
+    and no t_b term.  The grid is ``values`` itself.
     """
     d = len(h)
     plan = _slice_plan(d)
@@ -697,7 +695,7 @@ def _face_flux_jacobian(values: np.ndarray, h, sign: int, coefficients: FluxCoef
 
 
 def residual_field_parabolic(values: np.ndarray, y_grid: np.ndarray, h, n: int,
-                             H: float, sign: int, w_at: np.ndarray | None = None,
+                             H: float, sign: int, w_at: np.ndarray | None,
                              coefficients: FluxCoefficients | None = None) -> np.ndarray:
     """Translation-structure residual y div_E(Du/W) - n u_y/W on the grid.
 
@@ -711,7 +709,7 @@ def residual_field_parabolic(values: np.ndarray, y_grid: np.ndarray, h, n: int,
 
 
 def residual_field_chart(values: np.ndarray, axes, h, n: int, H: float, sign: int,
-                         w_at: np.ndarray | None = None,
+                         w_at: np.ndarray | None,
                          coefficients: FluxCoefficients | None = None) -> np.ndarray:
     """Dilation-structure residual on the grid.
 
@@ -719,7 +717,7 @@ def residual_field_chart(values: np.ndarray, axes, h, n: int, H: float, sign: in
     with Wtil^2 = gamma + y^2 |Du|^2, where gamma and the drift are the
     dilation structure's ``chart_gamma`` and ``chart_drift``, pulled back
     from the hemisphere slice.  With W = Wtil / y this is the kernel with
-    :func:`chart_coefficients`, broadcast over any batch axes.  A caller
+    :func:`chart_coefficients`.  A caller
     evaluating many times on one grid passes those coefficients, formed
     once, as ``coefficients``.
     """
@@ -735,9 +733,8 @@ def residual_evaluator(grid: GridFunction, kind: str, H: float, conv: Orientatio
     coefficients are formed here, once, and every evaluation reuses them,
     as does ``resid.jacobian(values, w_at)``, the kernel's exact stencil
     derivative (:func:`_face_flux_jacobian`; ``w_at`` None for the full
-    residual's).
-    Leading axes of ``values`` beyond the grid's are a batch; ``w_at``
-    freezes the W factors there (see :func:`_face_flux_residual`).  Calls go
+    residual's).  ``w_at`` freezes the W factors of the residual (see
+    :func:`_face_flux_residual`).  Calls go
     through the module attributes ``residual_field_parabolic`` and
     ``residual_field_chart``, so wrapping those sees every evaluation.
     """

@@ -4,16 +4,16 @@ Damped Newton iteration on the conservative residual.  Its Jacobian is
 the face-flux kernel's exact derivative, which the operator returns as an
 array of 3^d stencil coefficients per node
 (:func:`operator._face_flux_jacobian`) and :class:`JacobianBuilder`
-gathers into a sparse matrix: no residual is evaluated to assemble it.  The
-residual kernel with its W factors frozen serves twice more, with the exact
-matrix of the frozen, affine kernel: frozen at the equidistant plane, it is
-the operator's linearization, whose solution starts Newton on small, masked
-or even-sized problems; frozen at the iterate, it is the Picard fallback
-when a Newton step cannot reduce the residual.  Newton and Picard take
-their steps through one backtracking line search.  Boundary nodes are
-constrained, never solved, so prescribed data is attained exactly.  Failure
-to drive the residual down is reported as divergence, the numerical
-stand-in for boundary geometry that admits no graph solution.
+stores as the matrix's 3^d diagonals: no residual is evaluated to assemble
+it.  The residual kernel with its W factors frozen serves twice more, with
+the exact matrix of the frozen, affine kernel: frozen at the equidistant
+plane, it is the operator's linearization, whose solution starts Newton on
+small, masked or even-sized problems; frozen at the iterate, it is the
+Picard fallback when a Newton step cannot reduce the residual.  Newton and
+Picard take their steps through one backtracking line search.  Boundary
+nodes are constrained, never solved, so prescribed data is attained
+exactly.  Failure to drive the residual down is reported as divergence, the
+numerical stand-in for boundary geometry that admits no graph solution.
 
 A whole box with an odd node count on every axis starts from nested
 iteration (Brandt, Math. Comp. 31, 1977): the same problem on every other
@@ -33,10 +33,11 @@ the coarse solves of the start serve again as coarse-grid corrections.
 Masked, even-sized and coarsest problems, and every solve given start
 values, keep the LU path.
 
-Every Jacobian is assembled as one sparse (CSC) matrix in C order, in
-which the 3^d-stencil Jacobian is banded, its half-bandwidth kl one
-interior row (or plane) plus one; the GMRES steps and cycles work in that
-order.  While m kl^2 stays within ``BAND_WORK`` for its m unknowns (2-D
+Every Jacobian is stored by diagonals (DIA) over the interior's bounding
+box in C order, with unit rows at the box nodes outside the interior (none
+on a whole box).  In that order the 3^d-stencil Jacobian is banded, its
+half-bandwidth kl one box row (or plane) plus one; the GMRES steps and
+cycles work in that order.  While M kl^2 stays within ``BAND_WORK`` for its M box nodes (2-D
 boxes up to 96^2, 3-D boxes up to 15^3, and their ball windows) a
 Jacobian is factored by LAPACK's band LU.  A wider one is factored by
 SuperLU after renumbering by nested dissection of the box (George, SIAM J.
@@ -197,7 +198,7 @@ def ball_mask(grid: GridFunction, center, radius: float) -> np.ndarray:
 # Residual and Jacobian plumbing
 # ---------------------------------------------------------------------------
 
-# Largest m kl^2, the band LU's work for m unknowns at C-order
+# Largest M kl^2, the band LU's work for M box nodes at C-order
 # half-bandwidth kl, for which a builder keeps C order and LAPACK's band LU;
 # a wider matrix is numbered by nested dissection for SuperLU (_factorize).
 # One hemisphere Jacobian per box (best of 3, BLAS 1 thread, 2-CPU Xeon
@@ -218,9 +219,9 @@ class NestedNumbering:
     """A builder's unknowns numbered by nested dissection, for SuperLU.
 
     ``order`` lists the C index of the unknown at each position and
-    ``position`` is its inverse.  :meth:`renumber` gives a matrix of the
-    builder with rows and columns in that order, as CSC with each column's
-    rows sorted: its data are the C-order data at ``take``.
+    ``position`` is its inverse.  :meth:`renumber` gives the matrix of the
+    interior unknowns, rows and columns in that order, as CSC with each
+    column's rows sorted: its data are the flat diagonal data at ``take``.
     """
 
     order: np.ndarray
@@ -230,90 +231,74 @@ class NestedNumbering:
     indptr: np.ndarray
 
     def renumber(self, J):
-        return sp.csc_matrix((J.data[self.take], self.indices, self.indptr), shape=J.shape)
+        return sp.csc_matrix((J.data.reshape(-1)[self.take], self.indices, self.indptr),
+                             shape=(self.order.size,) * 2)
 
 
 class JacobianBuilder:
-    """Sparse Jacobian of the interior residual, gathered from the kernel's exact stencil.
+    """Sparse Jacobian of the interior residual, stored as its stencil diagonals.
 
     The residual's derivative comes from :func:`operator._face_flux_jacobian`
     as one array of stencil coefficients per inner node, shaped (3^d,
-    *inner): entry k at node r is dR_r / du_{r + o_k}.  Column q's rows are
-    the interior nodes r = q + o_k, and J[r, q] = dR_r / du_{r - o_k} is
-    entry 3^d - 1 - k at r, the offsets being symmetric
-    (o_{3^d - 1 - k} = -o_k).  ``plane_at`` holds each coupling's flat index
-    into that array, precomputed once per (shape, interior) and reused
-    across Newton iterations, so an assembly is one kernel call and one
-    gather.
+    *inner): entry k at node r is dR_r / du_{r + o_k}.  The matrix numbers
+    the nodes of the interior's bounding box (``box``) in C order, where
+    o_k is a flat offset, so that array is the matrix's diagonal (DIA)
+    storage (Saad, Iterative Methods for Sparse Linear Systems, 2nd ed.,
+    SIAM 2003, 3.4) once entry k is shifted by o_k: ``data[k, j] =
+    J[j - o_k, j]``.  Couplings that leave the interior are zeroed, and box
+    nodes outside it (``inside`` False) are unit rows.  ``offsets`` ascend,
+    so a product adds each row's couplings in column order, as a CSC
+    product does.  A box under 3 nodes wide on an axis maps two stencil
+    entries to one offset; they never couple the same nodes, so they share
+    that diagonal.  A builder holds no array per coupling, and an assembly
+    is one kernel call and one shifted copy per diagonal.
 
-    The matrix numbers the unknowns in C order, written straight into CSC
-    arrays with each column's rows sorted, so no assembly sorts or converts.
-    ``diagonal_at`` gives each diagonal entry's place in the CSC data.  The
-    matrix is banded; ``kl`` is its half-bandwidth, the farthest coupling
-    from the diagonal (0 when no interior node has an interior neighbor).
-    If m kl^2 <= ``BAND_WORK`` for the m unknowns, the band LU factors it:
-    ``band_at`` gives each stored coupling's flat index in F-order LAPACK
-    band storage with kl rows left for the fill, (2 kl + row - col) +
-    (3 kl + 1) col (the stencil is symmetric, so the upper half-bandwidth
-    is kl too).  Otherwise ``kl`` is None, and SuperLU factors the matrix
+    ``kl``, the half-bandwidth, is the largest offset.  If M kl^2 <=
+    ``BAND_WORK`` for the M box nodes, the band LU factors the matrix.
+    Otherwise ``kl`` is None, and SuperLU factors the interior block
     renumbered by nested dissection (:attr:`nested`), which is computed on
     the first factorization and kept here: a level that takes its steps
-    from GMRES never factors, and never pays for it.  Every matrix shares
-    the builder's index arrays (and every renumbered one the numbering's),
-    which must stay in that canonical order: SuperLU's ``splu`` sorts a
-    matrix's indices in place when they are out of order, and would then
-    scramble every later assembly.
+    from GMRES never factors, and never pays for it.  Every renumbered
+    matrix shares the numbering's index arrays, which must stay sorted:
+    SuperLU's ``splu`` sorts a matrix's indices in place when they are out
+    of order, and would then scramble every later factorization.
     """
 
     def __init__(self, shape, interior: np.ndarray):
-        self.shape, self.interior = shape, interior.copy()  # for the numbering
-        d, size = len(shape), interior.size
+        self.shape, self.interior = shape, interior.copy()
+        d = len(shape)
         self.m = int(np.count_nonzero(interior))
-        nodes = np.flatnonzero(interior)
-        number = np.full(size, -1, dtype=np.int32)
-        number[nodes] = np.arange(self.m, dtype=np.int32)
-        # the inner block's C numbering, the nodes of the kernel's stencil
-        # array; every interior node lies in it
-        inner = np.full(shape, -1, dtype=np.int32)
-        inner_size = math.prod(s - 2 for s in shape)
-        inner[(slice(1, -1),) * d] = np.arange(inner_size, dtype=np.int32).reshape(
-            tuple(s - 2 for s in shape))
-        inner = inner.reshape(-1)
-        # column j is the unknown at node q = nodes[j]; its rows are the
-        # interior nodes r = q + o_k of q's stencil (interior nodes have the
-        # whole stencil inside the grid, so flat offsets do not wrap)
-        offsets = np.ravel_multi_index(np.indices((3,) * d).reshape(d, -1), shape) \
-            - np.ravel_multi_index((1,) * d, shape)
-        stencil = len(offsets)
-        rows = np.empty((self.m, stencil), dtype=np.int32)
-        plane_at = np.empty((self.m, stencil), dtype=np.int32)
-        counts = np.zeros(self.m, dtype=np.int32)  # couplings per column
-        for k, offset in enumerate(offsets):
-            if k == stencil // 2:  # the diagonal follows the couplings counted so far
-                before = counts.copy()
-            rows[:, k] = number[nodes + offset]
-            plane_at[:, k] = inner[nodes + offset] + (stencil - 1 - k) * inner_size
-            counts += rows[:, k] >= 0
-        keep = rows >= 0  # absent couplings: the stencil node is not interior
-        starts = np.zeros(self.m + 1, dtype=np.int32)
-        np.cumsum(counts, out=starts[1:])
-        # the couplings column by column, column j's at starts[j] ... starts[j + 1] - 1;
-        # the offsets increase and the C numbering follows the flat index, so
-        # each column's rows come sorted
-        self.indptr, self.indices = starts, rows[keep]
-        # np.take gathers several times faster with intp indices than int32
-        self.plane_at = plane_at[keep].astype(np.intp)
-        self.diagonal_at = starts[:-1] + before
-        # the C-order half-bandwidth: the farthest coupling from the diagonal,
-        # a column's first or last row (each column holds its diagonal), so
-        # 0 when no interior node has an interior neighbor
-        cols = np.arange(self.m, dtype=np.int32)
-        kl = int(max(np.max(cols - self.indices[starts[:-1]]),
-                     np.max(self.indices[starts[1:] - 1] - cols)))
-        self.kl = kl if self.m * kl**2 <= BAND_WORK else None
-        if self.kl is not None:  # each coupling's flat place in F-order LAPACK band storage
-            # (2 kl + row - col) + (3 kl + 1) col
-            self.band_at = self.indices + np.repeat(2 * kl + 3 * kl * cols.astype(np.intp), counts)
+        self.box = tuple(slice(int(w.min()), int(w.max()) + 1) for w in np.nonzero(interior))
+        self.inside = self.interior[self.box]
+        self.outside = np.flatnonzero(~self.inside)  # the unit rows; none on a whole box
+        extent = self.inside.shape
+        vectors = np.indices((3,) * d).reshape(d, -1).T - 1  # the stencil, in C order
+        self.flat = (vectors @ [math.prod(extent[b + 1:]) for b in range(d)]).tolist()
+        self.offsets, self.rows = np.unique(self.flat, return_inverse=True)
+        self.centre = int(np.searchsorted(self.offsets, 0))
+        kl = int(self.offsets[-1])
+        self.kl = kl if self.inside.size * kl**2 <= BAND_WORK else None
+        # the box within the kernel's inner block, in its (3,) * d + inner
+        # layout, and there the couplings that leave the box: offset -1
+        # along an axis at the box's first row, +1 at its last
+        self.within = (slice(None),) * d + tuple(slice(sl.start - 1, sl.stop - 1)
+                                                 for sl in self.box)
+        self.edges = [operator._index(2 * d, slice(None), {b: digit, d + b: end})
+                      for b in range(d) for digit, end in ((0, 0), (2, -1))]
+
+    def _diagonals(self, stencil: np.ndarray) -> np.ndarray:
+        """DIA data of a (3,) * d + box stencil array, whose dropped couplings it zeroes."""
+        for edge in self.edges:
+            stencil[edge] = 0.0
+        stencil = stencil.reshape(len(self.flat), -1)  # a copy for a window
+        stencil[:, self.outside] = 0.0  # rows of box nodes outside the interior
+        size = stencil.shape[1]
+        data = np.zeros((len(self.offsets), size))
+        for k, (row, offset) in enumerate(zip(self.rows, self.flat)):
+            lo, hi = max(offset, 0), size + min(offset, 0)
+            data[row, lo:hi] += stencil[k, lo - offset:hi - offset]
+        data[:, self.outside] = 0.0  # couplings into them
+        return data
 
     @functools.cached_property
     def nested(self) -> NestedNumbering:
@@ -321,27 +306,29 @@ class JacobianBuilder:
         order = nested_dissection_order(self.interior)
         position = np.empty_like(order)
         position[order] = np.arange(self.m)
-        counts = np.diff(self.indptr)[order]
-        indptr = np.zeros(self.m + 1, dtype=np.int32)
-        np.cumsum(counts, out=indptr[1:])
-        # renumbered column p is column order[p]: its entries, in the
-        # original row order, then sorted by their renumbered rows
-        take = np.repeat(self.indptr[order] - indptr[:-1], counts)
-        take += np.arange(indptr[-1], dtype=np.int32)
-        rows = np.take(np.take(position.astype(np.int32), self.indices), take)
-        pattern = sp.csc_matrix((take, rows, indptr), shape=(self.m, self.m))
+        size = self.inside.size
+        kept = self._diagonals(np.ones((3,) * len(self.shape) + self.inside.shape)) > 0
+        # each kept coupling's place in the flat data, counted from 1 so that
+        # the conversion keeps it; renumbered column p is the unknown order[p]
+        places = np.where(kept, np.arange(1, kept.size + 1).reshape(kept.shape), 0)
+        unknowns = np.flatnonzero(self.inside)[order]
+        pattern = sp.dia_matrix((places, self.offsets), shape=(size, size)).tocsc()
+        pattern = pattern[unknowns][:, unknowns]
         pattern.sort_indices()
-        return NestedNumbering(order, position, pattern.data, pattern.indices, pattern.indptr)
+        return NestedNumbering(order, position, pattern.data - 1, pattern.indices,
+                               pattern.indptr)
 
     def assemble(self, values: np.ndarray, resid, w_at: np.ndarray | None = None):
-        """The interior Jacobian at ``values`` of ``resid`` (a :func:`_residual_fn`).
+        """The box Jacobian at ``values`` of ``resid`` (a :func:`_residual_fn`), as DIA.
 
         Given ``w_at``, the exact matrix of the residual with its W factors
         frozen there, which is affine in the unknowns.
         """
         stencil = resid.jacobian(values, w_at)
-        data = np.take(stencil.reshape(-1), self.plane_at)
-        return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.m, self.m))
+        data = self._diagonals(stencil.reshape((3,) * len(self.shape) + stencil.shape[1:])
+                               [self.within])
+        data[self.centre, self.outside] = 1.0  # the unit rows
+        return sp.dia_matrix((data, self.offsets), shape=(data.shape[1],) * 2)
 
 
 # sort digit of the lower half, the separator and the upper half of a cut
@@ -415,18 +402,21 @@ _gbtrf, _gbtrs, _trtrs = get_lapack_funcs(("gbtrf", "gbtrs", "trtrs"), dtype=np.
 def _factorize(J, builder: JacobianBuilder):
     """Linear solver for one matrix assembled by ``builder``: ``solve(rhs)`` returns the step.
 
-    The matrix is LU-factored here, once, and the factors serve every
+    ``rhs`` and the step are on the interior unknowns, in C order.  The
+    matrix is LU-factored here, once, and the factors serve every
     right-hand side until the caller drops the solver.  A matrix of a
-    narrow-band builder (``builder.kl`` set) is scattered into LAPACK band
-    storage and factored by ``gbtrf`` with partial pivoting, which keeps
-    the fill inside kl more superdiagonals (Anderson et al., LAPACK Users'
-    Guide, 3rd ed., SIAM 1999); its steps come from ``gbtrs`` in C order.
-    Any other is factored by SuperLU.  A singular matrix gives ``None``,
-    "no step", from either branch.
+    narrow-band builder (``builder.kl`` set) is copied into LAPACK band
+    storage, with kl rows left for the fill, one row per diagonal (offset
+    o at row 2 kl - o), and factored by ``gbtrf`` with partial pivoting,
+    which keeps the fill inside kl more superdiagonals (Anderson et al.,
+    LAPACK Users' Guide, 3rd ed., SIAM 1999); its steps come from ``gbtrs``
+    on the box.  Any other is factored by SuperLU.  A singular matrix gives
+    ``None``, "no step", from either branch.
 
-    For SuperLU the matrix is renumbered by the builder's nested dissection
-    (George, SIAM J. Numer. Anal. 10, 1973; ``builder.nested``, computed on
-    the builder's first SuperLU factorization), and SuperLU keeps that
+    For SuperLU the interior block is gathered into CSC and renumbered by
+    the builder's nested dissection (George, SIAM J. Numer. Anal. 10, 1973;
+    ``builder.nested``, computed on the builder's first SuperLU
+    factorization), and SuperLU keeps that
     column order (``NATURAL``, which scipy pairs with SuperLU's symmetric
     mode) and its threshold partial pivoting; right-hand sides and steps
     are mapped between C order and that order here.  On the 3^d-stencil
@@ -436,12 +426,19 @@ def _factorize(J, builder: JacobianBuilder):
     """
     kl = builder.kl
     if kl is not None:
-        band = np.zeros((3 * kl + 1, builder.m), order="F")
-        band.reshape(-1, order="F")[builder.band_at] = J.data  # a view: F order
+        band = np.zeros((3 * kl + 1, J.shape[0]), order="F")
+        band[2 * kl - J.offsets] = J.data
         lu, piv, info = _gbtrf(band, kl, kl, overwrite_ab=True)
         if info != 0:
             return lambda rhs: None
-        return lambda rhs: _gbtrs(lu, kl, kl, rhs, piv)[0]
+        inside = builder.inside.reshape(-1)
+        box = np.zeros(inside.size)  # right-hand sides on the box: zero on the unit rows
+
+        def solve(rhs):
+            box[inside] = rhs
+            return _gbtrs(lu, kl, kl, box, piv)[0][inside]
+
+        return solve
     nested = builder.nested
     try:
         lu = spla.splu(nested.renumber(J), permc_spec="NATURAL")
@@ -455,7 +452,7 @@ def _residual_fn(problem: DirichletProblem):
     """``resid(v, w_at=None)``: the problem's residual field under the orientation.
 
     ``resid.jacobian(v, w_at)`` is its exact stencil derivative, which
-    :meth:`JacobianBuilder.assemble` gathers.
+    :meth:`JacobianBuilder.assemble` stores as diagonals.
 
     The spacing and the structure's coefficients are formed here, once per
     solve (:func:`solve_dirichlet` hands its ``resid`` to
@@ -478,10 +475,11 @@ def linearized_start(problem: DirichletProblem, resid=None) -> np.ndarray:
     the data with a zero interior solves it, and a second step with the same
     factors refines away the rounding of the first.  Data sampled from an
     equidistant plane are reproduced exactly.  The frozen kernel's exact
-    matrix is assembled by the cached builder that Newton then reuses
-    (``assemble(values, resid, w_at=plane)``); a singular one leaves the
-    interior at zero.  ``resid`` is the solve's :func:`_residual_fn`, when
-    it has one already.
+    matrix is assembled, as diagonals over the interior's bounding box, by
+    the cached builder that Newton then reuses (``assemble(values, resid,
+    w_at=plane)``) and LU-factored (:func:`_factorize`); a singular one
+    leaves the interior at zero.  ``resid`` is the solve's
+    :func:`_residual_fn`, when it has one already.
     """
     interior = problem.interior_mask()
     values = problem.data.copy()
@@ -669,11 +667,12 @@ def _krylov_solver(J, builder: JacobianBuilder, coarse, counts: list, tol: float
     ``tol`` over the right-hand side (Kelley, Iterative Methods for Linear
     and Nonlinear Equations, SIAM 1995): the 2-norm bounds the max-norm, so
     the linear residual still meets half the Newton tolerance, and a nearly
-    converged step asks no accuracy below it.  Every vector is in C order,
-    the order of ``J``, ``P`` and ``R``, so no step or cycle permutes one.
+    converged step asks no accuracy below it.  Only whole boxes coarsen, so
+    every vector is in the C order of ``J``, ``P`` and ``R``, and products
+    with ``J`` run over its diagonals (scipy's ``dia_matvec``).
     """
     P, R = _transfer(builder.shape)
-    weight = JACOBI_WEIGHT / J.data[builder.diagonal_at]
+    weight = JACOBI_WEIGHT / J.data[builder.centre]
 
     def cycle(r):
         x = weight * r

@@ -250,34 +250,6 @@ class TestGridResidual:
         assert np.max(np.abs(res.values[~res.boundary])) <= 1e-10
 
 
-class TestBatchedResidual:
-    """Leading axes of the residual kernels' input are an independent batch."""
-
-    @pytest.mark.parametrize("kind", [PARABOLIC, HYPERBOLIC])
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_stack_equals_per_slice_calls(self, n, kind):
-        grid = op.make_grid(n, 0.5, 0.3, 1.1, 9 if n == 3 else 17)
-        rng = np.random.default_rng(11)
-        mesh = grid.meshgrid()
-        base = 0.4 + 0.2 * np.sin(2.0 * mesh[0]) * mesh[-1]
-        stack = base + 0.05 * rng.standard_normal((4,) + base.shape)
-        h = grid.spacing
-        sign = op.orientation().sign
-        if kind == PARABOLIC:
-            def resid(v):
-                return op.residual_field_parabolic(v, grid.y_grid(), h, n, 0.3, sign)
-        else:
-            def resid(v):
-                return op.residual_field_chart(v, grid.axes, h, n, 0.3, sign)
-        batched = resid(stack)
-        assert batched.shape == stack.shape
-        for k in range(stack.shape[0]):
-            assert np.array_equal(batched[k], resid(stack[k]))
-        # two batch axes flatten the same way
-        assert np.array_equal(resid(stack.reshape((2, 2) + base.shape)).reshape(stack.shape),
-                              batched)
-
-
 class TestFrozenResidual:
     """With ``w_at`` the residual kernel is the Picard linearization at ``w_at``."""
 
@@ -358,7 +330,7 @@ def _loop_face_flux_residual(u, w, axes, kind, n, H, sign):
 
 
 class TestKernelOracle:
-    """The kernel against a per-node loop of its formula, on a 4-stack batch."""
+    """The kernel against a per-node loop of its formula, on four grid functions."""
 
     @pytest.mark.parametrize("frozen", [False, True])
     @pytest.mark.parametrize("kind", [PARABOLIC, HYPERBOLIC])
@@ -373,15 +345,15 @@ class TestKernelOracle:
         w_at = base + 0.05 * rng.standard_normal(base.shape) if frozen else None
         h = grid.spacing
         sign = op.orientation().sign
-        if kind == PARABOLIC:
-            got = op.residual_field_parabolic(stack, grid.y_grid(), h, n, 0.3, sign, w_at)
-        else:
-            got = op.residual_field_chart(stack, grid.axes, h, n, 0.3, sign, w_at)
         inner = np.zeros(base.shape, dtype=bool)
         inner[(slice(1, -1),) * n] = True
-        for k in range(stack.shape[0]):
-            w = stack[k] if w_at is None else w_at
-            want = _loop_face_flux_residual(stack[k], w, grid.axes, kind, n, 0.3, sign)
+        for values in stack:  # one kernel call per grid function
+            if kind == PARABOLIC:
+                got = op.residual_field_parabolic(values, grid.y_grid(), h, n, 0.3, sign, w_at)
+            else:
+                got = op.residual_field_chart(values, grid.axes, h, n, 0.3, sign, w_at)
+            w = values if w_at is None else w_at
+            want = _loop_face_flux_residual(values, w, grid.axes, kind, n, 0.3, sign)
             scale = np.max(np.abs(want[inner]))
-            assert np.max(np.abs(got[k][inner] - want[inner])) <= 1e-13 * scale
-            assert np.all(got[k][~inner] == 0.0)
+            assert np.max(np.abs(got[inner] - want[inner])) <= 1e-13 * scale
+            assert np.all(got[~inner] == 0.0)

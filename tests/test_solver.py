@@ -213,8 +213,9 @@ class TestFactorization:
 def factored_start_jacobian(problem, monkeypatch):
     """The sparse Jacobian at the linearized start, factored by ``_factorize``.
 
-    Returns (the matrix, in C order, the solver, its SuperLU factors of the
-    matrix renumbered by nested dissection, the Newton right-hand side).
+    Returns (the matrix in C order, as CSC for SuperLU's own orderings, the
+    solver, its SuperLU factors of the matrix renumbered by nested
+    dissection, the Newton right-hand side).
     """
     interior = problem.interior_mask()
     values = sv.linearized_start(problem)
@@ -234,7 +235,7 @@ def factored_start_jacobian(problem, monkeypatch):
         patch.setattr(sv.spla, "splu", keeping_splu)
         solve = sv._factorize(J, builder)
     (lu,) = factors
-    return J, solve, lu, -F[interior]
+    return J.tocsc(), solve, lu, -F[interior]
 
 
 class TestBandLU:
@@ -275,11 +276,12 @@ class TestBandLU:
         assert builder.kl == kl
         m = builder.m
         # every builder numbers in C order, where the matrix has half-bandwidth
-        # c_order_kl; the nested-dissection numbering is SuperLU's alone
+        # c_order_kl, its largest offset, and one diagonal per stencil entry
+        # in ascending order; the nested-dissection numbering is SuperLU's alone
         inner = [s - 2 for s in shape]
         c_order_kl = sum(math.prod(inner[a + 1:]) for a in range(len(shape)))
-        cols = np.repeat(np.arange(m), np.diff(builder.indptr))
-        assert np.max(np.abs(builder.indices - cols)) == c_order_kl
+        assert np.max(np.abs(builder.offsets)) == c_order_kl
+        assert builder.offsets.size == 3 ** len(shape) and np.all(np.diff(builder.offsets) > 0)
         if kl is None:
             assert m * c_order_kl**2 > sv.BAND_WORK
             nested = builder.nested
@@ -289,23 +291,42 @@ class TestBandLU:
             assert m * kl**2 <= sv.BAND_WORK
 
     @pytest.mark.parametrize("shape", [(17, 17), (9, 7, 8)])
-    def test_band_storage_holds_the_matrix(self, shape):
-        # LAPACK's gbtrf layout: A[i, j] at row 2 kl + i - j of column j,
-        # kl rows above it left free for the fill of pivoting
-        interior = self.box_interior(shape)
-        builder = sv.JacobianBuilder(shape, interior)
+    def test_band_storage_holds_the_matrix(self, shape, monkeypatch):
+        # the diagonals hold stencil entry k of node r at J[r, r + o_k], and
+        # _factorize hands gbtrf LAPACK's layout: A[i, j] at row 2 kl + i - j
+        # of column j, kl rows above it left free for the fill of pivoting
+        d, inner = len(shape), tuple(s - 2 for s in shape)
+        builder = sv.JacobianBuilder(shape, self.box_interior(shape))
         kl, m = builder.kl, builder.m
-        data = np.arange(1.0, builder.indices.size + 1.0)
-        A = sv.sp.csc_matrix((data, builder.indices, builder.indptr), shape=(m, m)).toarray()
-        band = np.zeros((3 * kl + 1, m), order="F")
-        band.reshape(-1, order="F")[builder.band_at] = data
+        stencil = np.arange(1.0, 3**d * m + 1.0).reshape((3,) * d + inner)  # all distinct
+        J = sv.sp.dia_matrix((builder._diagonals(stencil.copy()), builder.offsets), shape=(m, m))
+        A = J.toarray()
+        for vector in itertools.product((-1, 0, 1), repeat=d):
+            for node in np.ndindex(*inner):
+                other = tuple(i + o for i, o in zip(node, vector))
+                if all(0 <= i < s for i, s in zip(other, inner)):
+                    entry = stencil[tuple(o + 1 for o in vector) + node]
+                    assert A[np.ravel_multi_index(node, inner),
+                             np.ravel_multi_index(other, inner)] == entry
+        bands = []
+
+        def recording_gbtrf(band, *args, **kwargs):
+            bands.append(band.copy())
+            return band, None, 1  # reported singular: no solve follows
+
+        monkeypatch.setattr(sv, "_gbtrf", recording_gbtrf)
+        sv._factorize(J, builder)
+        (band,) = bands
         i, j = np.nonzero(np.abs(np.subtract.outer(np.arange(m), np.arange(m))) <= kl)
         assert np.array_equal(band[2 * kl + i - j, j], A[i, j])
-        assert np.count_nonzero(band) == np.count_nonzero(A) == data.size
+        # every coupling that stays in the box, and no other
+        couplings = math.prod(3 * s - 2 for s in inner)
+        assert np.count_nonzero(band) == np.count_nonzero(A) == couplings
 
     def test_isolated_interior_nodes_make_a_zero_band(self):
         # three 3 x 3 patches: each centre is an interior node with no
-        # interior neighbor, so the matrix is diagonal (kl = 0)
+        # interior neighbor, so the interior block is diagonal; the other
+        # nodes of their 7 x 6 bounding box are unit rows (kl = 6 + 1)
         grid = op.make_grid(2, 0.5, 0.2, 1.0, 17)
         mask = np.zeros(grid.values.shape, dtype=bool)
         for i, j in ((3, 3), (3, 8), (9, 5)):
@@ -314,13 +335,15 @@ class TestBandLU:
         problem = sv.DirichletProblem(grid=grid, mask=mask, data=data, H=0.0)
         interior = problem.interior_mask()
         builder = sv.JacobianBuilder(mask.shape, interior)
-        assert builder.m == 3 and builder.kl == 0
+        assert builder.m == 3 and builder.kl == 7
         values = np.where(interior, 0.0, data)
         resid = sv._residual_fn(problem)
         F = resid(values)
         J = builder.assemble(values, resid)
+        assert np.array_equal(J.toarray(), np.diag(J.diagonal()))
+        diagonal = J.diagonal()[builder.inside.reshape(-1)]
         step = sv._factorize(J, builder)(-F[interior])
-        assert np.allclose(step, -F[interior] / J.diagonal(), rtol=1e-14, atol=0.0)
+        assert np.allclose(step, -F[interior] / diagonal, rtol=1e-14, atol=0.0)
         u, rep = sv.solve_dirichlet(problem, sv.SolverConfig(tol=1e-12))
         assert rep.converged and sv.residual_norm(u, problem) <= 1e-12
 
@@ -339,7 +362,7 @@ class TestBandLU:
 
         def singular_assemble(self, *args, **kwargs):
             J = real_assemble(self, *args, **kwargs)
-            J.data[J.indptr[0]:J.indptr[1]] = 0.0
+            J.data[:, 0] = 0.0  # column j of the matrix is column j of its diagonals
             return J
 
         monkeypatch.setattr(sv, "_gbtrf", recording_gbtrf)
@@ -476,6 +499,21 @@ class TestJacobianBuilder:
         # the assembled matrix is the kernel's exact derivative
         self.check_against_one_node(n, nodes, kind, window, band=True)
 
+    @pytest.mark.parametrize("n, nodes", [(2, [17, 4]), (2, [9, 3]), (3, [5, 4, 6]),
+                                          (3, [6, 7, 3])])
+    def test_thin_boxes_share_diagonals(self, n, nodes):
+        # a box 1 or 2 nodes wide on an axis maps several stencil entries to
+        # one offset; the matrix and its band LU step still hold
+        values, interior, resid = jacobian_case(n, nodes, PARABOLIC, False)
+        builder = sv.JacobianBuilder(values.shape, interior)
+        assert builder.offsets.size < 3**n
+        J = builder.assemble(values, resid)
+        expected = one_node_jacobian(values, interior, resid, 1e-6)
+        assert np.max(np.abs(J.toarray() - expected)) <= 1e-8 * np.max(np.abs(expected))
+        rhs = -resid(values)[interior]
+        step = sv._factorize(J, builder)(rhs)
+        assert np.max(np.abs(J @ step - rhs)) <= 1e-12 * np.max(np.abs(rhs))
+
     @pytest.mark.parametrize("nodes, window", [(33, False), (41, True)])
     def test_nested_numbering_equals_one_node_at_a_time(self, nodes, window, monkeypatch):
         # the numbering of matrices too wide for the band LU; the window
@@ -494,19 +532,27 @@ class TestJacobianBuilder:
         values, interior, resid = jacobian_case(n, nodes, kind, window)
         builder = sv.JacobianBuilder(values.shape, interior)
         assert (builder.kl is not None) == band
+        inside = builder.inside.reshape(-1)  # the interior nodes of the box
+        assert window == (not inside.all())
+        unit = np.eye(inside.size)
         frozen_at = 0.5 * values + 0.1 * np.cos(2.0 * np.arange(values.size)).reshape(values.shape)
         for w_at, eps, rtol in ((None, 1e-6, 1e-8), (frozen_at, 1.0, 1e-14)):
             J = builder.assemble(values, resid, w_at=w_at).toarray()
             expected = one_node_jacobian(values, interior,
                                          functools.partial(resid, w_at=w_at), eps)
             assert np.count_nonzero(expected) > 0
-            assert np.max(np.abs(J - expected)) <= rtol * np.max(np.abs(expected))
-        if not band:  # the matrix SuperLU factors, renumbered by nested dissection
+            assert np.max(np.abs(J[np.ix_(inside, inside)] - expected)) \
+                <= rtol * np.max(np.abs(expected))
+            # the other box nodes are unit rows, and no interior row couples to them
+            assert np.array_equal(J[~inside], unit[~inside])
+            assert np.array_equal(J[:, ~inside], unit[:, ~inside])
+        if not band:  # the interior block SuperLU factors, renumbered by nested dissection
             J = builder.assemble(values, resid)
             renumbered = builder.nested.renumber(J)
             assert renumbered.has_sorted_indices
             order = builder.nested.order
-            assert np.array_equal(renumbered.toarray(), J.toarray()[order][:, order])
+            block = J.toarray()[np.ix_(inside, inside)]
+            assert np.array_equal(renumbered.toarray(), block[order][:, order])
 
     @pytest.mark.parametrize("nodes", [11, 33, 129])
     def test_assembly_makes_no_residual_call(self, nodes, monkeypatch):
@@ -535,18 +581,35 @@ class TestJacobianBuilder:
         # interior: t = 1e-7 leaves truncation and rounding near 3e-9 of
         # the largest component, where a misplaced coupling would show at O(1)
         values, interior, resid = jacobian_case(n, nodes, PARABOLIC, window)
-        J = sv.JacobianBuilder(values.shape, interior).assemble(values, resid)
+        builder = sv.JacobianBuilder(values.shape, interior)
+        J = builder.assemble(values, resid)
         v = np.zeros(values.shape)
         v[interior] = np.random.default_rng(9).standard_normal(np.count_nonzero(interior))
         t = 1e-7
         expected = ((resid(values + t * v) - resid(values - t * v)) / (2 * t))[interior]
-        assert np.max(np.abs(J @ v[interior] - expected)) <= 1e-8 * np.max(np.abs(expected))
+        product = (J @ v[builder.box].reshape(-1))[builder.inside.reshape(-1)]
+        assert np.max(np.abs(product - expected)) <= 1e-8 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("n, nodes, kind", [(2, 33, PARABOLIC), (2, 33, "hyperbolic"),
+                                                (3, 9, PARABOLIC), (3, 9, "hyperbolic")])
+    def test_product_sums_in_the_order_of_the_csc_product(self, n, nodes, kind):
+        # ascending offsets add each row's couplings in column order, as the
+        # CSC product does, so the two products agree bit for bit
+        values, interior, resid = jacobian_case(n, nodes, kind, False)
+        J = sv.JacobianBuilder(values.shape, interior).assemble(values, resid)
+        assert np.all(np.diff(J.offsets) > 0)
+        v = np.random.default_rng(4).standard_normal(J.shape[0])
+        assert (J @ v).tobytes() == (J.tocsc() @ v).tobytes()
 
     def test_large_grid_builder_and_assembly_memory(self):
         # tracemalloc peaks on 129^2: a builder that sorts packed int64
         # (m x 9) couplings reaches 9.0 MB and an assembly that stacks nine
-        # perturbed copies of the grid 12.9 MB, above both bounds; this
-        # builder 4.1 MB and its stencil-array assembly 3.5 MB
+        # perturbed copies of the grid 12.9 MB, above both bounds; a builder
+        # of per-coupling CSC index arrays 4.1 MB, and this one 0.28 MB; the
+        # assembly of the diagonals 3.5 MB.  The builder holds 20.6 KB, its
+        # copy of the interior mask (16.6 KB) and the offsets; one byte per
+        # coupling would take 145 KB (9 x 127^2), and the CSC builder held
+        # 1.9 MB
         problem = hemisphere_problem(129)
         interior = problem.interior_mask()
         resid = sv._residual_fn(problem)
@@ -562,21 +625,27 @@ class TestJacobianBuilder:
             tracemalloc.stop()
         assert build_peak <= 6e6
         assert assemble_peak <= 5e6
+        assert held <= 64e3
 
     def test_lu_between_assemblies_leaves_the_builder_intact(self):
-        # splu sorts a matrix's indices in place, so a matrix that shared the
-        # builder's index arrays would scramble every later assembly
+        # splu sorts a matrix's indices in place, so a renumbered matrix that
+        # shared unsorted index arrays with the numbering would scramble every
+        # later factorization
         problem = hemisphere_problem(97)
         resid = sv._residual_fn(problem)
         values = problem.data
         builder = sv.JacobianBuilder(values.shape, problem.interior_mask())
         assert builder.kl is None  # factored by SuperLU
         first = builder.assemble(values, resid)
-        arrays = [a.copy() for a in (first.data, first.indices, first.indptr)]
+        renumbered = builder.nested.renumber(first)
+        arrays = [a.copy() for a in (first.data, first.offsets, renumbered.data,
+                                     renumbered.indices, renumbered.indptr)]
         assert sv._factorize(first, builder)(-resid(values)[problem.interior_mask()]) is not None
         second = builder.assemble(values, resid)
+        renumbered = builder.nested.renumber(second)
         assert all(np.array_equal(a, b)
-                   for a, b in zip(arrays, (second.data, second.indices, second.indptr)))
+                   for a, b in zip(arrays, (second.data, second.offsets, renumbered.data,
+                                            renumbered.indices, renumbered.indptr)))
 
 
 class TestDivergence:
