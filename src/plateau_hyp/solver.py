@@ -248,10 +248,11 @@ class JacobianBuilder:
     J[j - o_k, j]``.  Couplings that leave the interior are zeroed, and box
     nodes outside it (``inside`` False) are unit rows.  ``offsets`` ascend,
     so a product adds each row's couplings in column order, as a CSC
-    product does.  A box under 3 nodes wide on an axis maps two stencil
-    entries to one offset; they never couple the same nodes, so they share
-    that diagonal.  A builder holds no array per coupling, and an assembly
-    is one kernel call and one shifted copy per diagonal.
+    product does.  On a box 2 nodes wide along an axis, two stencil entries
+    share an offset but no pair of nodes, so they share a diagonal; on a box
+    1 node wide, the entries that move along it get none.  A builder holds
+    no array per coupling, and an assembly is one kernel call and one
+    shifted copy per diagonal.
 
     ``kl``, the half-bandwidth, is the largest offset.  If M kl^2 <=
     ``BAND_WORK`` for the M box nodes, the band LU factors the matrix.
@@ -273,8 +274,10 @@ class JacobianBuilder:
         self.outside = np.flatnonzero(~self.inside)  # the unit rows; none on a whole box
         extent = self.inside.shape
         vectors = np.indices((3,) * d).reshape(d, -1).T - 1  # the stencil, in C order
-        self.flat = (vectors @ [math.prod(extent[b + 1:]) for b in range(d)]).tolist()
-        self.offsets, self.rows = np.unique(self.flat, return_inverse=True)
+        live = np.all(np.abs(vectors) < extent, axis=1)  # the entries coupling box nodes
+        flat = vectors[live] @ [math.prod(extent[b + 1:]) for b in range(d)]
+        self.offsets, rows = np.unique(flat, return_inverse=True)
+        self.entries = list(zip(np.flatnonzero(live).tolist(), rows.tolist(), flat.tolist()))
         self.centre = int(np.searchsorted(self.offsets, 0))
         kl = int(self.offsets[-1])
         self.kl = kl if self.inside.size * kl**2 <= BAND_WORK else None
@@ -290,11 +293,11 @@ class JacobianBuilder:
         """DIA data of a (3,) * d + box stencil array, whose dropped couplings it zeroes."""
         for edge in self.edges:
             stencil[edge] = 0.0
-        stencil = stencil.reshape(len(self.flat), -1)  # a copy for a window
+        stencil = stencil.reshape(3 ** len(self.shape), -1)  # a copy for a window
         stencil[:, self.outside] = 0.0  # rows of box nodes outside the interior
         size = stencil.shape[1]
         data = np.zeros((len(self.offsets), size))
-        for k, (row, offset) in enumerate(zip(self.rows, self.flat)):
+        for k, row, offset in self.entries:
             lo, hi = max(offset, 0), size + min(offset, 0)
             data[row, lo:hi] += stencil[k, lo - offset:hi - offset]
         data[:, self.outside] = 0.0  # couplings into them

@@ -325,8 +325,9 @@ class TestBandLU:
 
     def test_isolated_interior_nodes_make_a_zero_band(self):
         # three 3 x 3 patches: each centre is an interior node with no
-        # interior neighbor, so the interior block is diagonal; the other
-        # nodes of their 7 x 6 bounding box are unit rows (kl = 6 + 1)
+        # interior neighbor, so the interior block is diagonal and the band
+        # holds zeros off the diagonal: the band of their 7 x 6 bounding box
+        # (kl = 6 + 1), whose other nodes are unit rows
         grid = op.make_grid(2, 0.5, 0.2, 1.0, 17)
         mask = np.zeros(grid.values.shape, dtype=bool)
         for i, j in ((3, 3), (3, 8), (9, 5)):
@@ -500,10 +501,12 @@ class TestJacobianBuilder:
         self.check_against_one_node(n, nodes, kind, window, band=True)
 
     @pytest.mark.parametrize("n, nodes", [(2, [17, 4]), (2, [9, 3]), (3, [5, 4, 6]),
-                                          (3, [6, 7, 3])])
+                                          (3, [6, 7, 3]), (2, [3, 9]), (3, [3, 5, 6]),
+                                          (3, [4, 3, 3])])
     def test_thin_boxes_share_diagonals(self, n, nodes):
-        # a box 1 or 2 nodes wide on an axis maps several stencil entries to
-        # one offset; the matrix and its band LU step still hold
+        # a box 2 nodes wide on an axis maps two stencil entries to one
+        # offset, and on a box 1 node wide some entries reach past the box:
+        # leading thin axes too; the matrix and its band LU step still hold
         values, interior, resid = jacobian_case(n, nodes, PARABOLIC, False)
         builder = sv.JacobianBuilder(values.shape, interior)
         assert builder.offsets.size < 3**n
@@ -513,6 +516,22 @@ class TestJacobianBuilder:
         rhs = -resid(values)[interior]
         step = sv._factorize(J, builder)(rhs)
         assert np.max(np.abs(J @ step - rhs)) <= 1e-12 * np.max(np.abs(rhs))
+
+    @pytest.mark.parametrize("n, nodes, radius", [(2, [3, 9], None), (3, [3, 5, 6], None),
+                                                  (2, 33, 0.0625), (2, 33, 0.055)])
+    def test_one_node_wide_interior_solves(self, n, nodes, radius):
+        # interiors one node wide along a leading axis: whole boxes, and
+        # balls about a node that keep one axis-0 column of 3 nodes (h_y =
+        # 0.8 h_x, radius 2 h_x) or the centre alone
+        grid = op.make_grid(n, 0.5, 0.2, 1.0, nodes)
+        mask = np.ones(grid.values.shape, bool) if radius is None \
+            else sv.ball_mask(grid, [0.0, 0.6], radius)
+        data = op.sample_on_grid(grid, lambda z: 0.4 + 0.3 * z[0] * z[-1]).values
+        problem = sv.DirichletProblem(grid=grid, mask=mask, data=data, H=0.2)
+        interior = problem.interior_mask()
+        assert min(w.max() - w.min() for w in np.nonzero(interior)) == 0
+        u, rep = sv.solve_dirichlet(problem, sv.SolverConfig(tol=1e-12))
+        assert rep.converged and sv.residual_norm(u, problem) <= 1e-12
 
     @pytest.mark.parametrize("nodes, window", [(33, False), (41, True)])
     def test_nested_numbering_equals_one_node_at_a_time(self, nodes, window, monkeypatch):
