@@ -20,7 +20,7 @@ iteration (Brandt, Math. Comp. 31, 1977): the same problem on every other
 node is solved first, by the same recursion, and its solution is prolonged
 cubically to the fine grid, where Newton then needs two or three steps.  The
 hierarchy ends at the last level whose half still has more interior
-unknowns than ``DENSE_CUTOFF``; that coarsest level starts from the
+unknowns than ``COARSEST_UNKNOWNS``; that coarsest level starts from the
 linearization and takes its Newton steps through LU factors.  Every level
 above it takes its Newton steps from GMRES on its Jacobian (:func:`_gmres`),
 right-preconditioned by one V-cycle over the levels below
@@ -32,6 +32,18 @@ or the coarsest level's LU factors) and prolongs the correction back, so
 the coarse solves of the start serve again as coarse-grid corrections.
 Masked, even-sized and coarsest problems, and every solve given start
 values, keep the LU path.
+
+The V-cycle runs in single precision: its vectors, its copy of each
+Jacobian's diagonals, its Jacobi weights and the transfers are float32,
+which halves the bytes its products read.  Everything the Newton step is
+made of stays float64: the Jacobian GMRES multiplies by, the Arnoldi basis,
+the rotations, the step and every residual, and the LU factors, including
+the coarsest level's, which the cycle calls with its float32 right-hand
+side.  Flexible GMRES minimizes the true residual of the step it returns
+whatever the preconditioner does (Saad, SIAM J. Sci. Comput. 14, 1993), so
+the cycle's rounding can cost iterations but never accuracy (Carson and
+Higham, SIAM J. Sci. Comput. 40, 2018); on the 65^2 and 25^3 hemisphere
+boxes, from rtol 1e-8 to 1e-13, it costs none.
 
 Every Jacobian is stored by diagonals (DIA) over the interior's bounding
 box in C order, with unit rows at the box nodes outside the interior (none
@@ -76,12 +88,12 @@ class SolverDivergence(RuntimeError):
 # Smallest backtracking step, the most frozen-W (Picard) sweeps of one
 # fallback phase, and the interior size that ends the nested-iteration
 # hierarchy: a level whose half-resolution problem would have at most
-# DENSE_CUTOFF unknowns starts from the linearization, which is cheap to
-# solve at that size, and the factorizations of the levels above it are
-# what the hierarchy saves.
+# COARSEST_UNKNOWNS unknowns is the coarsest and starts from the
+# linearization, which is cheap to solve at that size, and the
+# factorizations of the levels above it are what the hierarchy saves.
 MIN_STEP = 2.0**-20
 PICARD_SWEEPS = 50
-DENSE_CUTOFF = 400
+COARSEST_UNKNOWNS = 400
 # Weight of the damped Jacobi smoother, and the most GMRES iterations one
 # preconditioned linear solve may take before it gives no step.
 JACOBI_WEIGHT = 0.8
@@ -117,7 +129,8 @@ class SolveReport:
     and is empty when the start was the linearization.  ``linear_solver``
     is the linear solver of the last Newton step (None after a Picard
     fallback or without a step), which the level above applies as its
-    coarse correction (:func:`_krylov_solver`).
+    coarse correction (:func:`_krylov_solver`): LU factors, or on a Krylov
+    level its float32 V-cycle.
     """
 
     iterations: int = 0
@@ -504,14 +517,14 @@ def _coarse_problem(problem: DirichletProblem) -> DirichletProblem | None:
     """The problem on every other node, or None where the hierarchy ends.
 
     Only a whole box with an odd node count on every axis coarsens, and only
-    while the coarse interior keeps more than ``DENSE_CUTOFF`` unknowns.  The
-    coarse data are the fine data injected, so the coarse boundary values
-    are data, not averages.
+    while the coarse interior keeps more than ``COARSEST_UNKNOWNS``
+    unknowns.  The coarse data are the fine data injected, so the coarse
+    boundary values are data, not averages.
     """
     shape = problem.mask.shape
     if not problem.mask.all() or any(s % 2 == 0 for s in shape):
         return None
-    if math.prod((s + 1) // 2 - 2 for s in shape) <= DENSE_CUTOFF:
+    if math.prod((s + 1) // 2 - 2 for s in shape) <= COARSEST_UNKNOWNS:
         return None
     data = problem.data[(slice(None, None, 2),) * len(shape)]
     grid = GridFunction(tuple(a[::2] for a in problem.grid.axes), np.zeros(data.shape))
@@ -573,13 +586,19 @@ def _transfer(shape) -> tuple:
     faces.  Both number the interiors in C order.  :func:`prolong` acts
     axis by axis, so P is the Kronecker product of its 1-D matrices, whose
     columns are the prolonged unit vectors.
+
+    Both are float32, for the single-precision V-cycle (:func:`_krylov_solver`).
+    That stores them exactly: every entry is a product of d one-axis weights
+    from {1, 9/16, -1/16, 3/8, 3/4, -1/8}, times 2^-d for R, a dyadic
+    fraction of at most 10 significant bits (9^3 = 729).
     """
     factors = []
     for s in shape:
         units = np.eye((s + 1) // 2)[1:-1]  # the coarse interior nodes
-        factors.append(sp.csr_matrix(np.stack([prolong(e)[1:-1] for e in units], axis=1)))
+        columns = np.stack([prolong(e)[1:-1] for e in units], axis=1)
+        factors.append(sp.csr_matrix(columns, dtype=np.float32))
     P = functools.reduce(lambda a, b: sp.kron(a, b, format="csr"), factors)
-    return P, (P.T * 2.0 ** -len(shape)).tocsr()
+    return P, (P.T * np.float32(2.0 ** -len(shape))).tocsr()
 
 
 def _gmres(A, M, b: np.ndarray, rtol: float, counts: list):
@@ -593,27 +612,39 @@ def _gmres(A, M, b: np.ndarray, rtol: float, counts: list):
     Comput. 14, 1993), so ``M`` runs once per iteration.  Givens rotations
     reduce the Hessenberg matrix to triangular form as it grows, so each
     iteration reads its least-squares residual as |g_j+1| and y comes from
-    one triangular solve at the end.  Gives None when ``KRYLOV_CAP``
-    iterations do not reach the tolerance, a vector turns non-finite or the
-    least-squares matrix turns singular.  Each iteration adds one to
-    ``counts[0]``.  ``scipy.sparse.linalg.gmres`` preconditions from the
-    left, so its inner test reads the preconditioned residual; with these
-    cycles that test stopped after one iteration at a true relative
-    residual of 0.31 where 0.026 was asked (65^2 hemisphere), and the solve
-    then reported failure.
+    one triangular solve at the end.
+
+    Z is stored in the dtype ``M`` returns: float32 for the solver's
+    V-cycle.  Everything else is float64: A z_j, the basis, the rotations
+    and x.  A z_j is the float64 product with the stored z_j, so A Z = V H
+    holds to float64 rounding whatever the precision of z_j, and |g_j+1|
+    is the true residual |A x - b| of the x returned to that rounding, as
+    in a float64 solve; the preconditioner's rounding can only cost
+    iterations.
+
+    Gives None when ``KRYLOV_CAP`` iterations do not reach the tolerance, a
+    vector turns non-finite or the least-squares matrix turns singular.
+    Each iteration adds one to ``counts[0]``.  ``scipy.sparse.linalg.gmres``
+    preconditions from the left, so its inner test reads the preconditioned
+    residual; with these cycles that test stopped after one iteration at a
+    true relative residual of 0.31 where 0.026 was asked (65^2 hemisphere),
+    and the solve then reported failure.
     """
     beta = float(np.linalg.norm(b))
     if beta == 0.0:
         return np.zeros_like(b), 0.0
     V = np.empty((KRYLOV_CAP + 1, b.size))
-    Z = np.empty((KRYLOV_CAP, b.size))
+    Z = None  # allocated at the first z, in its dtype
     R = np.zeros((KRYLOV_CAP, KRYLOV_CAP))  # the rotated Hessenberg matrix
     rotations = []  # (cos, sin) of each Givens rotation
     g = [beta]  # the rotated right-hand side beta e_1
     V[0] = b / beta
     for j in range(KRYLOV_CAP):
         counts[0] += 1
-        Z[j] = M(V[j])
+        z = M(V[j])
+        if Z is None:
+            Z = np.empty((KRYLOV_CAP, b.size), dtype=z.dtype)
+        Z[j] = z
         w = A @ Z[j]
         h = V[:j + 1] @ w
         w -= h @ V[:j + 1]
@@ -673,19 +704,32 @@ def _krylov_solver(J, builder: JacobianBuilder, coarse, counts: list, tol: float
     converged step asks no accuracy below it.  Only whole boxes coarsen, so
     every vector is in the C order of ``J``, ``P`` and ``R``, and products
     with ``J`` run over its diagonals (scipy's ``dia_matvec``).
+
+    The cycle is float32 throughout: it takes its vector in float32, smooths
+    with a float32 copy of ``J``'s diagonals and float32 Jacobi weights,
+    transfers through the float32 ``P`` and ``R`` and returns float32, so
+    its products read half the bytes of float64 ones.  The coarse solver is
+    called with the float32 restricted residual; LU factors, float64 as the
+    coarsest level's Newton solver, take it in float64 and their correction
+    is cast back.  GMRES multiplies by the float64 ``J`` itself and returns
+    the step whose float64 residual it measured (:func:`_gmres`), so the
+    cycle's precision moves neither the forcing test nor the Newton step's
+    accuracy.
     """
     P, R = _transfer(builder.shape)
-    weight = JACOBI_WEIGHT / J.data[builder.centre]
+    single = sp.dia_matrix((J.data.astype(np.float32), J.offsets), shape=J.shape)
+    weight = (JACOBI_WEIGHT / J.data[builder.centre]).astype(np.float32)
 
     def cycle(r):
+        r = r.astype(np.float32, copy=False)
         x = weight * r
-        x += weight * (r - J @ x)
-        correction = coarse(R @ (r - J @ x))
+        x += weight * (r - single @ x)
+        correction = coarse(R @ (r - single @ x))
         if correction is None:
             return np.full_like(r, np.nan)
-        x += P @ correction
+        x += P @ correction.astype(np.float32, copy=False)
         for _ in range(2):
-            x += weight * (r - J @ x)
+            x += weight * (r - single @ x)
         return x
 
     last = {}  # |F|, the linear residual and the forcing term of the previous step
@@ -727,7 +771,7 @@ def solve_dirichlet(problem: DirichletProblem, cfg: SolverConfig | None = None,
     The iteration starts from ``initial``, or by default from nested
     iteration (:func:`_nested_start`): a whole box with odd node counts
     solves its half-resolution problem first, down to the last level with
-    more than ``DENSE_CUTOFF`` coarse unknowns, and starts from that
+    more than ``COARSEST_UNKNOWNS`` coarse unknowns, and starts from that
     solution prolonged; any other problem, and the coarsest level, starts
     from :func:`linearized_start`.  The start's boundary values are replaced
     by the data.  Newton directions come from the exact stencil Jacobian

@@ -1076,6 +1076,19 @@ class TestGMRES:
         assert np.max(np.abs(x - expected)) <= 1e-10 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("case", ["jacobian", "dense"])
+    @pytest.mark.parametrize("rtol", [1e-1, 1e-3])
+    def test_single_precision_preconditioner_keeps_the_true_residual(self, case, rtol):
+        # z_j = M(v_j) is kept in float32 and A z_j is a float64 product, so
+        # the step's residual reads as in a float64 solve
+        A, b, _ = gmres_case(case)
+        diagonal = A.diagonal()
+        x, reported = sv._gmres(A, lambda v: (v / diagonal).astype(np.float32), b, rtol, [0])
+        assert x.dtype == np.float64
+        true = np.linalg.norm(A @ x - b)
+        assert true <= rtol * np.linalg.norm(b)
+        assert abs(reported - true) <= 1e-12 * true
+
+    @pytest.mark.parametrize("case", ["jacobian", "dense"])
     def test_preconditioner_runs_once_per_iteration(self, case):
         A, b, M = gmres_case(case)
         calls = [0]
@@ -1123,29 +1136,56 @@ class TestPreconditionedSteps:
         assert abs((R @ r) @ e - 2.0**-d * (r @ (P @ e))) <= 1e-14 * np.linalg.norm(r) \
             * np.linalg.norm(P @ e)
 
-    @pytest.mark.parametrize("n, nodes", [(2, 65), (3, 25)])
-    def test_preconditioned_step_agrees_with_the_lu_step(self, n, nodes):
+    @staticmethod
+    def first_step(n, nodes):
+        """(J, builder, coarse solver, interior F) at a hemisphere box's nested start."""
         problem = hemisphere_box(n, nodes)
         values, coarse = sv._nested_start(problem, sv.SolverConfig(tol=1e-10),
                                           sv._residual_fn(problem), sv.SolveReport())
         assert coarse is not None
         interior = problem.interior_mask()
         resid = sv._residual_fn(problem)
-        F = resid(values)
         builder = sv._cached_builder(values.shape, interior)
-        J = builder.assemble(values, resid)
-        lu_step = sv._factorize(J.copy(), builder)(-F[interior])
+        return builder.assemble(values, resid), builder, coarse, resid(values)[interior]
+
+    @pytest.mark.parametrize("n, nodes", [(2, 65), (3, 25)])
+    def test_preconditioned_step_agrees_with_the_lu_step(self, n, nodes):
+        J, builder, coarse, F = self.first_step(n, nodes)
+        lu_step = sv._factorize(J.copy(), builder)(-F)
         counts = [0]
         solve, cycle = sv._krylov_solver(J, builder, coarse, counts, 1e-10)
         # GMRES with the cycle as preconditioner, run to 1e-12, reproduces the LU step
-        step, _ = sv._gmres(J, cycle, -F[interior], 1e-12, [0])
+        step, _ = sv._gmres(J, cycle, -F, 1e-12, [0])
         assert np.max(np.abs(step - lu_step)) <= 1e-10 * np.max(np.abs(lu_step))
         # the Newton loop's first step stops at its forcing term min(1/2, max |F|)
-        first = solve(-F[interior])
-        eta = min(0.5, float(np.max(np.abs(F[interior]))))
-        assert np.linalg.norm(J @ first + F[interior]) \
-            <= eta * np.linalg.norm(F[interior]) * (1 + 1e-8)
+        first = solve(-F)
+        eta = min(0.5, float(np.max(np.abs(F))))
+        assert np.linalg.norm(J @ first + F) <= eta * np.linalg.norm(F) * (1 + 1e-8)
         assert 1 <= counts[0] <= 5
+
+    @pytest.mark.parametrize("n, nodes", [(2, 65), (3, 25)])
+    def test_single_precision_cycle_costs_no_iterations(self, n, nodes):
+        J, builder, coarse, F = self.first_step(n, nodes)
+        _, cycle = sv._krylov_solver(J, builder, coarse, [0], 1e-10)
+        # the same cycle in float64, on the same J, P, R and coarse LU factors
+        P, R = (T.astype(np.float64) for T in sv._transfer(builder.shape))
+        weight = sv.JACOBI_WEIGHT / J.data[builder.centre]
+
+        def reference(r):
+            x = weight * r
+            x += weight * (r - J @ x)
+            x += P @ coarse(R @ (r - J @ x))
+            for _ in range(2):
+                x += weight * (r - J @ x)
+            return x
+
+        single, double = cycle(-F), reference(-F)
+        assert single.dtype == np.float32
+        assert np.max(np.abs(single - double)) <= 1e-6 * np.max(np.abs(double))
+        counts = {"single": [0], "double": [0]}
+        for name, M in (("single", cycle), ("double", reference)):
+            assert sv._gmres(J, M, -F, 1e-12, counts[name]) is not None
+        assert counts["single"] == counts["double"]
 
     def test_forcing_term_stops_at_half_the_newton_tolerance(self, monkeypatch):
         # Eisenstat-Walker alone asks the last 129^2 steps for a linear
