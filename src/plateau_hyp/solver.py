@@ -30,20 +30,26 @@ damped Jacobi, restricts the residual by the adjoint of the cubic
 prolongation, applies the level below's last linear solver (its own cycle,
 or the coarsest level's LU factors) and prolongs the correction back, so
 the coarse solves of the start serve again as coarse-grid corrections.
-Masked, even-sized and coarsest problems, and every solve given start
-values, keep the LU path.
+The cubic prolongation is a tensor product of 1-D stencils, so both
+transfers apply 1-D sparse factors one axis at a time (:func:`_transfer`),
+kept per axis length: nothing of a box's size is formed or kept.  Each
+Jacobi sweep works in the output of its Jacobian product.  Masked,
+even-sized and coarsest problems, and every solve given start values, keep
+the LU path.
 
 The V-cycle runs in single precision: its vectors, its copy of each
-Jacobian's diagonals, its Jacobi weights and the transfers are float32,
-which halves the bytes its products read.  Everything the Newton step is
-made of stays float64: the Jacobian GMRES multiplies by, the Arnoldi basis,
-the rotations, the step and every residual, and the LU factors, including
-the coarsest level's, which the cycle calls with its float32 right-hand
-side.  Flexible GMRES minimizes the true residual of the step it returns
-whatever the preconditioner does (Saad, SIAM J. Sci. Comput. 14, 1993), so
-the cycle's rounding can cost iterations but never accuracy (Carson and
-Higham, SIAM J. Sci. Comput. 40, 2018); on the 65^2 and 25^3 hemisphere
-boxes, from rtol 1e-8 to 1e-13, it costs none.
+Jacobian's diagonals, its Jacobi weights and the transfers' 1-D factors are
+float32, which halves the bytes its products read; the factors hold their
+weights exactly, and the transfers round to float32 between axes.
+Everything the Newton step is made of stays float64: the Jacobian GMRES
+multiplies by, the Arnoldi basis, the rotations, the step and every
+residual, and the LU factors, including the coarsest level's, which the
+cycle calls with its float32 right-hand side.  Flexible GMRES minimizes
+the true residual of the step it returns whatever the preconditioner does
+(Saad, SIAM J. Sci. Comput. 14, 1993), so the cycle's rounding can cost
+iterations but never accuracy (Carson and Higham, SIAM J. Sci. Comput. 40,
+2018); on the 65^2 and 25^3 hemisphere boxes, from rtol 1e-8 to 1e-13, it
+costs none.
 
 Every Jacobian is stored by diagonals (DIA) over the interior's bounding
 box in C order, with unit rows at the box nodes outside the interior (none
@@ -539,7 +545,8 @@ def prolong(coarse: np.ndarray) -> np.ndarray:
     (-v0 + 9 v1 + 9 v2 - v3) / 16 of its neighbors along the axis, exact on
     cubics; the two midpoints next to an axis end take the quadratic
     (3 v0 + 6 v1 - v2) / 8 through the end node and the next two, exact on
-    quadratics.  Each axis needs at least 3 coarse nodes.
+    quadratics.  Each axis needs at least 3 coarse nodes.  The V-cycle's
+    transfers apply this rule as 1-D matrices (:func:`_axis_factors`).
     """
     out = coarse
     for a in range(coarse.ndim):
@@ -575,7 +582,37 @@ def _nested_start(problem: DirichletProblem, cfg: SolverConfig, resid,
     return prolong(solved.values), sub.linear_solver
 
 
-@functools.lru_cache(maxsize=16)
+_AXIS_FACTORS: dict = {}
+
+
+def _axis_factors(s: int) -> tuple:
+    """(p, q): the 1-D transfers between the interiors of an axis of ``s`` nodes and its half.
+
+    ``s`` is odd, at least 5.  p maps the (s + 1) / 2 - 2 coarse interior
+    nodes, zero at the coarse ends, to the s - 2 fine interior nodes by the
+    cubic rule of :func:`prolong`; its columns are the prolonged unit
+    vectors, at most 4 entries per row.  q = p^T / 2.  Both are float32 CSR,
+    kept per ``s`` (O(s) memory) for every box that has an axis of ``s``
+    nodes.  float32 holds them exactly: the weights {1, 9/16, -1/16, 3/8,
+    3/4, -1/8} and their halves are dyadic fractions of at most 4
+    significant bits.
+
+    :func:`_transfer` applies them one axis at a time, and on the V-cycle's
+    float32 vectors each pass between axes rounds to float32, where the
+    float32 Kronecker product of the factors (its entries exact too) rounded
+    only its sums: the two differ by a few float32 units.  That rounding,
+    like the rest of the cycle's, can cost flexible GMRES iterations, never
+    accuracy (:func:`_gmres`).
+    """
+    pair = _AXIS_FACTORS.get(s)
+    if pair is None:
+        units = np.eye((s + 1) // 2)[1:-1]  # the coarse interior nodes
+        p = sp.csr_matrix(np.stack([prolong(e)[1:-1] for e in units], axis=1),
+                          dtype=np.float32)
+        pair = _AXIS_FACTORS[s] = p, (p.T * np.float32(0.5)).tocsr()
+    return pair
+
+
 def _transfer(shape) -> tuple:
     """(P, R): prolongation and restriction between the interiors of a whole box and its half.
 
@@ -583,22 +620,24 @@ def _transfer(shape) -> tuple:
     a correction on the coarse interior, zero on the coarse faces, to the
     fine interior by the cubic rule of :func:`prolong`; R = 2^-d P^T is its
     adjoint, scaled so that constants restrict to constants away from the
-    faces.  Both number the interiors in C order.  :func:`prolong` acts
-    axis by axis, so P is the Kronecker product of its 1-D matrices, whose
-    columns are the prolonged unit vectors.
-
-    Both are float32, for the single-precision V-cycle (:func:`_krylov_solver`).
-    That stores them exactly: every entry is a product of d one-axis weights
-    from {1, 9/16, -1/16, 3/8, 3/4, -1/8}, times 2^-d for R, a dyadic
-    fraction of at most 10 significant bits (9^3 = 729).
+    faces.  Both take and return vectors on the interiors in C order.
+    :func:`prolong` acts axis by axis, so P is the Kronecker product of the
+    1-D matrices of :func:`_axis_factors` (Trottenberg, Oosterlee and
+    Schueller, Multigrid, 2001, 2.3), and P and R apply those factors, or
+    their halved transposes, one axis at a time: a sparse-times-dense
+    product with the axis leading, whose output is turned so that the next
+    axis leads.  No matrix of the box's size is formed.  Both compute in
+    the dtype of their vector: float32 in the V-cycle (:func:`_krylov_solver`),
+    float64 for a float64 vector, the factors being exact in either.
     """
-    factors = []
-    for s in shape:
-        units = np.eye((s + 1) // 2)[1:-1]  # the coarse interior nodes
-        columns = np.stack([prolong(e)[1:-1] for e in units], axis=1)
-        factors.append(sp.csr_matrix(columns, dtype=np.float32))
-    P = functools.reduce(lambda a, b: sp.kron(a, b, format="csr"), factors)
-    return P, (P.T * np.float32(2.0 ** -len(shape))).tocsr()
+    prolongs, restricts = zip(*(_axis_factors(s) for s in shape))
+
+    def along_axes(v, factors):
+        for A in factors:
+            v = (A @ v.reshape(A.shape[1], -1)).T
+        return v.ravel()
+
+    return lambda e: along_axes(e, prolongs), lambda r: along_axes(r, restricts)
 
 
 def _gmres(A, M, b: np.ndarray, rtol: float, counts: list):
@@ -681,13 +720,16 @@ def _krylov_solver(J, builder: JacobianBuilder, coarse, counts: list, tol: float
     None if GMRES misses its tolerance within ``KRYLOV_CAP`` iterations.
     Its preconditioner is one two-grid cycle (Brandt, Math. Comp. 31, 1977;
     Trottenberg, Oosterlee and Schueller, Multigrid, 2001): two damped Jacobi
-    sweeps on ``J``, the residual restricted to the coarse interior
-    (:func:`_transfer`), the ``coarse`` correction, its cubic prolongation
-    added, and two more Jacobi sweeps.  ``coarse`` is the coarse level's
-    own last linear solver: the LU factors on the coarsest level and that
-    level's ``cycle`` above it, so the levels form one V-cycle and the
-    preconditioner stays a fixed linear map, as GMRES requires.  ``cycle``
-    is handed up in turn.
+    sweeps on ``J``, the residual restricted to the coarse interior, the
+    ``coarse`` correction, its cubic prolongation added, and two more Jacobi
+    sweeps.  Restriction and prolongation apply the 1-D factors of
+    :func:`_axis_factors` one axis at a time (:func:`_transfer`).  Each sweep,
+    and the residual before restriction, is written into the output of its
+    product with ``J``: r - J x and its weighted update take no other
+    temporary.  ``coarse`` is the coarse level's own last linear solver:
+    the LU factors on the coarsest level and that level's ``cycle`` above
+    it, so the levels form one V-cycle and the preconditioner stays a fixed
+    linear map, as GMRES requires.  ``cycle`` is handed up in turn.
 
     The linear tolerance is Eisenstat and Walker's forcing term, choice 1
     (SIAM J. Sci. Comput. 17, 1996): how far the last step's linear model
@@ -702,13 +744,13 @@ def _krylov_solver(J, builder: JacobianBuilder, coarse, counts: list, tol: float
     and Nonlinear Equations, SIAM 1995): the 2-norm bounds the max-norm, so
     the linear residual still meets half the Newton tolerance, and a nearly
     converged step asks no accuracy below it.  Only whole boxes coarsen, so
-    every vector is in the C order of ``J``, ``P`` and ``R``, and products
-    with ``J`` run over its diagonals (scipy's ``dia_matvec``).
+    every vector is in the C order of ``J`` and of the transfers, and
+    products with ``J`` run over its diagonals (scipy's ``dia_matvec``).
 
     The cycle is float32 throughout: it takes its vector in float32, smooths
     with a float32 copy of ``J``'s diagonals and float32 Jacobi weights,
-    transfers through the float32 ``P`` and ``R`` and returns float32, so
-    its products read half the bytes of float64 ones.  The coarse solver is
+    transfers through float32 factors and returns float32, so its products
+    read half the bytes of float64 ones.  The coarse solver is
     called with the float32 restricted residual; LU factors, float64 as the
     coarsest level's Newton solver, take it in float64 and their correction
     is cast back.  GMRES multiplies by the float64 ``J`` itself and returns
@@ -720,16 +762,26 @@ def _krylov_solver(J, builder: JacobianBuilder, coarse, counts: list, tol: float
     single = sp.dia_matrix((J.data.astype(np.float32), J.offsets), shape=J.shape)
     weight = (JACOBI_WEIGHT / J.data[builder.centre]).astype(np.float32)
 
+    def residual(r, x):
+        """r - single x, written into the product's output."""
+        t = single @ x
+        return np.subtract(r, t, out=t)
+
+    def sweep(r, x):
+        t = residual(r, x)
+        t *= weight
+        x += t
+
     def cycle(r):
         r = r.astype(np.float32, copy=False)
         x = weight * r
-        x += weight * (r - single @ x)
-        correction = coarse(R @ (r - single @ x))
+        sweep(r, x)
+        correction = coarse(R(residual(r, x)))
         if correction is None:
             return np.full_like(r, np.nan)
-        x += P @ correction.astype(np.float32, copy=False)
-        for _ in range(2):
-            x += weight * (r - single @ x)
+        x += P(correction.astype(np.float32, copy=False))
+        sweep(r, x)
+        sweep(r, x)
         return x
 
     last = {}  # |F|, the linear residual and the forcing term of the previous step

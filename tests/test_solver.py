@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from plateau_hyp import geometry as ge
 from plateau_hyp import operator as op
@@ -1114,8 +1115,18 @@ class TestGMRES:
 class TestPreconditionedSteps:
     """Levels above the coarsest take GMRES steps preconditioned by a V-cycle."""
 
-    @pytest.mark.parametrize("shape", [(9,), (9, 7), (7, 9, 5)])
+    @staticmethod
+    def transfer_matrices(shape):
+        """(P, R) of ``sv._transfer(shape)`` as dense float64 matrices, from unit vectors."""
+        P, R = sv._transfer(shape)
+        fine = math.prod(s - 2 for s in shape)
+        coarse = math.prod((s + 1) // 2 - 2 for s in shape)
+        return (np.column_stack([P(e) for e in np.eye(coarse)]),
+                np.column_stack([R(e) for e in np.eye(fine)]))
+
+    @pytest.mark.parametrize("shape", [(9,), (9, 7), (7, 9, 5), (5, 9), (9, 5), (5, 7, 9)])
     def test_restriction_is_the_scaled_adjoint_of_prolongation(self, shape):
+        # a 5-node axis has a 3-node coarse axis, one interior node
         d = len(shape)
         P, R = sv._transfer(shape)
         coarse_shape = tuple((s + 1) // 2 for s in shape)
@@ -1128,13 +1139,58 @@ class TestPreconditionedSteps:
         padded = np.zeros(coarse_shape)
         padded[inside] = e.reshape(tuple(s - 2 for s in coarse_shape))
         fine = sv.prolong(padded)
-        assert np.max(np.abs(P @ e - fine[inside].ravel())) <= 1e-15 * np.max(np.abs(e))
+        assert np.max(np.abs(P(e) - fine[inside].ravel())) <= 1e-15 * np.max(np.abs(e))
         faces = np.ones(fine.shape, dtype=bool)
         faces[inside] = False
         assert not fine[faces].any()
-        assert np.array_equal(R.toarray(), P.T.toarray() * 2.0**-d)
-        assert abs((R @ r) @ e - 2.0**-d * (r @ (P @ e))) <= 1e-14 * np.linalg.norm(r) \
-            * np.linalg.norm(P @ e)
+        P_matrix, R_matrix = self.transfer_matrices(shape)
+        assert np.array_equal(R_matrix, P_matrix.T * 2.0**-d)
+        assert abs(R(r) @ e - 2.0**-d * (r @ P(e))) <= 1e-14 * np.linalg.norm(r) \
+            * np.linalg.norm(P(e))
+
+    @pytest.mark.parametrize("shape", [(129, 129), (33, 33, 33)])
+    def test_per_axis_transfers_equal_the_kronecker_products(self, shape):
+        # the oracle: the Kronecker product of the 1-D matrices whose columns
+        # are prolonged unit vectors, in float64; the transfers act on float32
+        # vectors and round between axes, to within 4 float32 units
+        d = len(shape)
+        factors = [sp.csr_matrix(np.stack([sv.prolong(u)[1:-1]
+                                           for u in np.eye((s + 1) // 2)[1:-1]], axis=1))
+                   for s in shape]
+        P_oracle = functools.reduce(lambda a, b: sp.kron(a, b, format="csr"), factors)
+        R_oracle = (P_oracle.T * 2.0**-d).tocsr()
+        P, R = sv._transfer(shape)
+        rng = np.random.default_rng(11)
+        ulp = 4 * np.finfo(np.float32).eps
+        for A, A_oracle in ((P, P_oracle), (R, R_oracle)):
+            for _ in range(3):
+                v = rng.standard_normal(A_oracle.shape[1]).astype(np.float32)
+                got, expected = A(v), A_oracle @ v.astype(np.float64)
+                assert got.dtype == np.float32 and got.shape == expected.shape
+                assert np.max(np.abs(got - expected)) <= ulp * np.max(np.abs(expected))
+
+    def test_transfers_hold_no_box_sized_data(self, monkeypatch):
+        # the transfers keep their 1-D factors per axis length, O(s) each:
+        # after a 25^3 solve (its 13^3 level is the coarsest, factored) they
+        # hold the two 25-node factors, 992 bytes, where a 25^3 Kronecker
+        # pair would hold 2.4 MB; making the 33^3 transfers peaks at 19 KB,
+        # where building the 33^3 Kronecker pair (389,017 entries per
+        # matrix) peaks at 9.6 MB
+        monkeypatch.setattr(sv, "_AXIS_FACTORS", {})
+        _, rep = sv.solve_dirichlet(hemisphere_box(3, 25), sv.SolverConfig(tol=1e-10))
+        assert rep.converged and rep.krylov_iterations[0] >= 1  # the cycle ran
+        assert set(sv._AXIS_FACTORS) == {25}
+        held = sum(a.nbytes for pair in sv._AXIS_FACTORS.values() for A in pair
+                   for a in (A.data, A.indices, A.indptr))
+        assert held <= 64e3
+        monkeypatch.setattr(sv, "_AXIS_FACTORS", {})
+        tracemalloc.start()
+        try:
+            sv._transfer((33, 33, 33))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1e6
 
     @staticmethod
     def first_step(n, nodes):
@@ -1167,14 +1223,15 @@ class TestPreconditionedSteps:
     def test_single_precision_cycle_costs_no_iterations(self, n, nodes):
         J, builder, coarse, F = self.first_step(n, nodes)
         _, cycle = sv._krylov_solver(J, builder, coarse, [0], 1e-10)
-        # the same cycle in float64, on the same J, P, R and coarse LU factors
-        P, R = (T.astype(np.float64) for T in sv._transfer(builder.shape))
+        # the same cycle in float64, on the same J and coarse LU factors, its
+        # per-axis P and R computing in the float64 of their vectors
+        P, R = sv._transfer(builder.shape)
         weight = sv.JACOBI_WEIGHT / J.data[builder.centre]
 
         def reference(r):
             x = weight * r
             x += weight * (r - J @ x)
-            x += P @ coarse(R @ (r - J @ x))
+            x += P(coarse(R(r - J @ x)))
             for _ in range(2):
                 x += weight * (r - J @ x)
             return x
