@@ -51,8 +51,10 @@ returns the exact matrix of the frozen, affine kernel.  The solver gathers
 that array into its sparse Newton Jacobian, so an assembly costs about two
 residual evaluations and no finite-difference rounding.
 :func:`residual_evaluator` is the one dispatch on the structure; it forms
-the coefficients once for all evaluations on a grid, and its ``resid``
-carries the matching ``resid.jacobian(values, w_at)``.
+the coefficients once for all evaluations on a grid, or takes the dilation
+structure's sliced from the grid with twice the intervals
+(:func:`coarse_chart_coefficients`), and its ``resid`` carries the matching
+``resid.jacobian(values, w_at)``.
 """
 
 from __future__ import annotations
@@ -568,6 +570,36 @@ def chart_coefficients(axes, n: int) -> FluxCoefficients:
                             faces=tuple(faces))
 
 
+def coarse_chart_coefficients(fine: FluxCoefficients, axes, n: int) -> FluxCoefficients:
+    """:func:`chart_coefficients` on every other node, sliced from the finer grid's ``fine``.
+
+    ``axes`` are the coarse axes, every other node of the fine axes, which
+    have an odd node count.  A coarse node is a fine node, and so is a coarse
+    face, the midpoint of two coarse nodes: the node data are ``fine``'s at
+    every other inner row, and a face's g = gamma / y^2 is ``fine.gamma`` at
+    the fine node there.  Only the flux weight y^{1-n}, a power of the face
+    height, is formed from ``axes``; the structure's gamma and drift are not
+    evaluated again.  The face g differs from :func:`chart_coefficients`'s in
+    the last bits, as the fine node's coordinates and the midpoint's may,
+    and as (gamma / y) / y and gamma / y^2 round differently.
+    """
+    d = len(axes)
+    plan = _slice_plan(d)
+    # in the fine inner block, the coarse nodes are the odd rows of every
+    # axis, and the faces of axis a the even rows of a
+    odd, even = slice(1, None, 2), slice(None, None, 2)
+    nodes = _index(d, odd, {})
+    y = np.meshgrid(*axes, indexing="ij")[-1]
+    faces = []
+    for a in range(d):
+        hi, lo = plan.flux[a]
+        weight = (0.5 * (y[lo] + y[hi])) ** (1 - n)
+        faces.append((fine.gamma[_index(d, odd, {a: even})], weight[plan.along[a]]))
+    return FluxCoefficients(scale=fine.scale[nodes], gamma=fine.gamma[nodes],
+                            drift=tuple((b, c[nodes]) for b, c in fine.drift),
+                            faces=tuple(faces))
+
+
 def _face_flux_residual(values: np.ndarray, h, n: int, H: float, sign: int,
                         coefficients: FluxCoefficients, w_at: np.ndarray | None) -> np.ndarray:
     """The face-flux residual kernel, evaluated on the inner block; 0 at every other node.
@@ -726,27 +758,32 @@ def residual_field_chart(values: np.ndarray, axes, h, n: int, H: float, sign: in
     return _face_flux_residual(values, h, n, H, sign, coefficients, w_at)
 
 
-def residual_evaluator(grid: GridFunction, kind: str, H: float, conv: OrientationConvention):
+def residual_evaluator(grid: GridFunction, kind: str, H: float, conv: OrientationConvention,
+                       coefficients: FluxCoefficients | None = None):
     """``resid(values, w_at=None)``: the residual on ``grid`` for the ``kind`` structure.
 
     The one dispatch on the structure.  The spacing and the structure's
-    coefficients are formed here, once, and every evaluation reuses them,
-    as does ``resid.jacobian(values, w_at)``, the kernel's exact stencil
-    derivative (:func:`_face_flux_jacobian`; ``w_at`` None for the full
-    residual's).  ``w_at`` freezes the W factors of the residual (see
-    :func:`_face_flux_residual`).  Calls go
+    coefficients are formed here, once, unless the caller has them already
+    (``coefficients``, e.g. :func:`coarse_chart_coefficients`); every
+    evaluation reuses them, as does ``resid.jacobian(values, w_at)``, the
+    kernel's exact stencil derivative (:func:`_face_flux_jacobian`; ``w_at``
+    None for the full residual's), and they are kept as
+    ``resid.coefficients``.  ``w_at`` freezes the W factors of the residual
+    (see :func:`_face_flux_residual`).  Calls go
     through the module attributes ``residual_field_parabolic`` and
     ``residual_field_chart``, so wrapping those sees every evaluation.
     """
     h, n, sign, axes = grid.spacing, grid.ndim, conv.sign, grid.axes
     if kind == PARABOLIC:
         y_grid = grid.y_grid()
-        coefficients = parabolic_coefficients(y_grid, n)
+        if coefficients is None:
+            coefficients = parabolic_coefficients(y_grid, n)
 
         def resid(values, w_at=None):
             return residual_field_parabolic(values, y_grid, h, n, H, sign, w_at, coefficients)
     else:
-        coefficients = chart_coefficients(axes, n)
+        if coefficients is None:
+            coefficients = chart_coefficients(axes, n)
 
         def resid(values, w_at=None):
             return residual_field_chart(values, axes, h, n, H, sign, w_at, coefficients)
@@ -755,6 +792,7 @@ def residual_evaluator(grid: GridFunction, kind: str, H: float, conv: Orientatio
         return _face_flux_jacobian(values, h, sign, coefficients, w_at)
 
     resid.jacobian = jacobian
+    resid.coefficients = coefficients
     return resid
 
 

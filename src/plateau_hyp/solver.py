@@ -18,24 +18,30 @@ numerical stand-in for boundary geometry that admits no graph solution.
 A whole box with an odd node count on every axis starts from nested
 iteration (Brandt, Math. Comp. 31, 1977): the same problem on every other
 node is solved first, by the same recursion, and its solution is prolonged
-cubically to the fine grid, where Newton then needs two or three steps.  The
-hierarchy ends at the last level whose half still has more interior
-unknowns than ``COARSEST_UNKNOWNS``; that coarsest level starts from the
-linearization and takes its Newton steps through LU factors.  Every level
-above it takes its Newton steps from GMRES on its Jacobian (:func:`_gmres`),
-right-preconditioned by one V-cycle over the levels below
-(:func:`_krylov_solver`), and factors a Jacobian only when GMRES misses its
-tolerance on it freshly assembled.  On each level the cycle smooths with
-damped Jacobi, restricts the residual by the adjoint of the cubic
-prolongation, applies the level below's last linear solver (its own cycle,
-or the coarsest level's LU factors) and prolongs the correction back, so
-the coarse solves of the start serve again as coarse-grid corrections.
-The cubic prolongation is a tensor product of 1-D stencils, so both
-transfers apply 1-D sparse factors one axis at a time (:func:`_transfer`),
-kept per axis length: nothing of a box's size is formed or kept.  Each
-Jacobi sweep works in the output of its Jacobian product.  Masked,
-even-sized and coarsest problems, and every solve given start values, keep
-the LU path.
+cubically to the fine grid, where Newton then needs two or three steps.  A
+coarse level only seeds the level above, whose start residual is set by the
+discretization gap between the two, so it is solved to discretization
+accuracy, not to the tolerance, as in full multigrid (Trottenberg,
+Oosterlee and Schueller, Multigrid, 2001, 2.6): it stops once a full Newton
+step has cut its residual by the factor ``LEVEL_STOP``.  The dilation structure's coarse
+coefficients are sliced from the fine level's, whose nodes hold the coarse
+nodes and faces.  The hierarchy ends at the last level whose half still has
+more interior unknowns than ``COARSEST_UNKNOWNS``; that coarsest level
+starts from the linearization and takes its Newton steps through LU
+factors.  Every level above it takes its Newton steps from GMRES on its
+Jacobian (:func:`_gmres`), right-preconditioned by one V-cycle over the
+levels below (:func:`_krylov_solver`), and factors a Jacobian only when
+GMRES misses its tolerance on it freshly assembled.  On each level the
+cycle smooths with damped Jacobi, restricts the residual by the adjoint of
+the cubic prolongation, applies the level below's last linear solver (its
+own cycle, or the coarsest level's LU factors) and prolongs the correction
+back, so the coarse solves of the start serve again as coarse-grid
+corrections.  The cubic prolongation is a tensor product of 1-D stencils,
+so both transfers apply 1-D sparse factors one axis at a time
+(:func:`_transfer`), kept per axis length: nothing of a box's size is
+formed or kept.  Each Jacobi sweep works in the output of its Jacobian
+product.  Masked, even-sized and coarsest problems, and every solve given
+start values, keep the LU path.
 
 The V-cycle runs in single precision: its vectors, its copy of each
 Jacobian's diagonals, its Jacobi weights and the transfers' 1-D factors are
@@ -100,6 +106,19 @@ class SolverDivergence(RuntimeError):
 MIN_STEP = 2.0**-20
 PICARD_SWEEPS = 50
 COARSEST_UNKNOWNS = 400
+# A nested-iteration level only seeds the level above, whose start residual
+# is set by the discretization gap between the two, not by how far the
+# level's own Newton went.  So a level stops (or meets the tolerance) once
+# a full Newton step cut its residual by the factor LEVEL_STOP, which also
+# leaves it at most LEVEL_STOP times its start residual: there its
+# algebraic error is at most 2 % of the gap |u_h - I u_2h| on the 65^2 and
+# 129^2 hemisphere and 65^2 dilation boxes (Brandt, Math. Comp. 31, 1977;
+# Trottenberg, Oosterlee and Schueller, Multigrid, 2001, 2.6).  There, and
+# on the 25^3 hemisphere box, the finest level's Newton and GMRES counts
+# with 3e-2 or 1e-2 are those of levels solved to the tolerance; 1e-1 adds
+# a Newton step on 65^2 and 25^3, and 1e-3 saves no step on the dilation
+# level.
+LEVEL_STOP = 1e-2
 # Weight of the damped Jacobi smoother, and the most GMRES iterations one
 # preconditioned linear solve may take before it gives no step.
 JACOBI_WEIGHT = 0.8
@@ -115,7 +134,12 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class LevelRecord:
-    """One coarse level of the nested-iteration start."""
+    """One coarse level of the nested-iteration start.
+
+    ``final_residual`` is where the level stopped: after a full step that
+    cut the residual by the factor ``LEVEL_STOP``, or at the tolerance
+    (:func:`solve_dirichlet`).  It may exceed the tolerance.
+    """
 
     shape: tuple
     iterations: int
@@ -132,7 +156,8 @@ class SolveReport:
     for a step solved directly; ``lu_fallbacks`` counts the Jacobians that
     were LU-factored after GMRES missed its tolerance on them.  ``levels``
     holds the coarse levels of the nested-iteration start, coarsest first,
-    and is empty when the start was the linearization.  ``linear_solver``
+    each stopped at discretization accuracy (:class:`LevelRecord`), and is
+    empty when the start was the linearization.  ``linear_solver``
     is the linear solver of the last Newton step (None after a Picard
     fallback or without a step), which the level above applies as its
     coarse correction (:func:`_krylov_solver`): LU factors, or on a Krylov
@@ -185,6 +210,21 @@ class DirichletProblem:
 
     def boundary_mask(self) -> np.ndarray:
         return self.mask & ~self.interior_mask()
+
+
+@dataclass
+class CoarseLevel(DirichletProblem):
+    """A level of the nested-iteration start: a whole box's problem on every other node.
+
+    Made only by :func:`_coarse_problem`.  Its solution only seeds the finer
+    level, so :func:`solve_dirichlet` stops it at discretization accuracy
+    (``LEVEL_STOP``), not at the tolerance.  ``coefficients`` are the
+    structure's coefficient data, sliced from the finer level's for the
+    dilation structure (:func:`operator.coarse_chart_coefficients`), or None
+    to form them from the grid.
+    """
+
+    coefficients: operator.FluxCoefficients | None = None
 
 
 def stencil_reduce(mask: np.ndarray, op) -> np.ndarray:
@@ -478,11 +518,13 @@ def _residual_fn(problem: DirichletProblem):
 
     The spacing and the structure's coefficients are formed here, once per
     solve (:func:`solve_dirichlet` hands its ``resid`` to
-    :func:`linearized_start`).  Nothing is kept past the solve, so repeated
-    solves of one problem each pay the same set-up.
+    :func:`linearized_start`), except a :class:`CoarseLevel`'s coefficients,
+    which come sliced from the finer level.  Nothing is kept past the solve,
+    so repeated solves of one problem each pay the same set-up.
     """
     return operator.residual_evaluator(problem.grid, problem.kind, problem.H,
-                                       operator.orientation())
+                                       operator.orientation(),
+                                       getattr(problem, "coefficients", None))
 
 
 def linearized_start(problem: DirichletProblem, resid=None) -> np.ndarray:
@@ -519,13 +561,16 @@ def linearized_start(problem: DirichletProblem, resid=None) -> np.ndarray:
     return values
 
 
-def _coarse_problem(problem: DirichletProblem) -> DirichletProblem | None:
+def _coarse_problem(problem: DirichletProblem, resid) -> CoarseLevel | None:
     """The problem on every other node, or None where the hierarchy ends.
 
     Only a whole box with an odd node count on every axis coarsens, and only
     while the coarse interior keeps more than ``COARSEST_UNKNOWNS``
     unknowns.  The coarse data are the fine data injected, so the coarse
-    boundary values are data, not averages.
+    boundary values are data, not averages.  ``resid`` is the fine level's
+    :func:`_residual_fn`; the dilation structure's coarse coefficients are
+    sliced from its coefficients, the translation structure's are formed
+    from the coarse heights.
     """
     shape = problem.mask.shape
     if not problem.mask.all() or any(s % 2 == 0 for s in shape):
@@ -533,9 +578,13 @@ def _coarse_problem(problem: DirichletProblem) -> DirichletProblem | None:
     if math.prod((s + 1) // 2 - 2 for s in shape) <= COARSEST_UNKNOWNS:
         return None
     data = problem.data[(slice(None, None, 2),) * len(shape)]
-    grid = GridFunction(tuple(a[::2] for a in problem.grid.axes), np.zeros(data.shape))
-    return DirichletProblem(grid=grid, mask=np.ones(data.shape, dtype=bool), data=data,
-                            H=problem.H, kind=problem.kind)
+    axes = tuple(a[::2] for a in problem.grid.axes)
+    coefficients = None
+    if problem.kind != PARABOLIC:
+        coefficients = operator.coarse_chart_coefficients(resid.coefficients, axes, len(axes))
+    return CoarseLevel(grid=GridFunction(axes, np.zeros(data.shape)),
+                       mask=np.ones(data.shape, dtype=bool), data=data, H=problem.H,
+                       kind=problem.kind, coefficients=coefficients)
 
 
 def prolong(coarse: np.ndarray) -> np.ndarray:
@@ -564,14 +613,16 @@ def _nested_start(problem: DirichletProblem, cfg: SolverConfig, resid,
                   report: SolveReport):
     """Default start: (values, coarse correction), or (:func:`linearized_start`, None).
 
-    The coarse problem (:func:`_coarse_problem`) is solved by
-    :func:`solve_dirichlet` with the same configuration, so its own start
-    recurses in turn; its levels and its own record go to ``report.levels``.
-    Its solution is prolonged to start the fine level, and its last linear
-    solver is handed up as the fine level's coarse correction.  A coarse
-    divergence propagates: the fine level does not fall back.
+    The coarse problem (:func:`_coarse_problem`, a :class:`CoarseLevel`) is
+    solved by :func:`solve_dirichlet` with the same configuration, so its own
+    start recurses in turn, and it stops at discretization accuracy
+    (``LEVEL_STOP``), not at ``cfg.tol``; its levels and its own record go to
+    ``report.levels``.  Its solution is prolonged to start the fine level,
+    and its last linear solver is handed up as the fine level's coarse
+    correction.  A coarse divergence propagates: the fine level does not
+    fall back.
     """
-    coarse = _coarse_problem(problem)
+    coarse = _coarse_problem(problem, resid)
     if coarse is None:
         return linearized_start(problem, resid), None
     solved, sub = solve_dirichlet(coarse, cfg)
@@ -826,8 +877,19 @@ def solve_dirichlet(problem: DirichletProblem, cfg: SolverConfig | None = None,
     more than ``COARSEST_UNKNOWNS`` coarse unknowns, and starts from that
     solution prolonged; any other problem, and the coarsest level, starts
     from :func:`linearized_start`.  The start's boundary values are replaced
-    by the data.  Newton directions come from the exact stencil Jacobian
-    (:class:`JacobianBuilder`), each one reused for up to three more steps:
+    by the data.  The solve stops when the residual max-norm is at most
+    ``cfg.tol``.  A :class:`CoarseLevel`, which only :func:`_nested_start`
+    solves, also stops after a full step (lam = 1) that cut its residual by
+    the factor ``LEVEL_STOP``.  The residual falls at every step, so it is
+    then at most ``LEVEL_STOP`` times the level's start residual, and the
+    step was a Newton step converging fast.  Reaching that bound is not
+    enough: steps on a reused Jacobian converge linearly (by 0.12 to 0.2 per
+    step on the 33^2 hemisphere level), and the one that first took that
+    level below 1e-2 of its start residual left twice the discretization
+    gap as algebraic error.  The finest level, and every solve of a
+    :class:`DirichletProblem`, meets ``cfg.tol``.  Newton directions come
+    from the exact stencil Jacobian (:class:`JacobianBuilder`), each one
+    reused for up to three more steps:
     LU-factored (:func:`_factorize`) unless a coarse level was solved, whose
     last linear solver then serves as the coarse correction of
     preconditioned GMRES steps (:func:`_krylov_solver`).  A GMRES solve that
@@ -858,6 +920,12 @@ def solve_dirichlet(problem: DirichletProblem, cfg: SolverConfig | None = None,
 
     F = resid(values)
     nrm = float(np.max(np.abs(F[interior])))
+    # a nested-iteration level also stops after a full step that cut the
+    # residual by the factor LEVEL_STOP; every other solve stops at the
+    # tolerance only
+    level = isinstance(problem, CoarseLevel)
+    fast = False  # the last step was such a step on a level
+
     builder = None
     krylov = [0]  # GMRES iterations of the current Newton step
 
@@ -893,7 +961,7 @@ def solve_dirichlet(problem: DirichletProblem, cfg: SolverConfig | None = None,
     reused = 0
 
     for it in range(cfg.max_iters):
-        if nrm <= cfg.tol:
+        if nrm <= cfg.tol or fast:
             break
         if builder is None:
             builder = _cached_builder(values.shape, interior)
@@ -916,6 +984,7 @@ def solve_dirichlet(problem: DirichletProblem, cfg: SolverConfig | None = None,
         report.krylov_iterations.append(krylov[0])
         krylov[0] = 0
         if found is not None:
+            fast = level and found[3] == 1.0 and found[2] <= LEVEL_STOP * nrm
             values, F, nrm, lam = found
             report.damping_history.append(lam)
         else:
@@ -927,7 +996,7 @@ def solve_dirichlet(problem: DirichletProblem, cfg: SolverConfig | None = None,
                     f"no graph solution detected on the {_shape_text(values.shape)} grid: "
                     f"residual stalled at {nrm:.3e} (tolerance {cfg.tol:.1e})")
             break
-    if nrm > cfg.tol:  # checked after the last step too: it may have converged
+    if nrm > cfg.tol and not fast:  # checked after the last step too: it may have converged
         raise SolverDivergence(
             f"no graph solution detected on the {_shape_text(values.shape)} grid: "
             f"residual {nrm:.3e} after {cfg.max_iters} Newton iterations "

@@ -249,6 +249,22 @@ class TestGridResidual:
         res = op.qh_residual_grid(u, HYPERBOLIC, 0.0)
         assert np.max(np.abs(res.values[~res.boundary])) <= 1e-10
 
+    @pytest.mark.parametrize("n, nodes", [(2, 65), (2, (33, 17)), (3, 13)])
+    def test_coarse_chart_coefficients_are_the_coarse_grids(self, n, nodes):
+        # coarse nodes and faces are fine nodes: the node data are slices,
+        # bit for bit, and a face's g differs only by the rounding of its
+        # coordinates and of gamma / y^2 (at most 9e-16 relative measured)
+        grid = op.make_grid(n, 0.45, 0.25, 0.95, nodes)
+        axes = tuple(a[::2] for a in grid.axes)
+        got = op.coarse_chart_coefficients(op.chart_coefficients(grid.axes, n), axes, n)
+        ref = op.chart_coefficients(axes, n)
+        assert np.array_equal(got.scale, ref.scale) and np.array_equal(got.gamma, ref.gamma)
+        assert [b for b, _ in got.drift] == [b for b, _ in ref.drift]
+        assert all(np.array_equal(c, r) for (_, c), (_, r) in zip(got.drift, ref.drift))
+        for (g, weight), (g_ref, weight_ref) in zip(got.faces, ref.faces, strict=True):
+            assert g.shape == g_ref.shape and np.array_equal(weight, weight_ref)
+            assert np.max(np.abs(g / g_ref - 1.0)) <= 1e-14
+
 
 class TestFrozenResidual:
     """With ``w_at`` the residual kernel is the Picard linearization at ``w_at``."""

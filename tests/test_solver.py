@@ -947,9 +947,10 @@ class TestNestedIteration:
 
     def test_finest_level_is_not_factored(self, monkeypatch):
         # only the 33^2 level is LU-factored; the 65^2 and 129^2 levels take
-        # their Newton steps by GMRES, preconditioned through those factors,
-        # and the prolonged start still leaves the 127^2 unknowns two or
-        # three steps (12 GMRES iterations over 3 steps measured)
+        # their Newton steps by GMRES, preconditioned through those factors
+        # (the 65^2 level, stopped at discretization accuracy, takes one
+        # step), and the prolonged start still leaves the 127^2 unknowns two
+        # or three steps (11 GMRES iterations over 3 steps measured)
         problem = hemisphere_box(2, 129)
         by_backend = counting_factorizations(monkeypatch)
         _, rep = sv.solve_dirichlet(problem, sv.SolverConfig(tol=1e-10))
@@ -963,21 +964,130 @@ class TestNestedIteration:
         assert set(coarsest.krylov_iterations) == {0}
         assert min(middle.krylov_iterations) >= 1
 
-    def test_level_records_are_the_coarse_reports(self):
+    def test_level_records_are_the_coarse_reports(self, monkeypatch):
+        # the record is the coarse solve's own report, the solve run as the
+        # nested start runs it: on the coarse level that _coarse_problem makes
         problem = hemisphere_box(2, 65)
         cfg = sv.SolverConfig(tol=1e-10)
         _, rep = sv.solve_dirichlet(problem, cfg)
-        coarse = sv._coarse_problem(problem)
+        coarse = sv._coarse_problem(problem, sv._residual_fn(problem))
+        real = sv._backtrack
+        steps = []  # (residual before, residual after, lam) of each step
+
+        def recording(values, step, nrm, *args):
+            found = real(values, step, nrm, *args)
+            steps.append((nrm, found[2], found[3]))
+            return found
+
+        monkeypatch.setattr(sv, "_backtrack", recording)
         solved, coarse_rep = sv.solve_dirichlet(coarse, cfg)
         assert coarse_rep.levels == []  # 15^2 unknowns below: the hierarchy ends at 33^2
         assert rep.levels == [sv.LevelRecord((33, 33), coarse_rep.iterations,
                                              coarse_rep.final_residual,
                                              tuple(coarse_rep.krylov_iterations),
                                              coarse_rep.lu_fallbacks)]
-        assert coarse_rep.iterations > 0 and coarse_rep.final_residual <= 1e-10
+        # the level stops at its first full step that cuts the residual by
+        # LEVEL_STOP: the first four cut it by 0.05 to 0.15 (three of them on
+        # a reused Jacobian), the fifth ends at 2.0e-10, above the tolerance
+        assert coarse_rep.iterations == len(steps) == 5 and all(lam == 1.0 for *_, lam in steps)
+        assert [after <= sv.LEVEL_STOP * before for before, after, _ in steps] == \
+            [False] * 4 + [True]
+        start = sv.residual_norm(sv.linearized_start(coarse), coarse)
+        assert steps[0][0] == start and steps[-1][1] == coarse_rep.final_residual
+        assert cfg.tol < coarse_rep.final_residual <= sv.LEVEL_STOP * start
+        assert sv.residual_norm(solved, coarse) == coarse_rep.final_residual
         # the coarse data are the fine data injected, boundary values included
         assert np.array_equal(coarse.data, problem.data[::2, ::2])
-        assert np.array_equal(solved.axes[0], problem.grid.axes[0][::2])
+        for fine_axis, coarse_axis in zip(problem.grid.axes, solved.axes):
+            assert np.array_equal(coarse_axis, fine_axis[::2])
+
+    @pytest.mark.parametrize("problem_of, tol", [
+        (lambda: hemisphere_box(2, 65), 1e-10),
+        (lambda: hemisphere_box(2, 129), 1e-10),
+        (lambda: dilation_problem(65), 1e-9),
+    ], ids=["hemisphere_65", "hemisphere_129", "dilation_65"])
+    def test_coarse_level_stops_below_the_discretization_gap(self, problem_of, tol):
+        # the level's algebraic error, its distance from the same problem
+        # solved to the tolerance, against max |u_h - I u_2h| (measured:
+        # 0.0 %, 1.6 % and 1.8 % of it)
+        problem = problem_of()
+        cfg = sv.SolverConfig(tol=tol)
+        fine, _ = sv.solve_dirichlet(problem, cfg)
+        coarse = sv._coarse_problem(problem, sv._residual_fn(problem))
+        level, _ = sv.solve_dirichlet(coarse, cfg)
+        full, full_rep = sv.solve_dirichlet(
+            sv.DirichletProblem(grid=coarse.grid, mask=coarse.mask, data=coarse.data,
+                                H=coarse.H, kind=coarse.kind), cfg)
+        assert full_rep.final_residual <= tol
+        gap = np.max(np.abs(fine.values - sv.prolong(full.values)))
+        assert np.max(np.abs(level.values - full.values)) <= 0.1 * gap
+
+    def test_finest_level_counts_match_coarse_levels_solved_to_the_tolerance(self, monkeypatch):
+        problem = hemisphere_box(2, 129)
+        cfg = sv.SolverConfig(tol=1e-10)
+        u, rep = sv.solve_dirichlet(problem, cfg)
+        monkeypatch.setattr(sv, "LEVEL_STOP", 0.0)  # every level stops at the tolerance
+        ref, ref_rep = sv.solve_dirichlet(problem, cfg)
+        assert all(level.final_residual <= cfg.tol for level in ref_rep.levels)
+        assert [level.iterations for level in rep.levels] == [5, 1]
+        assert [level.iterations for level in ref_rep.levels] == [6, 3]
+        assert (rep.iterations, rep.krylov_iterations, rep.damping_history) == \
+            (ref_rep.iterations, ref_rep.krylov_iterations, ref_rep.damping_history)
+        assert rep.final_residual <= cfg.tol
+        assert np.max(np.abs(u.values - ref.values)) <= 1e-12
+
+    def test_damped_step_does_not_stop_a_coarse_level(self, monkeypatch):
+        # the 33^2 level of this dilation box stops after one full step, which
+        # cuts its residual by 1.4e-3.  Here that first step is doubled and
+        # its lam = 1 trial is made to fail the decrease test, so the line
+        # search takes it at lam = 1/2: the same iterate, reached by a damped
+        # step, where the level must not stop
+        problem = dilation_problem(65)
+        cfg = sv.SolverConfig(tol=1e-9)
+        coarse = sv._coarse_problem(problem, sv._residual_fn(problem))
+        _, plain = sv.solve_dirichlet(coarse, cfg)
+        assert plain.iterations == 1 and plain.damping_history == [1.0]
+        real = sv._backtrack
+        trials = []
+
+        def damped_first_step(values, step, nrm, interior, resid, tol):
+            if trials:
+                return real(values, step, nrm, interior, resid, tol)
+
+            def first_trial_fails(v):
+                trials.append(v)
+                return resid(v) * (1e3 if len(trials) == 1 else 1.0)
+
+            return real(values, 2.0 * step, nrm, interior, first_trial_fails, tol)
+
+        monkeypatch.setattr(sv, "_backtrack", damped_first_step)
+        _, rep = sv.solve_dirichlet(coarse, cfg)
+        assert len(trials) == 2 and rep.damping_history[0] == 0.5
+        assert rep.iterations >= 2 and rep.damping_history[-1] == 1.0
+        assert rep.final_residual < plain.final_residual
+
+    def test_dilation_levels_slice_the_fine_coefficients(self, monkeypatch):
+        # the 33^2 level reads the 65^2 level's chart coefficients, sliced;
+        # built anew from the structure they move the answer by rounding only
+        problem = dilation_problem(65)
+        cfg = sv.SolverConfig(tol=1e-9)
+        real = op.chart_coefficients
+        built = []
+
+        def counting(axes, n):
+            built.append(tuple(len(a) for a in axes))
+            return real(axes, n)
+
+        monkeypatch.setattr(op, "chart_coefficients", counting)
+        u, rep = sv.solve_dirichlet(problem, cfg)
+        assert built == [(65, 65)] and [level.shape for level in rep.levels] == [(33, 33)]
+        monkeypatch.setattr(op, "coarse_chart_coefficients", lambda fine, axes, n: real(axes, n))
+        ref, ref_rep = sv.solve_dirichlet(problem, cfg)
+        assert (rep.iterations, rep.krylov_iterations) == \
+            (ref_rep.iterations, ref_rep.krylov_iterations)
+        assert [(level.iterations, level.krylov_iterations) for level in rep.levels] == \
+            [(level.iterations, level.krylov_iterations) for level in ref_rep.levels]
+        assert np.max(np.abs(u.values - ref.values)) <= 1e-12
 
     @pytest.mark.parametrize("case", ["whole_33", "ball_mask", "even_nodes"])
     def test_other_problems_keep_the_linearized_start(self, case):
@@ -1248,7 +1358,8 @@ class TestPreconditionedSteps:
         # Eisenstat-Walker alone asks the last 129^2 steps for a linear
         # residual of 0.019 tol; with the floor no GMRES solve is asked for
         # less than 0.5 tol (2-norm), and the Newton steps per level (3 on
-        # 129^2, [6, 3] on 33^2 and 65^2) do not rise
+        # 129^2, [5, 1] on 33^2 and 65^2, which stop at discretization
+        # accuracy) do not rise
         problem = hemisphere_box(2, 129)
         cfg = sv.SolverConfig(tol=1e-10)
         asked = []
