@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import operator
-from .geometry import PARABOLIC, IdealSphere, _point_array
+from .geometry import PARABOLIC, IdealSphere
 from .operator import exact_patch, qh_pointwise
 
 
@@ -143,19 +143,13 @@ def build_stack(l: float, alpha: float) -> BarrierStack:
     return BarrierStack(l=float(l), alpha=float(alpha), levels=tuple(levels))
 
 
-def eval_stack(stack: BarrierStack, P) -> float:
-    """Pasted barrier value max(0, max_k v_k) with v_k = t_k + sqrt(R_k^2 - rho^2).
-
-    ``rho`` is the chart radius |(x, y)|; pieces participate on their own
-    closed disks, consecutive pieces agree on the pasting spheres
-    rho = R_{k-1} cos(alpha), and the function vanishes outside the unit
-    disk.  Values are nonnegative.
-    """
-    z = _point_array(P)
-    return float(eval_stack_radial(stack, math.sqrt(float(np.dot(z, z)))))
-
-
 def eval_stack_radial(stack: BarrierStack, rho) -> np.ndarray:
+    """Pasted barrier value max(0, max_k v_k), v_k = t_k + sqrt(R_k^2 - rho^2), at chart radii rho.
+
+    Each piece takes part on its own closed disk, consecutive pieces agree
+    on the pasting spheres rho = R_{k-1} cos(alpha), and the value vanishes
+    outside the unit disk.
+    """
     rho = np.asarray(rho, dtype=float)
     out = np.zeros_like(rho)
     for t_k, R_k in stack.levels:
@@ -347,53 +341,3 @@ def upper_cap_barrier(q_offset: float, q_center, phi, H: float) -> UpperCap:
     if rho <= 1e-8:
         raise ValueError("no disjoint ideal sphere found: data graph touches the cap point")
     return UpperCap(offset=float(q_offset), center=q_center, rho=float(rho), H=float(H))
-
-
-# ---------------------------------------------------------------------------
-# Discrete subsolution bookkeeping
-# ---------------------------------------------------------------------------
-
-def stack_subsolution_report(stack: BarrierStack, H_values) -> dict:
-    """Worst discrete residual of the stack sampled on a 49^2 grid at smooth nodes, per H.
-
-    Nodes are counted as smooth when a single hemisphere piece dominates
-    strictly over the whole stencil; the subsolution inequality asks for a
-    nonpositive residual there, up to the scheme's O(h^2) consistency slack.
-    A minimal piece satisfies it exactly for H >= 0.
-    """
-    grid = operator.make_grid(2, 1.1, 0.02, 1.1, 49)
-    mesh = grid.meshgrid()
-    rho = np.sqrt(sum(m**2 for m in mesh))
-    sampled = grid.copy()
-    sampled.values = eval_stack_radial(stack, rho)
-
-    # identify nodes whose whole stencil is strictly inside one piece
-    t = stack.heights()[:, None, None]
-    R = stack.radii()[:, None, None]
-    with np.errstate(invalid="ignore"):
-        vk = np.where(rho[None] <= R, t + np.sqrt(np.maximum(R**2 - rho[None] ** 2, 0.0)), -np.inf)
-    vk = np.concatenate([np.zeros_like(rho)[None], vk], axis=0)
-    best = np.argmax(vk, axis=0)
-    sorted_vals = np.sort(vk, axis=0)
-    margin = sorted_vals[-1] - sorted_vals[-2]
-    h = max(grid.spacing)
-    smooth = (margin > 4 * h) & (best > 0)
-    core = (slice(1, -1), slice(1, -1))
-    for a in range(2):
-        sl_p = [slice(1, -1)] * 2
-        sl_m = [slice(1, -1)] * 2
-        sl_p[a] = slice(2, None)
-        sl_m[a] = slice(None, -2)
-        agree = np.zeros_like(smooth)
-        agree[core] = (best[tuple(sl_p)] == best[core]) & (best[tuple(sl_m)] == best[core])
-        smooth &= agree
-
-    out = {}
-    slack = 50.0 * h**2
-    for H in H_values:
-        res = operator.qh_residual_grid(sampled, PARABOLIC, H)
-        vals = res.values[smooth]
-        worst = float(np.max(vals)) if vals.size else float("nan")
-        out[float(H)] = {"max_residual": worst, "holds": bool(vals.size and worst <= slack),
-                         "slack": slack, "smooth_nodes": int(np.sum(smooth))}
-    return out

@@ -11,14 +11,16 @@ R^{n-1}.  Two one-parameter isometry groups act transversally to M:
   equidistant curves of the vertical axis.  Its slice is the unit upper
   hemisphere, mapped to the vertical-plane chart by an inversion.
 
-The module also carries a small catalog of exact graph solutions
-(constants, tilted planes, hemisphere caps) used as test oracles.
+The module also carries the catalog of exact graph solutions (constants,
+tilted planes, hemisphere caps) behind the operator's exact patches and the
+CLI's solve-dirichlet data, and the ideal spheres of the between-spheres
+condition on boundary data.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,24 +54,6 @@ class ChartPoint:
 
     def as_array(self) -> np.ndarray:
         return np.concatenate([self.x, [self.y]])
-
-
-@dataclass(frozen=True)
-class IdealPoint:
-    """Point of the ideal boundary: either finite (on {y = 0}) or infinity."""
-
-    coords: np.ndarray | None = None
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.coords is None
-
-    def __post_init__(self):
-        if self.coords is not None:
-            object.__setattr__(self, "coords", np.atleast_1d(np.asarray(self.coords, dtype=float)))
-
-
-IDEAL_INFINITY = IdealPoint(None)
 
 
 @dataclass(frozen=True)
@@ -116,24 +100,8 @@ def _point_array(p) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Metric, distance, connection
+# Connection
 # ---------------------------------------------------------------------------
-
-def hyperbolic_inner(u, v, y: float) -> float:
-    """Inner product of tangent vectors at height y: <u, v> = (u . v) / y^2."""
-    return float(np.dot(u, v)) / y**2
-
-
-def hyperbolic_distance(p, q) -> float:
-    """Distance in the half-space model.
-
-    d(P, Q) = arccosh(1 + |P - Q|_E^2 / (2 y_P y_Q)).
-    """
-    a, b = _point_array(p), _point_array(q)
-    diff = a - b
-    arg = 1.0 + float(np.dot(diff, diff)) / (2.0 * a[-1] * b[-1])
-    return float(np.arccosh(max(arg, 1.0)))
-
 
 def ambient_christoffel_term(u, v, y: float) -> np.ndarray:
     """Connection correction Gamma(u, v) of the conformal metric delta / y^2.
@@ -146,43 +114,6 @@ def ambient_christoffel_term(u, v, y: float) -> np.ndarray:
     e_y = np.zeros_like(u)
     e_y[-1] = 1.0
     return (-u[-1] * v - v[-1] * u + np.dot(u, v) * e_y) / y
-
-
-def fd_covariant_derivative(vector_field, p, h: float = 1e-5) -> np.ndarray:
-    """Finite-difference covariant derivative (nabla_X X)(p) of an ambient field.
-
-    The connection coefficients are obtained from centered differences of the
-    metric delta_ij / y^2 itself, so the result is independent of any analytic
-    Christoffel formula; used as an oracle for drift fields.
-    """
-    p = _point_array(p)
-    d = p.shape[0]
-    step = h * p[-1]
-
-    def metric(q):
-        return np.eye(d) / q[-1] ** 2
-
-    dg = np.zeros((d, d, d))
-    for k in range(d):
-        e = np.zeros(d)
-        e[k] = step
-        dg[k] = (metric(p + e) - metric(p - e)) / (2 * step)
-    ginv = np.eye(d) * p[-1] ** 2
-    gamma = np.zeros((d, d, d))
-    for k in range(d):
-        for i in range(d):
-            for j in range(d):
-                gamma[k, i, j] = 0.5 * np.dot(ginv[k], dg[i, :, j] + dg[j, i, :] - dg[:, i, j])
-
-    X0 = np.asarray(vector_field(p), dtype=float)
-    dX = np.zeros((d, d))
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = step
-        dX[i] = (np.asarray(vector_field(p + e)) - np.asarray(vector_field(p - e))) / (2 * step)
-    directional = X0 @ dX
-    correction = np.einsum("kij,i,j->k", gamma, X0, X0)
-    return directional + correction
 
 
 # ---------------------------------------------------------------------------
@@ -316,142 +247,8 @@ def killing_structure(kind: str) -> KillingStructure:
 
 
 # ---------------------------------------------------------------------------
-# Isometries as composition lists of exact primitives
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BoundaryTranslation:
-    v: np.ndarray  # horizontal n-vector
-
-    def apply(self, p: np.ndarray) -> np.ndarray:
-        out = p.copy()
-        out[:-1] += self.v
-        return out
-
-    def inverse(self) -> "BoundaryTranslation":
-        return BoundaryTranslation(-np.asarray(self.v))
-
-
-@dataclass(frozen=True)
-class Dilation:
-    scale: float
-
-    def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("dilation scale must be positive")
-
-    def apply(self, p: np.ndarray) -> np.ndarray:
-        return self.scale * p
-
-    def inverse(self) -> "Dilation":
-        return Dilation(1.0 / self.scale)
-
-
-@dataclass(frozen=True)
-class BoundaryRotation:
-    matrix: np.ndarray  # orthogonal map of the horizontal factor
-
-    def apply(self, p: np.ndarray) -> np.ndarray:
-        out = p.copy()
-        out[:-1] = np.asarray(self.matrix) @ p[:-1]
-        return out
-
-    def inverse(self) -> "BoundaryRotation":
-        return BoundaryRotation(np.asarray(self.matrix).T.copy())
-
-
-@dataclass(frozen=True)
-class HemisphereInversion:
-    center: np.ndarray  # horizontal n-vector on {y = 0}
-    radius: float
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("inversion radius must be positive")
-
-    def apply(self, p: np.ndarray) -> np.ndarray:
-        c = np.concatenate([np.asarray(self.center, dtype=float), [0.0]])
-        w = p - c
-        return c + self.radius**2 * w / float(np.dot(w, w))
-
-    def inverse(self) -> "HemisphereInversion":
-        return self
-
-
-@dataclass(frozen=True)
-class Isometry:
-    """Composition of primitive half-space isometries, applied left to right."""
-
-    primitives: tuple = field(default_factory=tuple)
-
-    def apply(self, p) -> np.ndarray:
-        out = _point_array(p).copy()
-        for prim in self.primitives:
-            out = prim.apply(out)
-        return out
-
-    def apply_ideal(self, q: IdealPoint) -> IdealPoint:
-        cur = q
-        for prim in self.primitives:
-            cur = _apply_primitive_ideal(prim, cur)
-        return cur
-
-    def inverse(self) -> "Isometry":
-        return Isometry(tuple(prim.inverse() for prim in reversed(self.primitives)))
-
-
-def _apply_primitive_ideal(prim, q: IdealPoint) -> IdealPoint:
-    if q.is_infinity:
-        if isinstance(prim, HemisphereInversion):
-            return IdealPoint(np.asarray(prim.center, dtype=float))
-        return q
-    c = q.coords
-    if isinstance(prim, BoundaryTranslation):
-        return IdealPoint(c + prim.v)
-    if isinstance(prim, Dilation):
-        return IdealPoint(prim.scale * c)
-    if isinstance(prim, BoundaryRotation):
-        return IdealPoint(np.asarray(prim.matrix) @ c)
-    if isinstance(prim, HemisphereInversion):
-        w = c - np.asarray(prim.center, dtype=float)
-        r2 = float(np.dot(w, w))
-        if r2 == 0.0:
-            return IDEAL_INFINITY
-        return IdealPoint(np.asarray(prim.center) + prim.radius**2 * w / r2)
-    raise TypeError(f"unknown primitive {type(prim)}")
-
-
-def random_isometry(rng: np.random.Generator, n: int) -> Isometry:
-    """Random composition of four primitives, for invariance property tests."""
-    prims = []
-    for _ in range(4):
-        choice = rng.integers(0, 4)
-        if choice == 0:
-            prims.append(BoundaryTranslation(rng.normal(size=n)))
-        elif choice == 1:
-            prims.append(Dilation(float(np.exp(rng.normal() * 0.7))))
-        elif choice == 2:
-            a = rng.normal(size=(n, n))
-            q, _ = np.linalg.qr(a)
-            prims.append(BoundaryRotation(q))
-        else:
-            prims.append(HemisphereInversion(rng.normal(size=n), float(np.exp(rng.normal() * 0.4))))
-    return Isometry(tuple(prims))
-
-
-# ---------------------------------------------------------------------------
 # Exact solution catalog
 # ---------------------------------------------------------------------------
-
-def exact_solution(name: str, p, **params) -> float:
-    """Evaluate a catalog solution at a chart point.
-
-    constant(c); tilted_plane(a, b) = a*y + b; hemisphere(t, R) =
-    t + sqrt(R^2 - |(x, y)|^2) on its open disk.
-    """
-    value, _, _ = exact_solution_callables(name, **params)
-    return float(value(_point_array(p)))
-
 
 # Each catalog family's parameters and their defaults, None marking a
 # required one; the CLI's solve-dirichlet family keys are read from here.

@@ -305,28 +305,6 @@ class PerronConfig:
 # Lifts and sweeps
 # ---------------------------------------------------------------------------
 
-def cmc_lift(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig) -> GridFunction:
-    """Replace u inside one ball by the local solution, combined by maximum.
-
-    The ball solve takes its boundary values from the current iterate (and
-    from the pinned truncation faces where the ball meets them).  Newton
-    starts from the iterate, and from the solver's own start if that
-    diverges.  If both diverge, a cover of the ball with balls of half the
-    radius is lifted in its place, each restricted to the ball, recursively
-    down to ``MIN_RADIUS``; so the lift still reaches every free node of the
-    ball and changes nothing outside it.  The pointwise maximum guards
-    discretization noise, so the lift never lowers the iterate.  The lift
-    is returned on a copy and is not clamped from above; the sweeps of
-    :func:`perron_sweep` lift in place, start the first sweep's solves from
-    the solver's own start, and combine each lift with the supersolution
-    from above, absorbing the scheme's transient overshoot without
-    disturbing the fixed point.
-    """
-    out = u.copy()
-    _lift_inplace(out, ball, H, cfg, upper=None, region=None, rng=None, own_start_first=False)
-    return out
-
-
 def _lift_inplace(u: GridFunction, ball: Ball, H: float, cfg: PerronConfig,
                   upper: np.ndarray | None, region: np.ndarray | None,
                   rng: np.random.Generator | None, own_start_first: bool) -> tuple:

@@ -157,11 +157,11 @@ class SolveReport:
     were LU-factored after GMRES missed its tolerance on them.  ``levels``
     holds the coarse levels of the nested-iteration start, coarsest first,
     each stopped at discretization accuracy (:class:`LevelRecord`), and is
-    empty when the start was the linearization.  ``linear_solver``
-    is the linear solver of the last Newton step (None after a Picard
-    fallback or without a step), which the level above applies as its
-    coarse correction (:func:`_krylov_solver`): LU factors, or on a Krylov
-    level its float32 V-cycle.
+    empty when the start was the linearization.  ``linear_solver``, set on
+    a :class:`CoarseLevel` only, is the linear solver of its last Newton
+    step (None after a Picard fallback or without a step), which the level
+    above applies as its coarse correction (:func:`_krylov_solver`): LU
+    factors, or on a Krylov level its float32 V-cycle.
     """
 
     iterations: int = 0
@@ -892,14 +892,16 @@ def solve_dirichlet(problem: DirichletProblem, cfg: SolverConfig | None = None,
     reused for up to three more steps:
     LU-factored (:func:`_factorize`) unless a coarse level was solved, whose
     last linear solver then serves as the coarse correction of
-    preconditioned GMRES steps (:func:`_krylov_solver`).  A GMRES solve that
-    misses its tolerance on a reused Jacobian sends the solver to a fresh
-    one; on a fresh one it is replaced by the LU step of that Jacobian.
+    preconditioned GMRES steps (:func:`_krylov_solver`); a GMRES miss on a
+    fresh Jacobian gives the LU step of that Jacobian, whose factors then
+    serve its reuses.  A damped step (lam < 1) ends a Jacobian's reuse, and
+    a failed step on a reused one is retried at once on a fresh one.
     Steps take backtracking halving on the residual max-norm
     (:func:`_backtrack`); if no Newton step makes progress, the solver falls
     back to frozen-W sweeps (either Killing structure, the frozen kernel's
     exact matrix LU-factored) before declaring divergence, whose message
-    names the grid shape.
+    names the grid shape.  Only a :class:`CoarseLevel` hands its last
+    linear solver up (``report.linear_solver``).
     ``compute_bands`` adds the :func:`gradient_diagnostic` table to the
     report.
     """
@@ -926,36 +928,28 @@ def solve_dirichlet(problem: DirichletProblem, cfg: SolverConfig | None = None,
     level = isinstance(problem, CoarseLevel)
     fast = False  # the last step was such a step on a level
 
-    builder = None
     krylov = [0]  # GMRES iterations of the current Newton step
 
-    def linearize(values):
-        """(solve, the solver to hand up) for the Jacobian at ``values``.
+    def linearize(values, rhs):
+        """(step, solve, hand-up) of the Jacobian assembled at ``values``.
 
-        On the Krylov path, a GMRES solve that misses its tolerance on the
-        freshly assembled Jacobian is replaced by the LU step of that
-        Jacobian, whose factors then serve its remaining reuses and are
-        handed up in place of the cycle.  A miss on a reused Jacobian gives
-        no step, so the caller reassembles before anything is factored.
+        ``step`` solves it for ``rhs``, ``solve`` serves its reuses, and the
+        hand-up is what a level above applies as its coarse correction: the
+        LU factors, or on the Krylov path GMRES and its V-cycle.  A GMRES
+        miss on ``rhs`` counts an LU fallback and takes the LU path.
         """
+        builder = _cached_builder(values.shape, interior)
         J = builder.assemble(values, resid)
         if coarse is None:
             solve = _factorize(J, builder)
-            return solve, solve
-        krylov_solve, cycle = _krylov_solver(J, builder, coarse, krylov, cfg.tol)
-        factored, uses = [], [0]
-
-        def solve(rhs):
-            uses[0] += 1
-            if not factored:
-                step = krylov_solve(rhs)
-                if step is not None or uses[0] > 1:
-                    return step
-                report.lu_fallbacks += 1
-                factored.append(_factorize(J, builder))
-            return factored[0](rhs)
-
-        return solve, lambda rhs: (factored[0] if factored else cycle)(rhs)
+            return solve(rhs), solve, solve
+        solve, cycle = _krylov_solver(J, builder, coarse, krylov, cfg.tol)
+        step = solve(rhs)
+        if step is None:
+            report.lu_fallbacks += 1
+            solve = cycle = _factorize(J, builder)
+            step = solve(rhs)
+        return step, solve, cycle
 
     solve = handoff = None  # linear solver, reused for up to three more steps
     reused = 0
@@ -963,23 +957,18 @@ def solve_dirichlet(problem: DirichletProblem, cfg: SolverConfig | None = None,
     for it in range(cfg.max_iters):
         if nrm <= cfg.tol or fast:
             break
-        if builder is None:
-            builder = _cached_builder(values.shape, interior)
-        if solve is None or reused >= 3:
-            solve = handoff = None  # drop the old factors before the new assembly
-            solve, handoff = linearize(values)
-            reused = 0
-        else:
+        rhs = -F[interior]
+        found = None
+        if solve is not None and reused < 3:
             reused += 1
-        found = _backtrack(values, solve(-F[interior]), nrm, interior, resid, cfg.tol)
-        if found is None and reused > 0:
-            # stale Jacobian may be the culprit: rebuild before falling back
-            solve = handoff = None
-            solve, handoff = linearize(values)
+            found = _backtrack(values, solve(rhs), nrm, interior, resid, cfg.tol)
+        if found is None:  # due, or the reused Jacobian failed
+            solve = handoff = None  # drop the old factors before the new assembly
+            step, solve, handoff = linearize(values, rhs)
             reused = 0
-            found = _backtrack(values, solve(-F[interior]), nrm, interior, resid, cfg.tol)
-        elif found is not None and found[3] < 1.0:
-            reused = 3  # damped step: refresh the linearization next time
+            found = _backtrack(values, step, nrm, interior, resid, cfg.tol)
+        if found is not None and found[3] < 1.0:
+            reused = 3  # a damped step refreshes the Jacobian
         report.iterations = it + 1
         report.krylov_iterations.append(krylov[0])
         krylov[0] = 0
@@ -1002,13 +991,13 @@ def solve_dirichlet(problem: DirichletProblem, cfg: SolverConfig | None = None,
             f"residual {nrm:.3e} after {cfg.max_iters} Newton iterations "
             f"(tolerance {cfg.tol:.1e})")
 
-    solve = coarse = None  # only the solver handed up stays referenced
+    solve = coarse = None  # only a coarse level's hand-up stays referenced
     report.converged = True
     report.final_residual = nrm
     out = GridFunction(grid.axes, values, boundary | ~problem.mask)
     if compute_bands:
         report.gradient_bands = gradient_diagnostic(out, problem)
-    report.linear_solver = handoff
+    report.linear_solver = handoff if level else None
     return out, report
 
 

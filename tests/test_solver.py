@@ -763,6 +763,48 @@ def dilation_problem(nodes):
                                H=0.0, kind="hyperbolic")
 
 
+class TestJacobianReuse:
+    def test_every_damped_step_refreshes_the_jacobian(self, monkeypatch):
+        # the first reused step is made to fail, so a fresh Jacobian is
+        # assembled at once, and that retry's lam = 1 trial is made to fail
+        # the decrease test, so the line search takes it at lam = 1/2.  A
+        # damped retry ends its Jacobian's reuse like any damped step: the
+        # step after every damped one assembles afresh
+        problem = hemisphere_box(2, 33)  # the LU path, from the linearization
+        events = []  # "assemble", or each line search's lam (None: no step)
+        real_assemble, real_backtrack = sv.JacobianBuilder.assemble, sv._backtrack
+
+        def assemble(self, values, resid, w_at=None):
+            if w_at is None:  # a Newton Jacobian, not the start's frozen matrix
+                events.append("assemble")
+            return real_assemble(self, values, resid, w_at)
+
+        def backtrack(values, step, nrm, interior, resid, tol):
+            searches = sum(event != "assemble" for event in events)
+            trials = []
+
+            def first_trial_fails(v):
+                trials.append(v)
+                return resid(v) * (1e3 if len(trials) == 1 else 1.0)
+
+            if searches == 1:
+                found = None
+            else:
+                found = real_backtrack(values, step, nrm, interior,
+                                       first_trial_fails if searches == 2 else resid, tol)
+            events.append(None if found is None else found[3])
+            return found
+
+        monkeypatch.setattr(sv.JacobianBuilder, "assemble", assemble)
+        monkeypatch.setattr(sv, "_backtrack", backtrack)
+        _, rep = sv.solve_dirichlet(problem, sv.SolverConfig(tol=1e-10))
+        assert rep.converged and rep.picard_iterations == 0
+        assert events[:5] == ["assemble", 1.0, None, "assemble", 0.5]
+        damped = [k for k, event in enumerate(events[:-1])
+                  if event not in ("assemble", None) and event < 1.0]
+        assert all(events[k + 1] == "assemble" for k in damped)
+
+
 class TestPicardFallback:
     def test_dilation_structure_falls_back_to_picard(self, monkeypatch):
         # Newton's first factorization gives no step, so the solve must go on
@@ -1035,6 +1077,18 @@ class TestNestedIteration:
             (ref_rep.iterations, ref_rep.krylov_iterations, ref_rep.damping_history)
         assert rep.final_residual <= cfg.tol
         assert np.max(np.abs(u.values - ref.values)) <= 1e-12
+
+    def test_only_a_coarse_level_hands_its_solver_up(self):
+        # the 33^2 level hands its LU factors to the 65^2 Krylov level; the
+        # top-level solve keeps neither its cycle nor any factors
+        problem = hemisphere_box(2, 65)
+        cfg = sv.SolverConfig(tol=1e-10)
+        _, rep = sv.solve_dirichlet(problem, cfg)
+        assert rep.converged and min(rep.krylov_iterations) >= 1
+        assert rep.linear_solver is None
+        coarse = sv._coarse_problem(problem, sv._residual_fn(problem))
+        _, coarse_rep = sv.solve_dirichlet(coarse, cfg)
+        assert coarse_rep.linear_solver is not None
 
     def test_damped_step_does_not_stop_a_coarse_level(self, monkeypatch):
         # the 33^2 level of this dilation box stops after one full step, which
@@ -1391,6 +1445,16 @@ class TestPreconditionedSteps:
             return real(J, builder, lambda rhs: np.full_like(rhs, np.nan), *args)
 
         monkeypatch.setattr(sv, "_krylov_solver", nan_coarse)
+        # only a coarse level hands its solver up: the same 65^2 problem as
+        # the 129^2 box's level hands up the LU factors in place of the
+        # spoiled cycle
+        fine = hemisphere_box(2, 129)
+        level = sv._coarse_problem(fine, sv._residual_fn(fine))
+        assert np.array_equal(level.data, problem.data)
+        _, level_rep = sv.solve_dirichlet(level, cfg)
+        assert level_rep.lu_fallbacks >= 1 and level_rep.picard_iterations == 0
+        rhs = np.ones(np.count_nonzero(level.interior_mask()))
+        assert np.all(np.isfinite(level_rep.linear_solver(rhs)))
         try:
             u, rep = sv.solve_dirichlet(problem, cfg)
         except sv.SolverDivergence as exc:
@@ -1398,9 +1462,6 @@ class TestPreconditionedSteps:
             return
         assert rep.converged and rep.lu_fallbacks >= 1 and rep.picard_iterations == 0
         assert rep.krylov_iterations[0] >= 1  # GMRES ran before the fallback
-        # the LU factors are handed up in place of the spoiled cycle
-        rhs = np.ones(np.count_nonzero(problem.interior_mask()))
-        assert np.all(np.isfinite(rep.linear_solver(rhs)))
         assert sv.residual_norm(u, problem) <= cfg.tol
         assert np.max(np.abs(u.values - reference.values)) <= 1e-10
 
