@@ -321,17 +321,25 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def grid_to_csv(u: GridFunction) -> str:
+def _format_grid(u: GridFunction) -> tuple:
+    """(axis coordinates per axis, values in C order), each formatted once with ``.17g``."""
+    axes = [[f"{x:.17g}" for x in axis.tolist()] for axis in u.axes]
+    values = [f"{v:.17g}" for v in u.values.ravel().tolist()]
+    return axes, values
+
+
+def grid_to_csv(u: GridFunction, *, strings: tuple | None = None) -> str:
     """Row-major CSV of the grid: x1..x_{n-1}, y, u at 17 significant digits.
 
-    Each axis coordinate is formatted once; the rows pair those strings in
-    C order, the order of ``u.values.ravel()``.
+    Each axis coordinate and value is formatted once; the rows pair those
+    strings in C order, the order of ``u.values.ravel()``.  ``strings`` is
+    ``_format_grid(u)`` when the caller has formatted the grid already, as
+    :func:`emit_outputs` has for the OBJ too; the text is the same either way.
     """
-    n = u.ndim
-    header = ",".join([f"x{i+1}" for i in range(n - 1)] + ["y", "u"])
-    axes = [[f"{x:.17g}," for x in axis.tolist()] for axis in u.axes]
-    values = [f"{v:.17g}" for v in u.values.ravel().tolist()]
-    rows = ["".join(coords) + v for coords, v in zip(itertools.product(*axes), values)]
+    axes, values = _format_grid(u) if strings is None else strings
+    header = ",".join([f"x{i+1}" for i in range(u.ndim - 1)] + ["y", "u"])
+    prefixes = [[x + "," for x in axis] for axis in axes]
+    rows = ["".join(coords) + v for coords, v in zip(itertools.product(*prefixes), values)]
     return "\n".join([header] + rows) + "\n"
 
 
@@ -349,20 +357,18 @@ def csv_to_grid(text: str) -> GridFunction:
     return GridFunction(tuple(axes), values)
 
 
-def grid_to_obj(u: GridFunction) -> str:
+def grid_to_obj(u: GridFunction, *, strings: tuple | None = None) -> str:
     """Wavefront mesh of the embedded graph (planar chart only).
 
-    Vertices are the ambient points (u, x, y); quads between neighboring
-    nodes are split into two triangles.
+    Vertices are the ambient points (u, x, y) at 17 significant digits, in
+    the CSV's row order; quads between neighboring nodes are split into two
+    triangles.  ``strings`` is as for :func:`grid_to_csv`.
     """
     if u.ndim != 2:
         raise ValueError("OBJ emission is defined for planar (n = 2) grids")
-    nx, ny = u.values.shape
-    xs = [f"{x:.17g}" for x in u.axes[0].tolist()]
-    ys = [f"{y:.17g}" for y in u.axes[1].tolist()]
-    lines = [f"v {v:.17g} {x} {y}"
-             for x, column in zip(xs, u.values.tolist()) for v, y in zip(column, ys)]
-    faces = _obj_faces(nx, ny)
+    (xs, ys), values = _format_grid(u) if strings is None else strings
+    lines = [f"v {v} {x} {y}" for (x, y), v in zip(itertools.product(xs, ys), values)]
+    faces = _obj_faces(len(xs), len(ys))
     return "\n".join(lines + [faces] if faces else lines) + "\n"
 
 
@@ -383,12 +389,20 @@ def _obj_faces(nx: int, ny: int) -> str:
 
 def emit_outputs(u: GridFunction, cfg: RunConfig, out_dir: str, report: DiagnosticsReport,
                  stem: str = "solution") -> None:
+    """Write ``u`` as ``<stem>.csv``, and as ``<stem>.obj`` on a planar grid.
+
+    The config's ``outputs`` may name other paths; ``report.outputs``
+    records the ones written.  The values and axis coordinates are
+    formatted once, and :func:`grid_to_csv` and :func:`grid_to_obj` build
+    both texts from those strings.
+    """
+    strings = _format_grid(u)
     csv_path = cfg.outputs.get("csv", os.path.join(out_dir, f"{stem}.csv"))
-    _atomic_write(csv_path, grid_to_csv(u))
+    _atomic_write(csv_path, grid_to_csv(u, strings=strings))
     report.outputs["csv"] = csv_path
     if u.ndim == 2:
         obj_path = cfg.outputs.get("obj", os.path.join(out_dir, f"{stem}.obj"))
-        _atomic_write(obj_path, grid_to_obj(u))
+        _atomic_write(obj_path, grid_to_obj(u, strings=strings))
         report.outputs["obj"] = obj_path
 
 

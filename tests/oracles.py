@@ -2,7 +2,10 @@
 
 The hyperbolic metric, its distance and a finite-difference connection
 check the geometry; the stack's point value and its discrete subsolution
-report check the barriers; :func:`lift` is one Perron ball lift on a copy.
+report check the barriers; :func:`lift` is one Perron ball lift on a copy,
+:func:`attainment_report_per_row` the attainment report one sampled point
+at a time, and :func:`poisson_smoothed_product` the face smoothing in one
+block.
 """
 
 import math
@@ -139,3 +142,41 @@ def lift(u, ball, H: float, cfg):
     pe._lift_inplace(out, ball, H, cfg, upper=None, region=None, rng=None,
                      own_start_first=False)
     return out
+
+
+def attainment_report_per_row(u, phi, stacks, caps, samples: int) -> dict:
+    """``perron.boundary_attainment_report`` with every sampled x_1 evaluated on its own.
+
+    The datum, each stack and each cap are called once per sampled point,
+    on that point alone; the package evaluates each once on all of them.
+    """
+    xs_axis = u.axes[0] if u.ndim > 1 else np.array([0.0])
+    y0 = float(u.axes[-1][0])
+    y1 = float(u.axes[-1][1])
+    layer = u.values[..., 1].reshape(len(xs_axis), -1)
+    sel = np.linspace(0, len(xs_axis) - 1, min(samples, len(xs_axis))).astype(int)
+    rows = []
+    for i in sel:
+        x = float(xs_axis[i])
+        target = float(phi(x))
+        line = layer[i]
+        uval = float(line[np.argmax(np.abs(line - target))])
+        row = {"x": x, "height": y1, "u": uval, "phi": target, "error": abs(uval - target)}
+        if stacks:
+            env = max(float(st(np.array(x), np.array(y1))) for st in stacks)
+            row["lower_margin"] = float(np.min(line)) - env
+        if caps:
+            bound = min(float(np.min(cap.upper_bound(np.array([x]), np.array(y1)))) for cap in caps)
+            row["upper_margin"] = bound - float(np.max(line)) if np.isfinite(bound) else math.inf
+        rows.append(row)
+    max_err = max(r["error"] for r in rows)
+    return {"rows": rows, "max_error": max_err, "pinned_height": y0, "probe_height": y1}
+
+
+def poisson_smoothed_product(phi, x, scale, n: int) -> np.ndarray:
+    """``perron.poisson_smoothed`` at positive scales, in one block reduced by ``@ weights``."""
+    theta = (np.arange(pe._KERNEL_NODES) + 0.5) * (math.pi / pe._KERNEL_NODES) - math.pi / 2
+    weights = np.cos(theta) ** n
+    weights /= weights.sum()
+    ts = x[:, None] + scale[:, None] * np.tan(theta)
+    return np.asarray(phi(ts.ravel()), dtype=float).reshape(ts.shape) @ weights

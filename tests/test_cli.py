@@ -297,6 +297,18 @@ class TestEmission:
             for _ in range(2):  # the second call reuses the face block
                 assert cli.grid_to_obj(grid) == self.per_quad_obj(grid)
 
+    @pytest.mark.parametrize("n, nodes", [(2, 33), (3, 9)])
+    def test_emitted_artifacts_equal_the_per_row_formatting(self, tmp_path, n, nodes):
+        grid = op.make_grid(n, 2.0, 0.05, 0.8, nodes)
+        grid.values = np.random.default_rng(nodes).standard_normal(grid.values.shape) / 3.0
+        report = cli.DiagnosticsReport(config={})
+        cli.emit_outputs(grid, cli.RunConfig(mode="solve-asymptotic", n=n), str(tmp_path), report)
+        assert (tmp_path / "solution.csv").read_text() == self.per_row_csv(grid)
+        if n == 2:
+            assert (tmp_path / "solution.obj").read_text() == self.per_quad_obj(grid)
+        else:
+            assert "obj" not in report.outputs and not (tmp_path / "solution.obj").exists()
+
     def test_obj_rejects_non_planar(self):
         grid = op.make_grid(1, 0.0, 0.5, 1.5, 5)
         with pytest.raises(ValueError):
@@ -447,6 +459,22 @@ class TestEndToEnd:
         assert code == 0
         assert (tmp_path / "solution_1.csv").exists()
         assert (tmp_path / "solution_2.csv").exists()
+
+    def test_compare_artifacts_equal_the_per_row_formatting(self, tmp_path):
+        doc = self.asymptotic_doc()
+        doc["mode"] = "compare"
+        doc["boundary"] = {"kind": "smooth_step", "lo": 0.2, "hi": 0.5, "c_max": 0.6}
+        doc["boundary_2"] = {"kind": "smooth_step", "lo": 0.3, "hi": 0.6, "c_max": 0.6}
+        config = write_config(tmp_path, doc)
+        assert cli.main(["compare", "--config", config, "--out-dir", str(tmp_path)]) == 0
+        # .17g round-trips, so the parsed grid holds the solved values exactly
+        for stem in ("solution_1", "solution_2"):
+            text = (tmp_path / f"{stem}.csv").read_text()
+            grid = cli.csv_to_grid(text)
+            assert text == TestEmission.per_row_csv(grid)
+        obj = (tmp_path / "solution_1.obj").read_text()
+        assert obj == TestEmission.per_quad_obj(cli.csv_to_grid(
+            (tmp_path / "solution_1.csv").read_text()))
 
     def test_config_error_exit_code(self, tmp_path):
         doc = self.asymptotic_doc()

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -519,6 +520,76 @@ class TestComparison:
             pe.comparison_check(u1, u2)
 
 
+# the CLI's default box at the sizes the face data are measured on
+CLI_BOXES = [(2, 33), (2, 257), (3, 17)]
+
+
+class _Captured(Exception):
+    pass
+
+
+def face_data_args(n, nodes, monkeypatch):
+    """The arguments ``run_asymptotic_solve`` passes to ``_face_data`` on a CLI box."""
+    grid = op.make_grid(n, 2.0, 0.05, 0.8, nodes)
+    seen = []
+
+    def capture(*args):
+        seen.append(args)
+        raise _Captured
+
+    with monkeypatch.context() as m:
+        m.setattr(pe, "_face_data", capture)
+        with pytest.raises(_Captured):
+            pe.run_asymptotic_solve(pe.smooth_step_datum(0.2, 0.8, width=0.5), 0.0, grid,
+                                    pe.PerronConfig(tol=1e-8))
+    return seen[0]
+
+
+def smoothing_args(n, nodes, monkeypatch):
+    """The (phi, x, scale, n) that ``_face_data`` passes to ``poisson_smoothed`` on a CLI box."""
+    args = face_data_args(n, nodes, monkeypatch)
+    seen = []
+    real = pe.poisson_smoothed
+
+    def record(*a):
+        seen.append(a)
+        return real(*a)
+
+    with monkeypatch.context() as m:
+        m.setattr(pe, "poisson_smoothed", record)
+        pe._face_data(*args)
+    return seen[0]
+
+
+class TestFaceData:
+    @pytest.mark.parametrize("n, nodes", CLI_BOXES)
+    def test_values_do_not_depend_on_the_block_size(self, n, nodes, monkeypatch):
+        phi, x, scale, axes = smoothing_args(n, nodes, monkeypatch)
+        assert np.all(scale > 0)
+        default = pe.poisson_smoothed(phi, x, scale, axes)
+        for block in (1, 7, x.size):
+            monkeypatch.setattr(pe, "_KERNEL_BLOCK", block)
+            assert np.array_equal(pe.poisson_smoothed(phi, x, scale, axes), default)
+
+    @pytest.mark.parametrize("n, nodes", CLI_BOXES)
+    def test_matches_the_unblocked_product_within_four_ulp(self, n, nodes, monkeypatch):
+        phi, x, scale, axes = smoothing_args(n, nodes, monkeypatch)
+        got = pe.poisson_smoothed(phi, x, scale, axes)
+        want = oracles.poisson_smoothed_product(phi, x, scale, axes)
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+
+    @pytest.mark.parametrize("n, nodes", CLI_BOXES)
+    def test_peak_allocation_is_cache_sized(self, n, nodes, monkeypatch):
+        args = face_data_args(n, nodes, monkeypatch)
+        tracemalloc.start()
+        try:
+            pe._face_data(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+
+
 class TestAttainment:
     def test_constant_data_attained(self):
         grid = small_grid()
@@ -552,6 +623,27 @@ class TestAttainment:
             assert abs(row["u"] - row["phi"] - 0.01 * 0.5**2) <= 1e-12
             assert abs(row["lower_margin"] - (row["phi"] - 0.1)) <= 1e-12  # min at x_2 = 0
         assert report["probe_height"] == grid.axes[-1][1]
+
+    @pytest.mark.parametrize("phi", [
+        pe.smooth_step_datum(0.2, 0.8, width=0.5),
+        pe.bump_datum(center=0.3, height=0.5, width=0.8, base=0.2),
+        pe.sinusoid_decay_datum(amplitude=0.3, period=1.3, decay=0.4),
+        pe.table_datum([-2.0, -0.5, 0.7, 2.0], [0.3, 0.8, 0.1, 0.5]),
+        pe.constant_datum(0.4)], ids=lambda phi: phi.kind)
+    @pytest.mark.parametrize("n, nodes, samples", [(2, 33, 21), (2, 17, 40), (3, 9, 5)])
+    def test_rows_equal_the_per_row_oracle(self, phi, n, nodes, samples):
+        grid = op.make_grid(n, 2.0, 0.05, 0.8, nodes)
+        mesh = grid.meshgrid()
+        u = grid.copy()
+        noise = np.random.default_rng(nodes).standard_normal(grid.values.shape)
+        u.values = np.asarray(phi(mesh[0]), dtype=float) + 0.05 * mesh[-1] + 1e-3 * noise
+        stacks = pe._build_lower_stacks(phi, grid)
+        assert stacks
+        caps = [ba.upper_cap_barrier(1.2, [x0], phi, 0.0) for x0 in (-1.0, 0.0)] if n == 2 \
+            else None
+        got = pe.boundary_attainment_report(u, phi, stacks=stacks, caps=caps, samples=samples)
+        want = oracles.attainment_report_per_row(u, phi, stacks, caps, samples)
+        assert repr(got) == repr(want)  # repr tells -0.0 from 0.0
 
     def test_margins_reported_against_barriers(self):
         grid = small_grid()
